@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import bignum, upset
 from .errors import BudgetExceededError, StepCapExceededError
@@ -24,6 +24,9 @@ from .formula import Formula, Kind, formula_atoms, pretty, subformulas
 from .oca import Configuration, Oca, POS, ZERO, validate
 from .periodicity import TpPair, ctl_constants, ua_constants
 from .upset import UpSet
+
+if TYPE_CHECKING:
+    from .oracle import BoundedEvaluator
 
 DEFAULT_NODE_BUDGET = 10**6
 BUDGET_ENV_VAR = "OCASYNC_BUDGET"
@@ -333,13 +336,17 @@ def _paper_pairs(oca: Oca, f: Formula, b_override: int | None) -> dict[Formula, 
 
 
 def _mined_pairs(
-    oca: Oca, f: Formula, caps: tuple[int, int], mine_v_cap: int | None
+    oca: Oca, f: Formula, caps: tuple[int, int], mine_v_cap: int | None,
+    evaluator: BoundedEvaluator | None = None,
 ) -> tuple[dict[Formula, TpPair], list[str]]:
     from .oracle import BoundedEvaluator, mine_period  # local import to avoid a cycle
 
     counter_cap, level_cap = caps
     v_cap = mine_v_cap if mine_v_cap is not None else counter_cap // 2
-    evaluator = BoundedEvaluator(oca, counter_cap, level_cap)
+    if evaluator is None or evaluator.oca is not oca or (
+        evaluator.counter_cap, evaluator.level_cap
+    ) != (counter_cap, level_cap):
+        evaluator = BoundedEvaluator(oca, counter_cap, level_cap)
     pairs: dict[Formula, TpPair] = {}
     caveats = [f"constants mined empirically on counters 0..{v_cap}; no derived soundness"]
     for g in subformulas(f):
@@ -377,6 +384,7 @@ def check_oca(
     b_override: int | None = None,
     node_budget: int | None = None,
     mine_v_cap: int | None = None,
+    evaluator: BoundedEvaluator | None = None,
 ) -> CheckResult:
     """Decide the formula at an initial configuration by reduction to a finite
     structure, and report the per-state satisfaction sets.
@@ -385,6 +393,8 @@ def check_oca(
     recursion (exact, usually astronomically large); ``supplied`` trusts a
     user pair; ``empirical`` mines pairs with the bounded oracle and carries a
     caveat, since sampled periodicity proves nothing beyond the sample.
+    Empirical mining reuses ``evaluator`` (a ``BoundedEvaluator``) when it
+    was built for this automaton at these caps.
     """
     diags = validate(oca)
     if diags:
@@ -403,7 +413,7 @@ def check_oca(
         pairs = {g: supplied for g in subformulas(f)}
         caveats.append("threshold/period pair supplied by caller; not validated here")
     elif mode == "empirical":
-        pairs, caveats = _mined_pairs(oca, f, caps, mine_v_cap)
+        pairs, caveats = _mined_pairs(oca, f, caps, mine_v_cap, evaluator)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from . import mc
 from .errors import BudgetExceededError
@@ -64,6 +65,7 @@ class BoundedEvaluator:
         ]
         self._succ: dict[Configuration, tuple[Configuration, ...]] = {}
         self._tables: dict[Formula, dict[Configuration, Verdict]] = {}
+        self._distances: dict[Formula, dict[Configuration, int]] = {}
         self._sync_memo: dict[tuple[Formula, Configuration], Verdict] = {}
         self._may_must: dict[Formula, tuple[frozenset[int], frozenset[int]]] = {}
 
@@ -76,36 +78,27 @@ class BoundedEvaluator:
             self._succ[c] = cached
         return cached
 
-    def _escaping_region(self) -> frozenset[Configuration]:
-        """Configurations in the capped region from which some path can leave it."""
-        boundary = {
-            c for c in self._region
-            if any(d.counter > self.counter_cap for d in self.succ(c))
-        }
-        in_region = set(self._region)
+    @cached_property
+    def _region_index(
+        self,
+    ) -> tuple[dict[Configuration, list[Configuration]], frozenset[Configuration]]:
+        """(preds, boundary): the in-region predecessors of every region
+        configuration, and the region configurations with a successor above
+        the counter cap."""
         preds: dict[Configuration, list[Configuration]] = {c: [] for c in self._region}
+        boundary = set()
         for c in self._region:
             for d in self.succ(c):
-                if d in preds:
+                if d.counter > self.counter_cap:
+                    boundary.add(c)
+                else:
                     preds[d].append(c)
-        closure = set(boundary)
-        stack = list(boundary)
-        while stack:
-            cur = stack.pop()
-            for p in preds[cur]:
-                if p not in closure:
-                    closure.add(p)
-                    stack.append(p)
-        assert closure <= in_region
-        return frozenset(closure)
+        return preds, frozenset(boundary)
 
-    @property
+    @cached_property
     def escaping(self) -> frozenset[Configuration]:
-        cached = getattr(self, "_escaping_cache", None)
-        if cached is None:
-            cached = self._escaping_region()
-            self._escaping_cache = cached
-        return cached
+        """Configurations in the capped region from which some path can leave it."""
+        return frozenset(self._lfp(self._region_index[1], lambda p, reached: True))
 
     # -- state-level approximations -------------------------------------------
 
@@ -208,13 +201,10 @@ class BoundedEvaluator:
     def _lfp(self, seed: set[Configuration], expand) -> set[Configuration]:
         reached = set(seed)
         frontier = list(seed)
-        preds: dict[Configuration, list[Configuration]] = {}
-        for c in self._region:
-            for d in self._in_region_succ(c):
-                preds.setdefault(d, []).append(c)
+        preds, _ = self._region_index
         while frontier:
             cur = frontier.pop()
-            for p in preds.get(cur, ()):
+            for p in preds[cur]:
                 if p not in reached and expand(p, reached):
                     reached.add(p)
                     frontier.append(p)
@@ -223,8 +213,7 @@ class BoundedEvaluator:
     def _eu_table(self, f: Formula) -> dict[Configuration, Verdict]:
         v1, v2 = self._child_rows(f)
         may_f, _ = self.may_must_states(f)
-        escape = {c for c in self._region
-                  if any(d.counter > self.counter_cap for d in self.succ(c))}
+        _, escape = self._region_index
         sure = self._lfp(
             {c for c in self._region if v2[c] is Verdict.TRUE},
             lambda p, reached: v1[p] is Verdict.TRUE
@@ -250,8 +239,7 @@ class BoundedEvaluator:
 
     def _au_table(self, f: Formula) -> dict[Configuration, Verdict]:
         v1, v2 = self._child_rows(f)
-        escape = {c for c in self._region
-                  if any(d.counter > self.counter_cap for d in self.succ(c))}
+        _, escape = self._region_index
         sure = self._lfp(
             {c for c in self._region if v2[c] is Verdict.TRUE},
             lambda p, reached: v1[p] is Verdict.TRUE
@@ -337,6 +325,7 @@ class BoundedEvaluator:
                     return None
                 if v is Verdict.TRUE:
                     bucket.add(d)
+        preds, _ = self._region_index
         levels = [frozenset({c})]
         dist = [frozenset(sat2)]
         seen = {(levels[0], dist[0]): 0}
@@ -355,7 +344,7 @@ class BoundedEvaluator:
                 nxt.update(self.succ(d))
             levels.append(frozenset(nxt))
             dist.append(frozenset(
-                d for d in component if any(e in dist[k] for e in self.succ(d))
+                d for e in dist[k] for d in preds[e] if d in component
             ))
             k += 1
             key = (levels[k], dist[k])
@@ -412,26 +401,78 @@ class BoundedEvaluator:
                 return Verdict.FALSE
         return Verdict.UNKNOWN
 
+    def _distance_masks(self, f: Formula) -> dict[Configuration, int]:
+        """Exact-distance index of a UE formula's goal over the capped region.
+
+        Bit m of a configuration's mask is set iff some path of exactly
+        m <= level_cap steps, every configuration on it inside the region,
+        leads from it to a configuration where the second operand is TRUE;
+        configurations with no such path are absent.  The layers
+        D_0 = goal, D_{m+1} = in-region predecessors of D_m are a
+        deterministic sequence over a finite region, so once a layer repeats
+        an earlier one, D_start, every later layer repeats the cycle
+        D_start..D_{start+period-1}; building stops there and each mask's
+        cycle bits are tiled out to the level cap.
+        """
+        masks = self._distances.get(f)
+        if masks is not None:
+            return masks
+        preds, _ = self._region_index
+        cap = self.level_cap
+        goal = f.children[1]
+        layer = frozenset(c for c in self._region if self.verdict(goal, c) is Verdict.TRUE)
+        first: dict[frozenset[Configuration], int] = {}
+        masks = {}
+        while True:
+            m = first[layer] = len(first)
+            for d in layer:
+                masks[d] = masks.get(d, 0) | (1 << m)
+            if m == cap:
+                break
+            layer = frozenset(p for d in layer for p in preds[d])
+            start = first.get(layer)
+            if start is not None:
+                period = m + 1 - start
+                reps = (cap - start) // period + 1
+                tile = ((1 << (period * reps)) - 1) // ((1 << period) - 1)
+                full = (1 << (cap + 1)) - 1
+                for d, mask in masks.items():
+                    cycle = (mask >> start) & ((1 << period) - 1)
+                    masks[d] = (mask | (cycle * tile) << start) & full
+                break
+        self._distances[f] = masks
+        return masks
+
     def _scan_ue(self, f: Formula, c: Configuration) -> Verdict:
-        sat1, sat2 = f.children
-        levels: list[frozenset[Configuration]] = []
+        """Bounded witness search: TRUE iff for some k <= level_cap, level k
+        (in-region part) meets the goal and every earlier level j < k has a
+        first-operand configuration on an in-region path to it.
+
+        The configurations of level j with an in-region path of exactly k - j
+        steps to a goal configuration of level k are ``levels[j] ∩ D_{k-j}``:
+        such a path stays inside the region, so its configuration after i
+        steps lies in level j + i.  So one pass suffices.  Leaving level j,
+        ``alive`` keeps bit k > j iff every level up to j passed for bound k,
+        that is iff offset k - j is in the OR of the distance masks of level
+        j's first-operand configurations and bit k was already set.  Once
+        ``alive`` is empty no later bound can succeed (the scan never
+        answers FALSE).
+        """
+        sat1 = f.children[0]
+        masks = self._distance_masks(f)
+        alive = -1
         for k, (level, _truncated) in enumerate(self._iter_levels(c)):
-            levels.append(level)
-            targets = {d for d in level if self.verdict(sat2, d) is Verdict.TRUE}
-            if not targets:
-                continue
-            ok = True
-            back = targets
-            for j in range(k - 1, -1, -1):
-                back = {
-                    d for d in levels[j]
-                    if any(e in back for e in self.succ(d))
-                }
-                if not any(self.verdict(sat1, d) is Verdict.TRUE for d in back):
-                    ok = False
-                    break
-            if ok:
+            if (alive >> k) & 1 and any(masks.get(d, 0) & 1 for d in level):
                 return Verdict.TRUE
+            wanted = (alive >> (k + 1)) << 1  # offsets m >= 1 with bit k + m alive
+            reach = 0
+            for d in level:
+                mask = masks.get(d, 0) & wanted
+                if mask and self.verdict(sat1, d) is Verdict.TRUE:
+                    reach |= mask
+            alive &= reach << k
+            if not alive:
+                return Verdict.UNKNOWN
         return Verdict.UNKNOWN
 
 
@@ -549,7 +590,7 @@ def cross_check(
         try:
             result = mc.check_oca(
                 oca, f, inits[0], mode,
-                supplied=supplied, caps=caps, mine_v_cap=mine_v_cap,
+                supplied=supplied, caps=caps, mine_v_cap=mine_v_cap, evaluator=ev,
             )
         except BudgetExceededError as exc:
             error = str(exc)

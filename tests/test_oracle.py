@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from ocasync import corpus, mc
 from ocasync.formula import TRUE, atom, au, eu, ex, land, lnot, parse_formula, ua, ue
 from ocasync.mc import SyncCheck
-from ocasync.oca import Configuration
+from ocasync.oca import Configuration, successors
 from ocasync.oracle import (
     AGREE, CHECKER_UNKNOWN, DISAGREE, ORACLE_UNKNOWN,
     BoundedEvaluator, Verdict, check_shift_periodicity, cross_check,
@@ -66,17 +67,22 @@ class TestEvalBounded:
         formulas = [
             FA_P, parse_formula("E true U p"), parse_formula("A true U q"),
             parse_formula("p UE q"), parse_formula("EX p"),
+            parse_formula("true UE p"), parse_formula("!(true UE p)"),
+            parse_formula("EX (p UE q)"),
         ]
+        # the second pair's level cap is below its counter cap
+        cap_pairs = [((12, 24), (30, 80)), ((16, 9), (30, 80))]
         for _ in range(8):
             oca = random_total_oca(rng, n_states=3)
-            small = BoundedEvaluator(oca, 12, 24)
-            big = BoundedEvaluator(oca, 30, 80)
-            for f in formulas:
-                for v in (0, 1, 4):
-                    lo = small.verdict(f, Configuration(0, v))
-                    hi = big.verdict(f, Configuration(0, v))
-                    if lo.definite:
-                        assert lo == hi, (f, v, lo, hi)
+            for small_caps, big_caps in cap_pairs:
+                small = BoundedEvaluator(oca, *small_caps)
+                big = BoundedEvaluator(oca, *big_caps)
+                for f in formulas:
+                    for v in (0, 1, 4):
+                        lo = small.verdict(f, Configuration(0, v))
+                        hi = big.verdict(f, Configuration(0, v))
+                        if lo.definite:
+                            assert lo == hi, (f, v, small_caps, lo, hi)
 
     def test_ue_witness_semantics_on_unfolded_trees(self):
         # definitional evaluation agrees with the level-set reading used by
@@ -84,6 +90,151 @@ class TestEvalBounded:
         ev = BoundedEvaluator(ASYM, 20, 60)
         f = parse_formula("true UE p")
         assert ev.verdict(f, Configuration(0, 1)) is Verdict.TRUE
+
+
+def _successors(oca):
+    """``oca.successors`` as a frozenset, memoised per configuration."""
+    return functools.cache(lambda c: frozenset(successors(oca, c)))
+
+
+def _in_region_levels(succ, c, counter_cap, level_cap):
+    """Yield levels 0..level_cap from c, each cut to counters <= counter_cap,
+    taking successors of the cut level only."""
+    level = {c} if c.counter <= counter_cap else set()
+    yield level
+    for _ in range(level_cap):
+        level = {e for d in level for e in succ(d) if e.counter <= counter_cap}
+        yield level
+
+
+def reference_scan_ue(ev, f, c, succ):
+    """The bounded UE scan by its definition: for each level k, rebuild the
+    chain of level-j configurations with a successor in the chain at level
+    j + 1, backwards from the goal configurations of level k, and require a
+    first-operand configuration in every link."""
+    sat1, sat2 = f.children
+    seen, first, goal = set(), set(), set()
+    levels = []
+    for k, level in enumerate(_in_region_levels(succ, c, ev.counter_cap, ev.level_cap)):
+        levels.append(level)
+        for d in level - seen:
+            seen.add(d)
+            if ev.verdict(sat1, d) is Verdict.TRUE:
+                first.add(d)
+            if ev.verdict(sat2, d) is Verdict.TRUE:
+                goal.add(d)
+        back = level & goal
+        if not back:
+            continue
+        for j in range(k - 1, -1, -1):
+            back = {d for d in levels[j] if succ(d) & back}
+            if not back & first:
+                break
+        else:
+            return Verdict.TRUE
+    return Verdict.UNKNOWN
+
+
+class ReferenceEvaluator(BoundedEvaluator):
+    """An evaluator whose UE scan is ``reference_scan_ue``, memoised per
+    (formula, configuration)."""
+
+    def __init__(self, oca, counter_cap, level_cap, succ):
+        super().__init__(oca, counter_cap, level_cap)
+        self.naive_succ = succ
+        self.scans = {}
+
+    def _scan_ue(self, f, c):
+        if (f, c) not in self.scans:
+            self.scans[f, c] = reference_scan_ue(self, f, c, self.naive_succ)
+        return self.scans[f, c]
+
+
+UE_SUITE = [parse_formula(t) for t in (
+    "p UE q", "true UE p", "(EX p) UE q", "q UE (E true U p)",
+)]
+
+
+class TestSynchronizedScan:
+    """The linear UE scan and the region index it shares with the plain-until
+    tables, pinned against their definitions over ``oca.successors``."""
+
+    @staticmethod
+    def _automata():
+        rng = random.Random(20240905)
+        return [random_total_oca(rng, n_states=n) for n in (1, 2, 3, 3)] + [COUNTDOWN]
+
+    def test_scan_matches_quadratic_reference(self):
+        for oca in self._automata():
+            succ = _successors(oca)
+            for counter_cap in range(13):
+                counters = {0, counter_cap // 2 + 1, counter_cap, counter_cap + 2}
+                inits = [Configuration(s, v) for s in range(oca.n_states) for v in counters]
+                for level_cap in range(31):
+                    ev = BoundedEvaluator(oca, counter_cap, level_cap)
+                    ref = ReferenceEvaluator(oca, counter_cap, level_cap, succ)
+                    for f in UE_SUITE:
+                        for c in inits:
+                            assert ev._scan_ue(f, c) is ref._scan_ue(f, c), (
+                                f, c, counter_cap, level_cap)
+                            assert ev.verdict(f, c) is ref.verdict(f, c), (
+                                f, c, counter_cap, level_cap)
+
+    def test_scan_matches_reference_around_countdown_transient(self):
+        # at counter cap 60 the countdown's distance layers only repeat after
+        # 61 steps, so these level caps fall before, at and after the cycle
+        f = parse_formula("true UE p")
+        succ = _successors(COUNTDOWN)
+        for level_cap in (0, 1, 30, 59, 60, 61, 62, 63, 64, 125, 200):
+            ev = BoundedEvaluator(COUNTDOWN, 60, level_cap)
+            ref = ReferenceEvaluator(COUNTDOWN, 60, level_cap, succ)
+            for v in (0, 1, 30, 58, 59, 60, 61):
+                for s in range(COUNTDOWN.n_states):
+                    c = Configuration(s, v)
+                    assert ev._scan_ue(f, c) is ref._scan_ue(f, c), (c, level_cap)
+                    assert ev.verdict(f, c) is ref.verdict(f, c), (c, level_cap)
+
+    def test_distance_masks_match_exact_path_lengths(self):
+        for oca in self._automata():
+            succ = _successors(oca)
+            for counter_cap, level_cap in ((0, 5), (3, 2), (7, 30), (12, 12), (12, 40)):
+                ev = BoundedEvaluator(oca, counter_cap, level_cap)
+                for f in UE_SUITE:
+                    masks = ev._distance_masks(f)
+                    for s in range(oca.n_states):
+                        for v in range(counter_cap + 1):
+                            c = Configuration(s, v)
+                            levels = _in_region_levels(succ, c, counter_cap, level_cap)
+                            want = sum(
+                                1 << m for m, level in enumerate(levels)
+                                if any(ev.verdict(f.children[1], d) is Verdict.TRUE
+                                       for d in level)
+                            )
+                            assert masks.get(c, 0) == want, (f, c, counter_cap, level_cap)
+
+    def test_region_index_matches_successors(self):
+        for oca in self._automata():
+            succ = _successors(oca)
+            for counter_cap in (0, 1, 5, 12):
+                ev = BoundedEvaluator(oca, counter_cap, 10)
+                region = [Configuration(s, v) for s in range(oca.n_states)
+                          for v in range(counter_cap + 1)]
+                preds, boundary = ev._region_index
+                assert set(preds) == set(region)
+                for d in region:
+                    assert sorted(preds[d]) == sorted(
+                        c for c in region if d in successors(oca, c))
+                assert boundary == {
+                    c for c in region
+                    if any(d.counter > counter_cap for d in successors(oca, c))
+                }
+                leaves = set()
+                for c in region:
+                    levels = _in_region_levels(succ, c, counter_cap, len(region))
+                    if any(e.counter > counter_cap
+                           for level in levels for d in level for e in succ(d)):
+                        leaves.add(c)
+                assert ev.escaping == leaves
 
 
 class TestMinePeriod:
@@ -176,6 +327,27 @@ class TestCrossCheck:
             for f in suite_ok:
                 rep = cross_check(oca, f, inits, evaluator=ev)
                 assert not rep.disagreements, (name, str(f), rep.counts())
+
+    def test_mining_reuses_only_a_matching_evaluator(self, monkeypatch):
+        built = []
+        real_init = BoundedEvaluator.__init__
+
+        def counting_init(ev, oca, counter_cap, level_cap):
+            built.append((oca, counter_cap, level_cap))
+            real_init(ev, oca, counter_cap, level_cap)
+
+        monkeypatch.setattr(BoundedEvaluator, "__init__", counting_init)
+        inits = [Configuration(0, v) for v in range(4)]
+        for ev_oca, ev_caps, fresh in (
+            (COUNTDOWN, (30, 60), False),
+            (COUNTDOWN, (30, 61), True),
+            (corpus.load("countdown"), (30, 60), True),
+        ):
+            ev = BoundedEvaluator(ev_oca, *ev_caps)
+            built.clear()
+            rep = cross_check(COUNTDOWN, FA_P, inits, caps=(30, 60), evaluator=ev)
+            assert all(r.status == AGREE for r in rep.rows)
+            assert built == ([(COUNTDOWN, 30, 60)] if fresh else [])
 
     def test_oracle_unknown_rows_reported(self):
         rep = cross_check(INC, parse_formula("true UE p"),
