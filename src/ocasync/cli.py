@@ -9,6 +9,7 @@ Exit codes: 0 completed (including negative verdicts), 1 malformed input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -285,6 +286,7 @@ def _cmd_lps(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="ocasync",

@@ -38,17 +38,38 @@ class SyncCheck(NamedTuple):
     iterations: int
 
 
+class Move(NamedTuple):
+    """One automaton transition acting on the counter rows of an unfolding."""
+
+    src: int
+    dst: int
+    guard_mask: int  # bit 0 for ``=0``, bits 1..width-1 for ``>0``
+    effect: int
+
+
+class Geometry(NamedTuple):
+    """Layout of an unfolding: node ``s * width + c`` is state ``s`` at
+    counter class ``c``, and counter ``width`` wraps back to class ``t``."""
+
+    width: int
+    t: int
+    moves: tuple[Move, ...]
+
+
 @dataclass(frozen=True)
 class Kripke:
     """Finite total transition structure with atom labels per node.
 
     ``provenance`` records, for unfoldings, which automaton state and counter
-    class each node stands for.
+    class each node stands for; ``geometry`` lets ``image`` and ``preimage``
+    act on whole counter rows instead of single nodes.  Hand-built structures
+    carry neither and use the successor lists.
     """
 
     successors: tuple[tuple[int, ...], ...]
     labels: tuple[frozenset[str], ...]
     provenance: tuple[tuple[int, int], ...] | None = None
+    geometry: Geometry | None = None
 
     @property
     def n(self) -> int:
@@ -85,16 +106,58 @@ class Kripke:
         return m
 
     def image(self, mask: int) -> int:
+        """Nodes with a predecessor in ``mask``.
+
+        On an unfolding, each move takes its source row of ``mask``, keeps
+        the classes its guard admits and shifts the row by its effect; a +1
+        step from the top class ``width - 1`` lands on bit ``width``, which
+        wraps back to class ``t``.
+        """
+        g = self.geometry
         out = 0
-        for i in _bits(mask):
-            out |= self.succ_masks[i]
+        if g is None:
+            for i in _bits(mask):
+                out |= self.succ_masks[i]
+            return out
+        width, top, wrap = g.width, 1 << g.width, 1 << g.t
+        for src, dst, guard, effect in g.moves:
+            row = (mask >> src * width) & guard
+            if not row:
+                continue  # level sets are mostly sparse
+            if effect == 1:
+                row <<= 1
+                if row & top:
+                    row ^= top
+                    row |= wrap
+            elif effect == -1:
+                row >>= 1
+            out |= row << dst * width
         return out
 
     def preimage(self, mask: int) -> int:
+        """Nodes with a successor in ``mask``.
+
+        On an unfolding this inverts each move's shift on its target row
+        ``d`` and keeps the classes the guard admits: for effect +1 the
+        source classes are ``d >> 1`` plus the top class ``width - 1`` when
+        ``d`` holds the wrap target ``t``; for effect -1 they are ``d << 1``.
+        """
+        g = self.geometry
         out = 0
-        for i in range(self.n):
-            if self.succ_masks[i] & mask:
-                out |= 1 << i
+        if g is None:
+            for i in range(self.n):
+                if self.succ_masks[i] & mask:
+                    out |= 1 << i
+            return out
+        width, t = g.width, g.t
+        row_mask = (1 << width) - 1
+        for src, dst, guard, effect in g.moves:
+            d = (mask >> dst * width) & row_mask
+            if effect == 1:
+                d = (d >> 1) | ((d >> t & 1) << (width - 1))
+            elif effect == -1:
+                d <<= 1
+            out |= (d & guard) << src * width
         return out
 
 
@@ -156,6 +219,11 @@ def unfold_kripke(oca: Oca, t: int, p: int) -> Kripke:
     if p < 1 or t < 0:
         raise ValueError("need t >= 0 and p >= 1")
     width = t + p
+    row_mask = (1 << width) - 1
+    moves = tuple(
+        Move(tr.src, tr.dst, 1 if tr.guard == ZERO else row_mask ^ 1, tr.effect)
+        for tr in oca.transitions
+    )
     succ: list[tuple[int, ...]] = []
     labels: list[frozenset[str]] = []
     prov: list[tuple[int, int]] = []
@@ -169,7 +237,7 @@ def unfold_kripke(oca: Oca, t: int, p: int) -> Kripke:
             succ.append(tuple(targets))
             labels.append(oca.labels[s])
             prov.append((s, c))
-    return Kripke(tuple(succ), tuple(labels), tuple(prov))
+    return Kripke(tuple(succ), tuple(labels), tuple(prov), Geometry(width, t, moves))
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +267,7 @@ def _label_mask(k: Kripke, f: Formula, sub: dict[Formula, int]) -> int:
         sat1, sat2 = sub[f.children[0]], sub[f.children[1]]
         x = sat2
         while True:
-            grow = 0
-            for i in _bits(sat1 & ~x):
-                if k.succ_masks[i] & ~x == 0:
-                    grow |= 1 << i
-            nxt = x | grow
+            nxt = x | (sat1 & ~k.preimage(full & ~x))
             if nxt == x:
                 return x
             x = nxt
@@ -250,7 +314,8 @@ def check_ua_on_kripke(
 
 
 def check_ue_on_kripke(
-    k: Kripke, init: int, sat1, sat2, step_cap: int
+    k: Kripke, init: int, sat1, sat2, step_cap: int,
+    dist: list[int] | None = None,
 ) -> SyncCheck:
     """Does some single bound admit, for every earlier level, a sat1 node of
     that level from which sat2 is reachable in exactly the remaining steps?
@@ -258,13 +323,21 @@ def check_ue_on_kripke(
     Levels and exact-distance predecessor sets both evolve deterministically,
     so once the pair revisits an earlier value the predicate is determined by
     the cycle; scanning to twice the transient plus one period is sufficient.
+
+    ``dist[d]`` holds the nodes reaching sat2 in exactly d steps.  It does not
+    depend on ``init``, so callers checking many start nodes pass one list,
+    starting ``[sat2]``, to every call; each call extends it in place as far
+    as it scans.
     """
     if step_cap < 1:
         raise ValueError("step cap must be at least 1")
     sat1_m = sat1 if isinstance(sat1, int) else mask_of(sat1)
     sat2_m = sat2 if isinstance(sat2, int) else mask_of(sat2)
+    if dist is None:
+        dist = [sat2_m]
+    elif not dist or dist[0] != sat2_m:
+        raise ValueError("a shared distance sequence must start at sat2")
     levels = [1 << init]
-    dist = [sat2_m]  # dist[d]: nodes reaching sat2 in exactly d steps
     seen: dict[tuple[int, int], int] = {(levels[0], dist[0]): 0}
     scan_until: int | None = None
     k_step = 0
@@ -280,7 +353,8 @@ def check_ue_on_kripke(
                 partial_horizon=k_step, budget=step_cap,
             )
         levels.append(k.image(levels[k_step]))
-        dist.append(k.preimage(dist[k_step]))
+        if len(dist) == k_step + 1:
+            dist.append(k.preimage(dist[k_step]))
         k_step += 1
         key = (levels[k_step], dist[k_step])
         if scan_until is None:
@@ -428,9 +502,10 @@ def check_oca(
     budget = node_budget if node_budget is not None else node_budget_default()
     required = oca.n_states * (t_eff + p_uniform)
     if bignum.is_symbolic(required) or required > budget:
+        needed = bignum.to_jsonable(required)
         raise BudgetExceededError(
-            f"unfolding needs {_describe(required)} nodes, over the budget of {budget}",
-            required=_describe(required), budget=budget,
+            f"unfolding needs {needed} nodes, over the budget of {budget}",
+            required=needed, budget=budget,
         )
 
     kripke = unfold_kripke(oca, t_eff, p_uniform)
@@ -440,12 +515,13 @@ def check_oca(
     for g in subformulas(f):
         if g.kind in (Kind.UA, Kind.UE):
             sat1, sat2 = sat[g.children[0]], sat[g.children[1]]
+            dist = [sat2]  # UE's distance sequence is the same for every start node
             mask = 0
             for node in range(kripke.n):
                 if g.kind is Kind.UA:
                     res = check_ua_on_kripke(kripke, node, sat1, sat2, step_cap)
                 else:
-                    res = check_ue_on_kripke(kripke, node, sat1, sat2, step_cap)
+                    res = check_ue_on_kripke(kripke, node, sat1, sat2, step_cap, dist)
                 if res.holds:
                     mask |= 1 << node
                 witnesses[(g, node)] = res.witness_k
@@ -495,7 +571,3 @@ def check_oca(
         ],
     }
     return CheckResult(holds, witness_k, per_state, constants, caveats)
-
-
-def _describe(x) -> object:
-    return bignum.to_jsonable(x)

@@ -162,6 +162,17 @@ class TestOtherCommands:
         check_schema(schema, doc)
         assert doc["data"]["counts"].get("AGREE", 0) == 3
 
+    def test_repeated_main_calls_share_no_state(self, capsys):
+        # the parser is built once per process; parsed values must not leak
+        # from one call into the next
+        argv = ("cross-check", "--oca", "countdown", "--formula", "EX p",
+                "--mode", "supplied:1,1")
+        code, doc, _ = run(capsys, *argv, "--init", "s,0", "--init", "s,1")
+        assert code == 0 and len(doc["data"]["rows"]) == 2
+        code, doc, _ = run(capsys, *argv, "--init", "s,2")
+        assert code == 0
+        assert [r["init"] for r in doc["data"]["rows"]] == ["s,2"]
+
     def test_check_lemma11(self, capsys, schema):
         code, doc, _ = run(
             capsys, "check-lemma11", "--oca", "countdown", "--b", "1",

@@ -84,6 +84,99 @@ class TestUnfold:
             unfold_kripke(COUNTDOWN, -1, 2)
 
 
+KERNEL_PAIRS = [(0, 1), (1, 1), (7, 1), (0, 5), (2, 3), (4, 2), (12, 10)]
+
+
+def kernel_automata(rng):
+    autos = [corpus.load(name) for name in corpus.names()]
+    autos += [random_total_oca(rng, n) for n in (1, 2, 3, 4) for _ in range(3)]
+    return autos
+
+
+def ue_reference(k, init, sat1, sat2, step_cap):
+    """Synchronized UE as it was decided before the distance sequence was
+    shared: every call rebuilds its own sequence."""
+    levels = [1 << init]
+    dist = [sat2]
+    seen = {(levels[0], dist[0]): 0}
+    scan_until = None
+    k_step = 0
+    while True:
+        if levels[k_step] & sat2:
+            if all(levels[j] & sat1 & dist[k_step - j] for j in range(k_step)):
+                return (True, k_step, k_step + 1)
+        if scan_until is not None and k_step >= scan_until:
+            return (False, None, k_step + 1)
+        assert k_step + 1 <= step_cap
+        levels.append(k.image(levels[k_step]))
+        dist.append(k.preimage(dist[k_step]))
+        k_step += 1
+        key = (levels[k_step], dist[k_step])
+        if scan_until is None:
+            if key in seen:
+                base = seen[key]
+                scan_until = 2 * base + (k_step - base) - 1
+            else:
+                seen[key] = k_step
+
+
+def au_reference(k, sat1, sat2):
+    """Least fixpoint of A sat1 U sat2, one node at a time."""
+    x = sat2
+    while True:
+        grow = 0
+        for i in nodes_of(sat1 & ~x):
+            if k.succ_masks[i] & ~x == 0:
+                grow |= 1 << i
+        if not grow:
+            return x
+        x |= grow
+
+
+class TestUnfoldingKernels:
+    def test_kernels_match_successor_lists(self, rng):
+        for oca in kernel_automata(rng):
+            for t, p in KERNEL_PAIRS:
+                k = unfold_kripke(oca, t, p)
+                plain = Kripke(k.successors, k.labels)
+                assert k.geometry is not None and plain.geometry is None
+                masks = [0, k.full_mask] + [1 << i for i in range(k.n)]
+                masks += [rng.getrandbits(k.n) for _ in range(20)]
+                for m in masks:
+                    assert k.image(m) == plain.image(m), (oca, t, p, m)
+                    assert k.preimage(m) == plain.preimage(m), (oca, t, p, m)
+
+    def test_shared_distance_sequence_matches_reference(self, rng):
+        for oca in kernel_automata(rng):
+            for t, p in [(0, 1), (2, 3), (4, 2)]:
+                k = unfold_kripke(oca, t, p)
+                step_cap = 4 * k.n * k.n + 64
+                for _ in range(3):
+                    sat1, sat2 = rng.getrandbits(k.n), rng.getrandbits(k.n)
+                    dist = [sat2]
+                    for node in range(k.n):
+                        expect = ue_reference(k, node, sat1, sat2, step_cap)
+                        shared = check_ue_on_kripke(k, node, sat1, sat2, step_cap, dist)
+                        alone = check_ue_on_kripke(k, node, sat1, sat2, step_cap)
+                        assert tuple(shared) == tuple(alone) == expect, (oca, t, p, node)
+
+    def test_shared_distance_sequence_must_start_at_goal(self):
+        k, root = corpus.tree_staggered()
+        with pytest.raises(ValueError):
+            check_ue_on_kripke(k, root, k.full_mask, k.atom_mask("stripes"), 50, [0])
+
+    def test_au_labeling_matches_reference(self, rng):
+        structures = [corpus.tree_synchronized()[0], corpus.tree_staggered()[0]]
+        structures += [unfold_kripke(oca, t, p) for oca in kernel_automata(rng)
+                       for t, p in [(0, 1), (2, 3), (12, 10)]]
+        f = au(atom("a"), atom("b"))
+        for k in structures:
+            for _ in range(10):
+                sat1, sat2 = rng.getrandbits(k.n), rng.getrandbits(k.n)
+                sub = {atom("a"): nodes_of(sat1), atom("b"): nodes_of(sat2)}
+                assert label_ctl(k, f, sub) == nodes_of(au_reference(k, sat1, sat2))
+
+
 class TestLabelCtl:
     def test_ex_true_is_everything(self):
         k, _ = corpus.tree_synchronized()
