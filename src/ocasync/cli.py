@@ -15,8 +15,10 @@ import sys
 from pathlib import Path
 
 from . import bignum, corpus, lps, mc, oracle, periodicity
-from .errors import BudgetExceededError, FormulaSyntaxError, OcaSyntaxError
-from .formula import Kind, parse_formula, pretty, subformulas
+from .errors import (
+    BudgetExceededError, FormulaSyntaxError, OcaSyntaxError, UncoveredOperatorError,
+)
+from .formula import parse_formula, pretty
 from .oca import (
     Configuration, Oca, loads, oca_to_json, parse_configuration, validate,
 )
@@ -89,22 +91,30 @@ def _cmd_validate(args) -> int:
 
 def _apply_job_file(args) -> None:
     """Fill unset flags from a JSON job description."""
-    doc = json.loads(Path(args.job).read_text())
+    try:
+        text = Path(args.job).read_text()
+    except OSError as exc:
+        raise OcaSyntaxError(f"cannot read job file: {exc}") from None
+    doc = json.loads(text)
     if not isinstance(doc, dict):
         raise OcaSyntaxError("job file must hold a JSON object")
-    known = {"oca", "formula", "init", "mode", "caps", "b", "budget", "mineVCap"}
-    unknown = set(doc) - known
+    unknown = set(doc) - set(_job_keys)
     if unknown:
         raise OcaSyntaxError(f"unknown job keys {sorted(unknown)}")
-    for key, attr in [
-        ("oca", "oca"), ("formula", "formula"), ("init", "init"),
-        ("mode", "mode"), ("caps", "caps"), ("b", "b"),
-        ("budget", "budget"), ("mineVCap", "mine_v_cap"),
-    ]:
-        if key in doc and getattr(args, attr, None) in (None, _unset_defaults.get(attr)):
-            setattr(args, attr, doc[key])
+    for key, value in doc.items():
+        attr, kind = _job_keys[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            noun = "a string" if kind is str else "an integer"
+            raise OcaSyntaxError(f"job key {key!r} must be {noun}, got {json.dumps(value)}")
+        if getattr(args, attr, None) in (None, _unset_defaults.get(attr)):
+            setattr(args, attr, value)
 
 
+_job_keys = {
+    "oca": ("oca", str), "formula": ("formula", str), "init": ("init", str),
+    "mode": ("mode", str), "caps": ("caps", str), "b": ("b", int),
+    "budget": ("budget", int), "mineVCap": ("mine_v_cap", int),
+}
 _unset_defaults = {"mode": "empirical", "caps": "60,200"}
 
 
@@ -152,36 +162,16 @@ def _cmd_sat_sets(args) -> int:
 def _cmd_constants(args) -> int:
     oca = _load_oca(args.oca)
     f = parse_formula(args.formula)
-    table = []
-    pairs: dict = {}
-    bundle_doc = None
-    for g in subformulas(f):
-        if g.kind is Kind.UE:
-            return _fail("constants", "input",
-                         "the constant recursion covers UA but not UE")
-        if g.kind is Kind.UA:
-            (t1, p1), (t2, p2) = (pairs[c] for c in g.children)
-            bundle = periodicity.ua_constants(
-                oca.n_states,
-                prev_t=bignum.maximum(t1, t2),
-                prev_p=bignum.lcm(p1, p2),
-                b_override=args.b,
-            )
-            pairs[g] = bundle.pair
-            bundle_doc = bundle.to_json()
-        else:
-            pairs[g] = periodicity.ctl_constants(
-                g.kind, [pairs[c] for c in g.children], oca.n_states
-            )
-        t, p = pairs[g]
-        table.append({
-            "formula": pretty(g),
-            "t": bignum.to_jsonable(t),
-            "p": bignum.to_jsonable(p),
-        })
+    try:
+        pairs, bundle = mc.paper_pairs(oca, f, args.b)
+    except UncoveredOperatorError:
+        return _fail("constants", "input", "the constant recursion covers UA but not UE")
     return _ok("constants", {
-        "recursion": table,
-        "bundle": bundle_doc,
+        "recursion": [
+            {"formula": pretty(g), "t": bignum.to_jsonable(t), "p": bignum.to_jsonable(p)}
+            for g, (t, p) in pairs.items()
+        ],
+        "bundle": bundle.to_json() if bundle is not None else None,
         "states": oca.n_states,
     })
 

@@ -27,6 +27,10 @@ class FormulaSyntaxError(ValueError):
         self.expected = expected
 
 
+class UncoveredOperatorError(ValueError):
+    """The constant recursion has no case for the operator (UE)."""
+
+
 class BudgetExceededError(RuntimeError):
     """A resource budget (node count, step cap) was exhausted before a verdict.
 

@@ -238,6 +238,52 @@ def _walk(oca: Oca, config: Configuration, seq: tuple[int, ...]) -> Configuratio
     return Configuration(state, counter)
 
 
+def _shaped_paths(
+    oca: Oca,
+    scheme: Lps,
+    start: Configuration,
+    target_length: int,
+    exp_cap: int,
+) -> Iterator[tuple[Configuration, tuple[int, ...]]]:
+    """(end configuration, exponent vector) of every valid shaped path of
+    exactly ``target_length``, every star instantiated at most ``exp_cap``
+    times; depth-first, so exponent vectors come in ascending lexicographic
+    order."""
+    if scheme.start_state != start.state or len(scheme.alpha0) > target_length:
+        return
+    first = _walk(oca, start, scheme.alpha0)
+    if first is None:
+        return
+    segments = scheme.segments
+    exps: list[int] = []
+
+    def rec(j: int, config: Configuration, remaining: int):
+        if j == len(segments):
+            if remaining == 0:
+                yield config, tuple(exps)
+            return
+        beta, alpha = segments[j]
+        last = j + 1 == len(segments)
+        e = 0
+        while True:
+            left = remaining - e * len(beta) - len(alpha)
+            # after the last segment the length must be used up exactly
+            if left == 0 or (left > 0 and not last):
+                end = _walk(oca, config, alpha)
+                if end is not None:
+                    exps.append(e)
+                    yield from rec(j + 1, end, left)
+                    exps.pop()
+            if e >= exp_cap or (e + 1) * len(beta) > remaining:
+                return
+            config = _walk(oca, config, beta)
+            if config is None:
+                return
+            e += 1
+
+    yield from rec(0, first, target_length - len(scheme.alpha0))
+
+
 def shaped_reach(
     oca: Oca,
     scheme: Lps,
@@ -250,36 +296,7 @@ def shaped_reach(
     if target_length < 0:
         raise ValueError("target length must be non-negative")
     scheme.check_chained(oca)
-    pieces = scheme.pieces()
-    results: set[Configuration] = set()
-
-    def rec(i: int, config: Configuration, remaining: int) -> None:
-        if i == len(pieces):
-            if remaining == 0:
-                results.add(config)
-            return
-        kind, seq = pieces[i]
-        if kind == "path":
-            if len(seq) <= remaining:
-                nxt = _walk(oca, config, seq)
-                if nxt is not None:
-                    rec(i + 1, nxt, remaining - len(seq))
-            return
-        clen = len(seq)
-        cur: Configuration | None = config
-        e = 0
-        while True:
-            rec(i + 1, cur, remaining - e * clen)
-            if e >= exp_cap or (e + 1) * clen > remaining:
-                return
-            cur = _walk(oca, cur, seq)
-            if cur is None:
-                return
-            e += 1
-
-    if scheme.start_state == start.state:
-        rec(0, start, target_length)
-    return results
+    return {end for end, _ in _shaped_paths(oca, scheme, start, target_length, exp_cap)}
 
 
 def shaped_witness_exponents(
@@ -290,35 +307,11 @@ def shaped_witness_exponents(
     target_length: int,
     exp_cap: int,
 ) -> tuple[int, ...] | None:
-    """One exponent vector whose shaped path reaches ``target``; None if none."""
-    pieces = scheme.pieces()
-
-    def rec(i: int, config: Configuration, remaining: int, exps: list[int]):
-        if i == len(pieces):
-            return tuple(exps) if remaining == 0 and config == target else None
-        kind, seq = pieces[i]
-        if kind == "path":
-            if len(seq) > remaining:
-                return None
-            nxt = _walk(oca, config, seq)
-            return rec(i + 1, nxt, remaining - len(seq), exps) if nxt else None
-        clen = len(seq)
-        cur: Configuration | None = config
-        e = 0
-        while True:
-            found = rec(i + 1, cur, remaining - e * clen, exps + [e])
-            if found:
-                return found
-            if e >= exp_cap or (e + 1) * clen > remaining:
-                return None
-            cur = _walk(oca, cur, seq)
-            if cur is None:
-                return None
-            e += 1
-
-    if scheme.start_state != start.state:
-        return None
-    return rec(0, start, target_length, [])
+    """The least exponent vector whose shaped path reaches ``target``; None if none."""
+    for end, exps in _shaped_paths(oca, scheme, start, target_length, exp_cap):
+        if end == target:
+            return exps
+    return None
 
 
 def analyze_cycle_repetitions(
@@ -378,6 +371,3 @@ def compress_path_with_exponents(
     scheme = Lps(start_state, tuple(alpha0), tuple((b, tuple(a)) for b, a in segments))
     return scheme, tuple(exponents)
 
-
-def compress_path(oca: Oca, start_state: int, path: tuple[int, ...]) -> Lps:
-    return compress_path_with_exponents(oca, start_state, path)[0]

@@ -12,17 +12,16 @@ Node sets are manipulated as bitmasks throughout this module.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import bignum, upset
-from .errors import BudgetExceededError, StepCapExceededError
+from .errors import BudgetExceededError, StepCapExceededError, UncoveredOperatorError
 from .formula import Formula, Kind, formula_atoms, pretty, subformulas
 from .oca import Configuration, Oca, POS, ZERO, validate
-from .periodicity import TpPair, ctl_constants, ua_constants
+from .periodicity import ConstantBundle, TpPair, ctl_constants, ua_constants, uniform_pair
 from .upset import UpSet
 
 if TYPE_CHECKING:
@@ -387,26 +386,29 @@ class CheckResult:
         }
 
 
-def _paper_pairs(oca: Oca, f: Formula, b_override: int | None) -> dict[Formula, TpPair]:
+def paper_pairs(
+    oca: Oca, f: Formula, b_override: int | None
+) -> tuple[dict[Formula, TpPair], ConstantBundle | None]:
+    """Threshold/period pairs of every subformula from the constant
+    recursion, in subformula order, and the bundle of the last UA
+    subformula (None if there is none).  The recursion has no UE case."""
     pairs: dict[Formula, TpPair] = {}
+    bundle = None
     for g in subformulas(f):
-        if g.kind in (Kind.UA, Kind.UE):
-            if g.kind is Kind.UE:
-                raise ValueError(
-                    "the constant recursion covers only the all-paths synchronized "
-                    "operator; use supplied or empirical mode for UE"
-                )
-            (t1, p1), (t2, p2) = (pairs[c] for c in g.children)
+        if g.kind is Kind.UE:
+            raise UncoveredOperatorError(
+                "the constant recursion covers only the all-paths synchronized "
+                "operator; use supplied or empirical mode for UE"
+            )
+        if g.kind is Kind.UA:
+            prev = uniform_pair(pairs[c] for c in g.children)
             bundle = ua_constants(
-                oca.n_states,
-                prev_t=bignum.maximum(t1, t2),
-                prev_p=bignum.lcm(p1, p2),
-                b_override=b_override,
+                oca.n_states, prev_t=prev.t, prev_p=prev.p, b_override=b_override
             )
             pairs[g] = bundle.pair
         else:
             pairs[g] = ctl_constants(g.kind, [pairs[c] for c in g.children], oca.n_states)
-    return pairs
+    return pairs, bundle
 
 
 def _mined_pairs(
@@ -435,10 +437,7 @@ def _mined_pairs(
                     required=None, budget=v_cap,
                 )
             per_state.append(pair)
-        pairs[g] = TpPair(
-            max(p.t for p in per_state),
-            math.lcm(*[p.p for p in per_state]),
-        )
+        pairs[g] = uniform_pair(per_state)
     return pairs, caveats
 
 
@@ -478,7 +477,7 @@ def check_oca(
         raise ValueError(f"formula uses undeclared atoms {sorted(unbound)}")
     caveats: list[str] = []
     if mode == "paper":
-        pairs = _paper_pairs(oca, f, b_override)
+        pairs, _ = paper_pairs(oca, f, b_override)
     elif mode == "supplied":
         if supplied is None:
             raise ValueError("supplied mode needs a threshold/period pair")
@@ -493,11 +492,7 @@ def check_oca(
 
     # uniformize across subformulas, then pad the threshold so the bottom of
     # the residue window sits strictly inside the periodic region
-    t_uniform: bignum.Number = 0
-    p_uniform: bignum.Number = 1
-    for pair in pairs.values():
-        t_uniform = bignum.maximum(t_uniform, pair.t)
-        p_uniform = bignum.lcm(p_uniform, pair.p)
+    t_uniform, p_uniform = uniform_pair(pairs.values())
     t_eff = t_uniform + 2
     budget = node_budget if node_budget is not None else node_budget_default()
     required = oca.n_states * (t_eff + p_uniform)

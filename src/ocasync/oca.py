@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import OcaSyntaxError
 
@@ -66,9 +66,6 @@ class Oca:
 
     def outgoing(self, state: int, guard: str) -> tuple[Transition, ...]:
         return self._outgoing.get((state, guard), ())
-
-    def label_of(self, state: int) -> frozenset[str]:
-        return self.labels[state]
 
 
 def validate(oca: Oca) -> list[str]:
@@ -129,28 +126,36 @@ class OracleTrace:
         return not self.truncated[level]
 
 
+def iter_levels(
+    origin: Configuration,
+    succ: Callable[[Configuration], Iterable[Configuration]],
+    level_cap: int,
+    counter_cap: int,
+) -> Iterator[tuple[frozenset[Configuration], bool]]:
+    """Lazy (level, truncated) pairs for levels 0..level_cap under the
+    one-step relation ``succ``, dropping configurations above counter_cap
+    as ``level_sets`` does; a scan that decides early never builds the
+    deeper levels."""
+    level = frozenset({origin}) if origin.counter <= counter_cap else frozenset()
+    dropped = not level
+    yield level, dropped
+    for _ in range(level_cap):
+        nxt: set[Configuration] = set()
+        for c in level:
+            nxt.update(succ(c))
+        level = frozenset(c for c in nxt if c.counter <= counter_cap)
+        dropped = dropped or len(level) != len(nxt)
+        yield level, dropped
+
+
 def level_sets(oca: Oca, origin: Configuration, level_cap: int, counter_cap: int) -> OracleTrace:
     """Explore levels 0..level_cap, dropping configurations above counter_cap."""
     if level_cap < 0 or counter_cap < 0:
         raise ValueError("caps must be non-negative")
-    levels = []
-    trunc = []
-    frontier = {origin}
-    dropped = origin.counter > counter_cap
-    if dropped:
-        frontier = set()
-    levels.append(frozenset(frontier))
-    trunc.append(dropped)
-    for _ in range(level_cap):
-        nxt = set()
-        for c in frontier:
-            nxt.update(successors(oca, c))
-        kept = {c for c in nxt if c.counter <= counter_cap}
-        dropped = dropped or len(kept) != len(nxt)
-        levels.append(frozenset(kept))
-        trunc.append(dropped)
-        frontier = kept
-    return OracleTrace(origin, tuple(levels), counter_cap, level_cap, tuple(trunc))
+    levels, trunc = zip(*iter_levels(
+        origin, lambda c: successors(oca, c), level_cap, counter_cap
+    ))
+    return OracleTrace(origin, levels, counter_cap, level_cap, trunc)
 
 
 def witness_path(

@@ -18,7 +18,9 @@ from . import mc
 from .errors import BudgetExceededError
 from .formula import Formula, Kind, pretty
 from .lps import analyze_cycle_repetitions, compress_path_with_exponents
-from .oca import Configuration, Oca, OracleTrace, level_sets, successors, witness_path
+from .oca import (
+    Configuration, Oca, OracleTrace, iter_levels, level_sets, successors, witness_path,
+)
 from .periodicity import ConstantBundle, TpPair, core_levels, segment_start, shift_map
 from .upset import tp_equivalent
 
@@ -306,8 +308,10 @@ class BoundedEvaluator:
         Both the level sequence and the exact-distance goal predecessors
         evolve deterministically over the finite component, so once that pair
         revisits an earlier value, scanning on to twice the transient plus
-        one period settles the answer.  None if some child verdict on the
-        component is indefinite.
+        one period settles the answer.  The distance sets are kept inside the
+        component: no level meets anything outside it, and over the whole
+        region the sets can take longer to repeat.  None if some child
+        verdict on the component is indefinite.
         """
         component = {c}
         stack = [c]
@@ -326,49 +330,31 @@ class BoundedEvaluator:
                 if v is Verdict.TRUE:
                     bucket.add(d)
         preds, _ = self._region_index
-        levels = [frozenset({c})]
+        levels: list[frozenset[Configuration]] = []
         dist = [frozenset(sat2)]
-        seen = {(levels[0], dist[0]): 0}
+        seen: dict[tuple, int] = {}
         scan_until = None
-        k = 0
-        while True:
-            if levels[k] & dist[0]:
-                if all(levels[j] & sat1 & dist[k - j] for j in range(k)):
-                    return Verdict.TRUE
-            if scan_until is not None and k >= scan_until:
-                return Verdict.FALSE
-            if k + 1 > self.level_cap:
-                return Verdict.UNKNOWN
-            nxt = set()
-            for d in levels[k]:
-                nxt.update(self.succ(d))
-            levels.append(frozenset(nxt))
-            dist.append(frozenset(
-                d for e in dist[k] for d in preds[e] if d in component
-            ))
-            k += 1
-            key = (levels[k], dist[k])
+        for k, (level, _) in enumerate(
+            iter_levels(c, self.succ, self.level_cap, self.counter_cap)
+        ):
+            levels.append(level)
+            if k:
+                dist.append(frozenset(
+                    d for e in dist[k - 1] for d in preds[e] if d in component
+                ))
             if scan_until is None:
+                key = (level, dist[k])
                 if key in seen:
                     base = seen[key]
                     scan_until = 2 * base + (k - base) - 1
                 else:
                     seen[key] = k
-
-    def _iter_levels(self, c: Configuration):
-        """Lazy (level, truncated) pairs; avoids materializing deep traces
-        when a scan decides early."""
-        frontier = {c} if c.counter <= self.counter_cap else set()
-        dropped = not frontier
-        yield frozenset(frontier), dropped
-        for _ in range(self.level_cap):
-            nxt: set[Configuration] = set()
-            for cur in frontier:
-                nxt.update(self.succ(cur))
-            kept = {d for d in nxt if d.counter <= self.counter_cap}
-            dropped = dropped or len(kept) != len(nxt)
-            frontier = kept
-            yield frozenset(frontier), dropped
+            if level & dist[0]:
+                if all(levels[j] & sat1 & dist[k - j] for j in range(k)):
+                    return Verdict.TRUE
+            if scan_until is not None and k >= scan_until:
+                return Verdict.FALSE
+        return Verdict.UNKNOWN
 
     def _scan_ua(self, f: Formula, c: Configuration) -> Verdict:
         sat1, sat2 = f.children
@@ -376,7 +362,9 @@ class BoundedEvaluator:
         prefix_violated = False  # some earlier level definitely breaks sat1
         all_failed = True        # every bound so far definitely fails
         seen: set[frozenset[Configuration]] = set()
-        for k, (level, truncated) in enumerate(self._iter_levels(c)):
+        for k, (level, truncated) in enumerate(
+            iter_levels(c, self.succ, self.level_cap, self.counter_cap)
+        ):
             rows2 = [self.verdict(sat2, d) for d in level]
             if (
                 prefix_certified and not truncated and level
@@ -461,7 +449,9 @@ class BoundedEvaluator:
         sat1 = f.children[0]
         masks = self._distance_masks(f)
         alive = -1
-        for k, (level, _truncated) in enumerate(self._iter_levels(c)):
+        for k, (level, _truncated) in enumerate(
+            iter_levels(c, self.succ, self.level_cap, self.counter_cap)
+        ):
             if (alive >> k) & 1 and any(masks.get(d, 0) & 1 for d in level):
                 return Verdict.TRUE
             wanted = (alive >> (k + 1)) << 1  # offsets m >= 1 with bit k + m alive

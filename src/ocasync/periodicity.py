@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import bignum
 from .bignum import Number
@@ -28,6 +28,17 @@ class TpPair(NamedTuple):
 
     t: Number
     p: Number
+
+
+def uniform_pair(pairs: Iterable[TpPair]) -> TpPair:
+    """One pair that serves wherever each given pair does: the largest
+    threshold and the lcm of the periods."""
+    t: Number = 0
+    p: Number = 1
+    for pair in pairs:
+        t = bignum.maximum(t, pair.t)
+        p = bignum.lcm(p, pair.p)
+    return TpPair(t, p)
 
 
 def ctl_constants(op: Kind, child_pairs: list[TpPair], k: int) -> TpPair:
@@ -47,8 +58,7 @@ def ctl_constants(op: Kind, child_pairs: list[TpPair], k: int) -> TpPair:
     if op is Kind.NOT:
         return child_pairs[0]
     if op is Kind.AND:
-        (t1, p1), (t2, p2) = child_pairs
-        return TpPair(bignum.maximum(t1, t2), bignum.lcm(p1, p2))
+        return uniform_pair(child_pairs)
     if op is Kind.EX:
         (t, p), = child_pairs
         return TpPair(bignum.add(t, p), bignum.multiply(big_k, p))

@@ -41,9 +41,6 @@ class UpSet:
             return v in self.base
         return (v % self.period) in self.residues
 
-    def members_upto(self, bound: int) -> list[int]:
-        return [v for v in range(bound + 1) if self.member(v)]
-
     def to_json(self) -> dict:
         return {
             "t": self.threshold,
@@ -67,12 +64,6 @@ def full() -> UpSet:
 
 def singleton(v: int) -> UpSet:
     return UpSet(v + 1, 1, frozenset({v}), frozenset())
-
-
-def from_membership(flags, period_hint: int = 1) -> UpSet:
-    """Build from an explicit membership list; the tail beyond it is empty."""
-    base = frozenset(v for v, m in enumerate(flags) if m)
-    return normalize(UpSet(len(flags), max(1, period_hint), base, frozenset()))
 
 
 def normalize(u: UpSet) -> UpSet:

@@ -81,6 +81,38 @@ class TestCheck:
         assert code == 1 and doc["error"]["kind"] == "input"
         check_schema(schema, doc)
 
+    @pytest.mark.parametrize("key, value", [
+        ("caps", [1, 2]), ("init", 5), ("oca", None), ("formula", {"kind": "atom"}),
+        ("mode", 1), ("b", "3"), ("budget", 1.5), ("mineVCap", True),
+    ])
+    def test_job_value_of_the_wrong_type_is_input_error(
+        self, capsys, schema, tmp_path, key, value
+    ):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "oca": "countdown", "formula": "FA p", "init": "s,2", key: value,
+        }))
+        code, doc, _ = run(capsys, "check", "--job", str(job))
+        assert code == 1 and doc["error"]["kind"] == "input"
+        assert doc["error"]["message"].startswith(f"job key {key!r} must be ")
+        check_schema(schema, doc)
+
+    def test_missing_job_file_is_input_error(self, capsys, schema, tmp_path):
+        code, doc, _ = run(capsys, "check", "--job", str(tmp_path / "absent.json"))
+        assert code == 1 and doc["error"]["kind"] == "input"
+        check_schema(schema, doc)
+
+    def test_job_file_integer_values(self, capsys, schema, tmp_path):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "oca": "countdown", "formula": "FA p", "init": "s,2",
+            "mode": "empirical", "caps": "60,200", "b": 3, "budget": 1000,
+            "mineVCap": 20,
+        }))
+        code, doc, _ = run(capsys, "check", "--job", str(job))
+        assert code == 0 and doc["data"]["witnessK"] == 3
+        check_schema(schema, doc)
+
     def test_budget_env_override(self, capsys, schema, monkeypatch):
         monkeypatch.setenv("OCASYNC_BUDGET", "1")
         code, doc, _ = run(
@@ -201,6 +233,44 @@ class TestOtherCommands:
         assert code == 0
         check_schema(schema, doc)
         assert doc["data"]["perState"]["s"]["residues"] == [0]
+
+
+def error_bytes(command, message):
+    doc = {"command": command, "ok": False, "error": {"kind": "input", "message": message}}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestConstantRecursionErrors:
+    """``constants`` and ``check --mode paper`` share one recursion but word
+    its missing UE case differently; errors come in subformula order."""
+
+    UA_ERROR = "default scheme bound needs at least 3 states; pass an override"
+
+    def test_ue_messages(self, capsys):
+        code, _, out = run(capsys, "constants", "--oca", "countdown", "--formula", "p UE p")
+        assert code == 1
+        assert out == error_bytes("constants", "the constant recursion covers UA but not UE")
+        code, _, out = run(
+            capsys, "check", "--oca", "countdown", "--formula", "p UE p",
+            "--init", "s,0", "--mode", "paper",
+        )
+        assert code == 1
+        assert out == error_bytes(
+            "check",
+            "the constant recursion covers only the all-paths synchronized "
+            "operator; use supplied or empirical mode for UE",
+        )
+
+    def test_inner_ua_error_comes_before_the_ue_error(self, capsys):
+        code, _, out = run(
+            capsys, "constants", "--oca", "countdown", "--formula", "(FA p) UE p",
+        )
+        assert code == 1 and out == error_bytes("constants", self.UA_ERROR)
+        code, _, out = run(
+            capsys, "check", "--oca", "countdown", "--formula", "(FA p) UE p",
+            "--init", "s,0", "--mode", "paper",
+        )
+        assert code == 1 and out == error_bytes("check", self.UA_ERROR)
 
 
 class TestErrorsAndDeterminism:

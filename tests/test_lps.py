@@ -259,6 +259,76 @@ class TestShapedReach:
         assert exps == (3,)
 
 
+def replay(oca, start, path):
+    """End of a transition sequence under the guard semantics, or None."""
+    cur = start
+    for idx in path:
+        t = oca.transitions[idx]
+        if t.src != cur.state or (t.guard == "=0") != (cur.counter == 0):
+            return None
+        cur = Configuration(t.dst, cur.counter + t.effect)
+    return cur
+
+
+def exhaustive_ends(oca, scheme, start, length, exp_cap):
+    """(end -> lexicographically least exponent vector reaching it, number of
+    vectors reaching some end), trying every vector up to the cap."""
+    least = {}
+    hits = 0
+    for exps in itertools.product(range(exp_cap + 1), repeat=scheme.size):
+        path = list(scheme.alpha0)
+        for (beta, alpha), e in zip(scheme.segments, exps):
+            path += list(beta) * e + list(alpha)
+        end = replay(oca, start, path)
+        if len(path) == length and end is not None:
+            least.setdefault(end, exps)
+            hits += 1
+    return least, hits
+
+
+class TestShapedSearchAgainstBruteForce:
+    """``shaped_reach`` and ``shaped_witness_exponents`` share one search;
+    both are pinned against every exponent vector up to the cap."""
+
+    def test_reach_and_least_witness_match_exhaustive_exponents(self, rng):
+        cases = ties = 0
+        for _ in range(30):
+            oca = random_total_oca(rng, n_states=rng.randint(1, 3))
+            for end_state in range(oca.n_states):
+                for scheme in itertools.islice(enumerate_lps(oca, 0, end_state, 4, 2), 24):
+                    for exp_cap, counter, length in itertools.product(
+                        (0, 1, 3), (0, 1, 3), range(9)
+                    ):
+                        start = Configuration(0, counter)
+                        least, hits = exhaustive_ends(oca, scheme, start, length, exp_cap)
+                        assert shaped_reach(oca, scheme, start, length, exp_cap) == set(least)
+                        for end, exps in least.items():
+                            assert shaped_witness_exponents(
+                                oca, scheme, start, end, length, exp_cap) == exps
+                        missing = Configuration(end_state, counter + length + 1)
+                        assert shaped_witness_exponents(
+                            oca, scheme, start, missing, length, exp_cap) is None
+                        cases += len(least)
+                        ties += hits - len(least)
+        # a tie is an end reached by more than one vector, where order matters
+        assert cases > 1500 and ties > 100
+
+    def test_start_state_off_the_scheme_reaches_nothing(self):
+        scheme = countdown_loop_scheme()
+        off = Configuration(1, 5)
+        assert shaped_reach(COUNTDOWN, scheme, off, 3, 10) == set()
+        assert shaped_reach(COUNTDOWN, scheme, off, 0, 10) == set()  # no step to check
+        assert shaped_witness_exponents(
+            COUNTDOWN, scheme, off, Configuration(0, 2), 3, 10) is None
+
+    def test_negative_length_rejected_by_reach_only(self):
+        scheme = countdown_loop_scheme()
+        with pytest.raises(ValueError):
+            shaped_reach(COUNTDOWN, scheme, Configuration(0, 5), -1, 10)
+        assert shaped_witness_exponents(
+            COUNTDOWN, scheme, Configuration(0, 5), Configuration(0, 5), -1, 10) is None
+
+
 class TestAnalyzeRepetitions:
     def test_single_cycle(self):
         scheme = countdown_loop_scheme()

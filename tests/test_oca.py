@@ -5,7 +5,7 @@ import pytest
 
 from ocasync.oca import (
     Configuration, Oca, Transition, POS, ZERO,
-    level_sets, loads, oca_to_json, oca_to_text, parse_configuration,
+    iter_levels, level_sets, loads, oca_to_json, oca_to_text, parse_configuration,
     parse_oca_json, parse_oca_text, successors, validate, witness_path,
 )
 from ocasync.errors import OcaSyntaxError
@@ -145,6 +145,48 @@ class TestLevelSets:
                         assert (t.guard == ZERO) == (cur.counter == 0)
                         cur = Configuration(t.dst, cur.counter + t.effect)
                     assert cur == target
+
+
+def reference_levels(oca, origin, level_cap, counter_cap):
+    """(level, truncated) per level from every path over ``successors``:
+    level k holds the ends of length-k paths that never exceed the cap, and
+    level k is truncated once some path of at most k steps first exceeds it."""
+    out = []
+    paths = [[origin]]
+    truncated = False
+    for _ in range(level_cap + 1):
+        truncated = truncated or any(p[-1].counter > counter_cap for p in paths)
+        paths = [p for p in paths if p[-1].counter <= counter_cap]
+        out.append((frozenset(p[-1] for p in paths), truncated))
+        paths = [p + [d] for p in paths for d in successors(oca, p[-1])]
+    return out
+
+
+class TestIterLevels:
+    def test_matches_level_sets_and_path_enumeration(self, rng):
+        for _ in range(12):
+            oca = random_total_oca(rng, n_states=rng.randint(1, 3))
+            for counter_cap in (0, 1, 3):
+                for counter in (0, 1, counter_cap + 1, counter_cap + 3):
+                    origin = Configuration(rng.randrange(oca.n_states), counter)
+                    for level_cap in (0, 1, 5):
+                        lazy = list(iter_levels(
+                            origin, lambda c: successors(oca, c), level_cap, counter_cap))
+                        trace = level_sets(oca, origin, level_cap, counter_cap)
+                        assert lazy == list(zip(trace.levels, trace.truncated))
+                        assert lazy == reference_levels(oca, origin, level_cap, counter_cap)
+
+    def test_levels_are_built_on_demand(self):
+        calls = []
+
+        def succ(c):
+            calls.append(c)
+            return successors(COUNTDOWN, c)
+
+        levels = iter_levels(Configuration(0, 2), succ, 10**6, 10)
+        assert next(levels) == (frozenset({Configuration(0, 2)}), False)
+        assert next(levels) == (frozenset({Configuration(0, 1)}), False)
+        assert calls == [Configuration(0, 2)]
 
 
 class TestFormats:

@@ -236,6 +236,22 @@ class TestSynchronizedScan:
                         leaves.add(c)
                 assert ev.escaping == leaves
 
+    def test_exact_ue_repeats_on_the_component_distances(self):
+        # from u the counter never moves and the component is {u, g}; with
+        # goal g the distance layers restricted to it alternate {g}, {u}, so
+        # the (level, distance) pair repeats at step 2 and level cap 2
+        # settles FALSE.  Over the whole region the layers also pull in f
+        # and h and repeat only at step 4, which would need level cap 5.
+        f = parse_formula("p UE p")
+        u = ASYM.state_index("u")
+        for level_cap in (2, 3, 4):
+            ev = BoundedEvaluator(ASYM, 3, level_cap)
+            for v in range(4):
+                c = Configuration(u, v)
+                assert c not in ev.escaping
+                assert ev.verdict(f, c) is Verdict.FALSE, (v, level_cap)
+        assert eval_bounded(ASYM, Configuration(u, 0), f, 3, 1) is Verdict.UNKNOWN
+
 
 class TestMinePeriod:
     def test_constant_formula(self):
