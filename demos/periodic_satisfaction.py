@@ -7,6 +7,7 @@ infinite system once a valid threshold/period pair is known.
 """
 
 from ocasync import corpus
+from ocasync.errors import BudgetExceededError
 from ocasync.formula import formula_atoms, parse_formula
 from ocasync.mc import check_oca
 from ocasync.oca import Configuration
@@ -32,14 +33,21 @@ def main():
                 f"{oca.state_names[s]}:{tuple(p) if p else '?'}"
                 for s, p in enumerate(mined)
             )
-            result = check_oca(oca, f, Configuration(0, 0), "empirical")
-            sets = {s: u.to_json() for s, u in result.per_state.items()}
+            try:
+                result = check_oca(oca, f, Configuration(0, 0), "empirical")
+            except BudgetExceededError as exc:
+                # no certified pair: the checker refuses rather than guess, and
+                # cross_check reports the same refusal as CHECKER-UNKNOWN rows
+                checker = f"checker refused: {exc}"
+            else:
+                sets = {s: u.to_json() for s, u in result.per_state.items()}
+                checker = f"per-state sets: {sets}"
             report = cross_check(
                 oca, f, [Configuration(0, v) for v in range(13)],
                 "empirical", (60, 200), evaluator=ev,
             )
             print(f"  {text:<14} mined {pairs}")
-            print(f"    per-state sets: {sets}")
+            print(f"    {checker}")
             print(f"    vs oracle: {report.counts()}")
         print()
 

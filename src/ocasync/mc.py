@@ -7,7 +7,10 @@ wraps high ones onto residue classes, label plain operators by fixpoints,
 decide the synchronized operators by level-set iteration, and read the
 per-state satisfaction sets back as ultimately periodic sets.
 
-Node sets are manipulated as bitmasks throughout this module.
+Every ``Kripke`` structure, unfolded or hand-built, is one layout: rows of
+``width`` counter classes, with a row's edges given by ``Move``s that act on
+the whole row at once.  Node sets are bitmasks over that layout throughout
+this module.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import bignum, upset
 from .errors import BudgetExceededError, StepCapExceededError, UncoveredOperatorError
 from .formula import Formula, Kind, formula_atoms, pretty, subformulas
-from .oca import Configuration, Oca, POS, ZERO, validate
+from .oca import Configuration, Oca, ZERO, validate
 from .periodicity import ConstantBundle, TpPair, ctl_constants, ua_constants, uniform_pair
 from .upset import UpSet
 
@@ -38,88 +41,90 @@ class SyncCheck(NamedTuple):
 
 
 class Move(NamedTuple):
-    """One automaton transition acting on the counter rows of an unfolding."""
+    """One edge family acting on whole rows: from row ``src`` to row ``dst``,
+    the classes in ``guard_mask`` step by ``effect``.
+
+    In an unfolding each automaton transition is one move, with guard bit 0
+    for ``=0`` and bits 1..width-1 for ``>0``.  At width 1 a row is a single
+    node, so guard 1 is a plain edge and guard 0 an edge that never fires.
+    """
 
     src: int
     dst: int
-    guard_mask: int  # bit 0 for ``=0``, bits 1..width-1 for ``>0``
+    guard_mask: int
     effect: int
-
-
-class Geometry(NamedTuple):
-    """Layout of an unfolding: node ``s * width + c`` is state ``s`` at
-    counter class ``c``, and counter ``width`` wraps back to class ``t``."""
-
-    width: int
-    t: int
-    moves: tuple[Move, ...]
 
 
 @dataclass(frozen=True)
 class Kripke:
-    """Finite total transition structure with atom labels per node.
+    """Finite total transition structure laid out in rows of counter classes.
 
-    ``provenance`` records, for unfoldings, which automaton state and counter
-    class each node stands for; ``geometry`` lets ``image`` and ``preimage``
-    act on whole counter rows instead of single nodes.  Hand-built structures
-    carry neither and use the successor lists.
+    Node ``r * width + c`` is row ``r`` at class ``c``; in an unfolding a row
+    is an automaton state and a class a counter value, and counter ``width``
+    wraps back to class ``t``.  Every node of a row carries the row's labels.
+    Hand-built structures (``from_successors``) have one node per row.
     """
 
-    successors: tuple[tuple[int, ...], ...]
-    labels: tuple[frozenset[str], ...]
-    provenance: tuple[tuple[int, int], ...] | None = None
-    geometry: Geometry | None = None
+    width: int
+    t: int
+    moves: tuple[Move, ...]
+    labels: tuple[frozenset[str], ...]  # one label set per row
+
+    def __post_init__(self):
+        rows, width = len(self.labels), self.width
+        if width < 1 or not 0 <= self.t < width:
+            raise ValueError("need width >= 1 and 0 <= t < width")
+        row_mask = (1 << width) - 1
+        covered = [0] * rows
+        for m in self.moves:
+            if not (0 <= m.src < rows and 0 <= m.dst < rows):
+                raise ValueError(f"{m} references an out-of-range row")
+            if m.guard_mask & ~row_mask or m.effect not in (-1, 0, 1) or (
+                m.effect == -1 and m.guard_mask & 1
+            ):
+                raise ValueError(f"{m} leaves its row")
+            covered[m.src] |= m.guard_mask
+        for r, guards in enumerate(covered):
+            if guards != row_mask:
+                raise ValueError(f"row {r} has a node with no successor; structure must be total")
+
+    @classmethod
+    def from_successors(cls, successors, labels) -> Kripke:
+        """Hand-built structure: node ``i`` has atoms ``labels[i]`` and an
+        edge to each node of ``successors[i]``."""
+        if len(successors) != len(labels):
+            raise ValueError("one label set per node required")
+        moves = tuple(Move(i, j, 1, 0) for i, succ in enumerate(successors) for j in succ)
+        return cls(1, 0, moves, tuple(labels))
 
     @property
     def n(self) -> int:
-        return len(self.successors)
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.successors):
-            raise ValueError("one label set per node required")
-        for i, succ in enumerate(self.successors):
-            if not succ:
-                raise ValueError(f"node {i} has no successor; structure must be total")
-            if any(not 0 <= j < self.n for j in succ):
-                raise ValueError(f"node {i} has an out-of-range successor")
-
-    @cached_property
-    def succ_masks(self) -> tuple[int, ...]:
-        out = []
-        for succ in self.successors:
-            m = 0
-            for j in succ:
-                m |= 1 << j
-            out.append(m)
-        return tuple(out)
+        return len(self.labels) * self.width
 
     @cached_property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
     def atom_mask(self, name: str) -> int:
+        width = self.width
+        row_mask = (1 << width) - 1
         m = 0
-        for i, lab in enumerate(self.labels):
+        for r, lab in enumerate(self.labels):
             if name in lab:
-                m |= 1 << i
+                m |= row_mask << r * width
         return m
 
     def image(self, mask: int) -> int:
         """Nodes with a predecessor in ``mask``.
 
-        On an unfolding, each move takes its source row of ``mask``, keeps
-        the classes its guard admits and shifts the row by its effect; a +1
-        step from the top class ``width - 1`` lands on bit ``width``, which
-        wraps back to class ``t``.
+        Each move takes its source row of ``mask``, keeps the classes its
+        guard admits and shifts the row by its effect; a +1 step from the top
+        class ``width - 1`` lands on bit ``width``, which wraps back to class
+        ``t``.
         """
-        g = self.geometry
+        width, top, wrap = self.width, 1 << self.width, 1 << self.t
         out = 0
-        if g is None:
-            for i in _bits(mask):
-                out |= self.succ_masks[i]
-            return out
-        width, top, wrap = g.width, 1 << g.width, 1 << g.t
-        for src, dst, guard, effect in g.moves:
+        for src, dst, guard, effect in self.moves:
             row = (mask >> src * width) & guard
             if not row:
                 continue  # level sets are mostly sparse
@@ -136,21 +141,15 @@ class Kripke:
     def preimage(self, mask: int) -> int:
         """Nodes with a successor in ``mask``.
 
-        On an unfolding this inverts each move's shift on its target row
-        ``d`` and keeps the classes the guard admits: for effect +1 the
-        source classes are ``d >> 1`` plus the top class ``width - 1`` when
-        ``d`` holds the wrap target ``t``; for effect -1 they are ``d << 1``.
+        Each move inverts its shift on its target row ``d`` and keeps the
+        classes the guard admits: for effect +1 the source classes are
+        ``d >> 1`` plus the top class ``width - 1`` when ``d`` holds the wrap
+        target ``t``; for effect -1 they are ``d << 1``.
         """
-        g = self.geometry
-        out = 0
-        if g is None:
-            for i in range(self.n):
-                if self.succ_masks[i] & mask:
-                    out |= 1 << i
-            return out
-        width, t = g.width, g.t
+        width, t = self.width, self.t
         row_mask = (1 << width) - 1
-        for src, dst, guard, effect in g.moves:
+        out = 0
+        for src, dst, guard, effect in self.moves:
             d = (mask >> dst * width) & row_mask
             if effect == 1:
                 d = (d >> 1) | ((d >> t & 1) << (width - 1))
@@ -198,7 +197,7 @@ class KripkeBuilder:
         self._succ[self._names[src]].append(self._names[dst])
 
     def build(self) -> Kripke:
-        return Kripke(tuple(tuple(s) for s in self._succ), tuple(self._labels))
+        return Kripke.from_successors(self._succ, self._labels)
 
     def __getitem__(self, name: str) -> int:
         return self._names[name]
@@ -214,7 +213,9 @@ def counter_class(v: int, t: int, p: int) -> int:
 
 def unfold_kripke(oca: Oca, t: int, p: int) -> Kripke:
     """Finite quotient with |states| * (t + p) nodes: counters below t + p are
-    kept exact and the step out of the top of the window wraps back to t."""
+    kept exact and the step out of the top of the window wraps back to t.
+    Raises ``ValueError`` if some configuration of the automaton has no
+    successor."""
     if p < 1 or t < 0:
         raise ValueError("need t >= 0 and p >= 1")
     width = t + p
@@ -223,20 +224,7 @@ def unfold_kripke(oca: Oca, t: int, p: int) -> Kripke:
         Move(tr.src, tr.dst, 1 if tr.guard == ZERO else row_mask ^ 1, tr.effect)
         for tr in oca.transitions
     )
-    succ: list[tuple[int, ...]] = []
-    labels: list[frozenset[str]] = []
-    prov: list[tuple[int, int]] = []
-    for s in range(oca.n_states):
-        for c in range(width):
-            guard = ZERO if c == 0 else POS
-            targets = sorted(
-                {tr.dst * width + counter_class(c + tr.effect, t, p)
-                 for tr in oca.outgoing(s, guard)}
-            )
-            succ.append(tuple(targets))
-            labels.append(oca.labels[s])
-            prov.append((s, c))
-    return Kripke(tuple(succ), tuple(labels), tuple(prov), Geometry(width, t, moves))
+    return Kripke(width, t, moves, oca.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,6 @@ class OracleTrace:
     level_cap: int
     truncated: tuple[bool, ...]
 
-    def exact(self, level: int) -> bool:
-        return not self.truncated[level]
-
 
 def iter_levels(
     origin: Configuration,

@@ -337,7 +337,7 @@ def test_ac8_level_iteration_terminates():
         labels = tuple(
             frozenset(a for a in ("p",) if rng.random() < 0.35) for _ in range(n)
         )
-        k = Kripke(succ, labels)
+        k = Kripke.from_successors(succ, labels)
         sat1 = k.full_mask if rng.random() < 0.5 else k.atom_mask("p") | 1
         res = check_ua_on_kripke(k, rng.randrange(n), sat1, k.atom_mask("p"))
         assert res.iterations <= 2**n + 1

@@ -46,15 +46,16 @@ class TestUnfold:
         k = unfold_kripke(inc, 2, 3)
         # value 4 steps to 5 = t + p, which is congruent to 2 in the window
         assert counter_class(5, 2, 3) == 2
-        assert k.successors[4] == (2,)
+        assert k.image(1 << 4) == 1 << 2
 
     def test_labels_inherited_from_states(self):
         k = unfold_kripke(COUNTDOWN, 2, 2)
         width = 4
-        for node in range(k.n):
-            state, c = k.provenance[node]
-            assert k.labels[node] == COUNTDOWN.labels[state]
-            assert node == state * width + c
+        for name in COUNTDOWN.atoms:
+            mask = k.atom_mask(name)
+            for node in range(k.n):
+                state = node // width
+                assert bool(mask >> node & 1) == (name in COUNTDOWN.labels[state])
 
     def test_edges_commute_with_classing_off_seam(self, rng):
         # for every represented value, stepping then classing equals classing
@@ -70,11 +71,11 @@ class TestUnfold:
                         if v >= width and v % p == t % p:
                             continue  # bottom seam
                         node = s * width + counter_class(v, t, p)
-                        got = set(k.successors[node])
-                        expected = {
+                        got = k.image(1 << node)
+                        expected = mask_of(
                             d.state * width + counter_class(d.counter, t, p)
                             for d in successors(oca, Configuration(s, v))
-                        }
+                        )
                         assert got == expected, (name, t, p, s, v)
 
     def test_parameter_validation(self):
@@ -82,6 +83,46 @@ class TestUnfold:
             unfold_kripke(COUNTDOWN, 0, 0)
         with pytest.raises(ValueError):
             unfold_kripke(COUNTDOWN, -1, 2)
+
+    def test_automaton_that_can_block_is_rejected(self):
+        from ocasync.oca import Oca, Transition
+
+        def one_state(*transitions):
+            return Oca(("s",), frozenset(), (frozenset(),), transitions)
+
+        missing_positive = one_state(Transition(0, "=0", 1, 0))
+        with pytest.raises(ValueError, match="total"):
+            unfold_kripke(missing_positive, 1, 1)
+        # a decrement at zero would leave counter 0 without a successor
+        zero_decrement = one_state(Transition(0, "=0", -1, 0), Transition(0, ">0", 0, 0))
+        with pytest.raises(ValueError):
+            unfold_kripke(zero_decrement, 1, 1)
+
+
+class TestHandBuilt:
+    def test_node_without_successor_is_rejected(self):
+        b = KripkeBuilder()
+        b.node("a")
+        b.node("b")
+        b.edge("a", "b")
+        with pytest.raises(ValueError, match="total"):
+            b.build()
+
+    def test_edge_to_out_of_range_node_is_rejected(self):
+        with pytest.raises(ValueError, match="out-of-range"):
+            Kripke.from_successors(((0,), (2,)), (frozenset(), frozenset()))
+
+    def test_one_label_set_per_node_required(self):
+        with pytest.raises(ValueError, match="label"):
+            Kripke.from_successors(((0,),), (frozenset(), frozenset()))
+
+    def test_edges_and_labels_read_back(self):
+        k = Kripke.from_successors(((1, 2), (2,), (0, 2)), (
+            frozenset({"p"}), frozenset(), frozenset({"p", "q"})))
+        assert k.n == 3
+        assert [k.image(1 << i) for i in range(3)] == [0b110, 0b100, 0b101]
+        assert [k.preimage(1 << i) for i in range(3)] == [0b100, 0b001, 0b111]
+        assert (k.atom_mask("p"), k.atom_mask("q"), k.atom_mask("r")) == (0b101, 0b100, 0)
 
 
 KERNEL_PAIRS = [(0, 1), (1, 1), (7, 1), (0, 5), (2, 3), (4, 2), (12, 10)]
@@ -126,11 +167,22 @@ def au_reference(k, sat1, sat2):
     while True:
         grow = 0
         for i in nodes_of(sat1 & ~x):
-            if k.succ_masks[i] & ~x == 0:
+            if k.image(1 << i) & ~x == 0:
                 grow |= 1 << i
         if not grow:
             return x
         x |= grow
+
+
+def naive_successor_masks(oca, t, p):
+    """Successor mask of every unfolding node, from ``oca.successors`` of the
+    counter value the node's class stands for (class c is value c)."""
+    width = t + p
+    return [
+        mask_of(d.state * width + counter_class(d.counter, t, p)
+                for d in successors(oca, Configuration(s, c)))
+        for s in range(oca.n_states) for c in range(width)
+    ]
 
 
 class TestUnfoldingKernels:
@@ -138,13 +190,17 @@ class TestUnfoldingKernels:
         for oca in kernel_automata(rng):
             for t, p in KERNEL_PAIRS:
                 k = unfold_kripke(oca, t, p)
-                plain = Kripke(k.successors, k.labels)
-                assert k.geometry is not None and plain.geometry is None
+                succ = naive_successor_masks(oca, t, p)
+                assert len(succ) == k.n
                 masks = [0, k.full_mask] + [1 << i for i in range(k.n)]
                 masks += [rng.getrandbits(k.n) for _ in range(20)]
                 for m in masks:
-                    assert k.image(m) == plain.image(m), (oca, t, p, m)
-                    assert k.preimage(m) == plain.preimage(m), (oca, t, p, m)
+                    image = 0
+                    for i in nodes_of(m):
+                        image |= succ[i]
+                    preimage = mask_of(i for i in range(k.n) if succ[i] & m)
+                    assert k.image(m) == image, (oca, t, p, m)
+                    assert k.preimage(m) == preimage, (oca, t, p, m)
 
     def test_shared_distance_sequence_matches_reference(self, rng):
         for oca in kernel_automata(rng):
@@ -253,7 +309,7 @@ class TestSyncChecks:
             labels = tuple(
                 frozenset(a for a in ("p",) if rng.random() < 0.4) for _ in range(n)
             )
-            k = Kripke(succ, labels)
+            k = Kripke.from_successors(succ, labels)
             res = check_ua_on_kripke(k, rng.randrange(n), k.full_mask, k.atom_mask("p"))
             assert res.iterations <= 2**n + 1
 
