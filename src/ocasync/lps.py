@@ -160,12 +160,12 @@ def adjust_length(
     return (k1, k2)
 
 
-def _simple_cycles(oca: Oca, state: int, max_len: int) -> Iterator[tuple[int, ...]]:
+def _simple_cycles(
+    oca: Oca, by_src: dict[int, list[int]], state: int, max_len: int,
+) -> Iterator[tuple[int, ...]]:
     """Simple cycles at ``state`` (no repeated intermediate state), shortest-
-    lexicographic order on transition index sequences."""
-    by_src: dict[int, list[int]] = {}
-    for i, t in enumerate(oca.transitions):
-        by_src.setdefault(t.src, []).append(i)
+    lexicographic order on transition index sequences; ``by_src`` lists the
+    transition indices leaving each state."""
 
     def dfs(current: int, path: list[int], visited: set[int]) -> Iterator[tuple[int, ...]]:
         if len(path) >= max_len:
@@ -213,7 +213,7 @@ def enumerate_lps(
                 yield from rec(oca.transitions[idx].dst, alpha0, segments, flat_left - 1, size_left)
                 tail.pop()
         if size_left > 0:
-            for beta in _simple_cycles(oca, state, flat_left):
+            for beta in _simple_cycles(oca, by_src, state, flat_left):
                 segments.append((beta, []))
                 yield from rec(state, alpha0, segments, flat_left - len(beta), size_left - 1)
                 segments.pop()

@@ -3,7 +3,10 @@
 Everything here evaluates the definitional semantics directly on the infinite
 configuration graph, restricted by a counter cap and a level cap, and returns
 three-valued verdicts: UNKNOWN absorbs every way the caps could hide the
-answer.  Uses: differential testing of the finite-structure checker, mining
+answer.  Over the capped region a formula's verdicts are kept as one pair of
+configuration sets, (TRUE, FALSE), with UNKNOWN everywhere else; the
+plain-until fixpoints and the synchronized scans work on these pairs by set
+algebra.  Uses: differential testing of the finite-structure checker, mining
 empirical threshold/period pairs, and auditing the segment/shift periodicity
 of level sets at scaled-down constant bundles.
 """
@@ -51,8 +54,16 @@ def _and(a: Verdict, b: Verdict) -> Verdict:
     return Verdict.TRUE
 
 
+# (TRUE, FALSE) configuration sets over the capped region; the rest is UNKNOWN
+Split = tuple[frozenset[Configuration], frozenset[Configuration]]
+
+
 class BoundedEvaluator:
-    """Shared caches for evaluating formulas over one automaton at fixed caps."""
+    """Shared caches for evaluating formulas over one automaton at fixed caps.
+
+    ``verdict`` is the one recursive definition; ``_split(f)`` is f's table
+    over the region, the (TRUE, FALSE) pair of configuration sets.
+    """
 
     def __init__(self, oca: Oca, counter_cap: int, level_cap: int):
         if counter_cap < 0 or level_cap < 0:
@@ -66,7 +77,7 @@ class BoundedEvaluator:
             for v in range(counter_cap + 1)
         ]
         self._succ: dict[Configuration, tuple[Configuration, ...]] = {}
-        self._tables: dict[Formula, dict[Configuration, Verdict]] = {}
+        self._splits: dict[Formula, Split] = {}
         self._distances: dict[Formula, dict[Configuration, int]] = {}
         self._sync_memo: dict[tuple[Formula, Configuration], Verdict] = {}
         self._may_must: dict[Formula, tuple[frozenset[int], frozenset[int]]] = {}
@@ -104,6 +115,12 @@ class BoundedEvaluator:
 
     # -- state-level approximations -------------------------------------------
 
+    @cached_property
+    def _state_step(self) -> dict[int, set[int]]:
+        """The states one transition away from each state, under either guard."""
+        return {s: {t.dst for t in self.oca.transitions if t.src == s}
+                for s in range(self.oca.n_states)}
+
     def may_must_states(self, f: Formula) -> tuple[frozenset[int], frozenset[int]]:
         """(may, must): states where f could hold for some counter, and states
         where f certainly holds at every counter.  Sound, deliberately coarse."""
@@ -127,7 +144,7 @@ class BoundedEvaluator:
             out = (m1 & m2, u1 & u2)
         elif kind is Kind.EX:
             may, must = self.may_must_states(f.children[0])
-            step = {s: {t.dst for g in ("=0", ">0") for t in oca.outgoing(s, g)} for s in every}
+            step = self._state_step
             out = (
                 frozenset(s for s in every if step[s] & may),
                 frozenset(s for s in every if step[s] and step[s] <= must),
@@ -136,7 +153,7 @@ class BoundedEvaluator:
             # until family: anything reaching a may-state of the goal might hold;
             # a goal that must hold everywhere holds immediately at bound zero
             may2, must2 = self.may_must_states(f.children[1])
-            step = {s: {t.dst for g in ("=0", ">0") for t in oca.outgoing(s, g)} for s in every}
+            step = self._state_step
             reach = set(may2)
             changed = True
             while changed:
@@ -173,7 +190,8 @@ class BoundedEvaluator:
         if kind in (Kind.EU, Kind.AU):
             if c.counter > self.counter_cap:
                 return Verdict.UNKNOWN
-            return self._table(f)[c]
+            true, false = self._split(f)
+            return Verdict.TRUE if c in true else Verdict.FALSE if c in false else Verdict.UNKNOWN
         if kind in (Kind.UA, Kind.UE):
             key = (f, c)
             cached = self._sync_memo.get(key)
@@ -183,24 +201,32 @@ class BoundedEvaluator:
             return cached
         raise AssertionError(kind)
 
-    # -- fixpoint tables for the plain until operators --------------------------
+    # -- three-valued region tables -----------------------------------------------
 
-    def _table(self, f: Formula) -> dict[Configuration, Verdict]:
-        table = self._tables.get(f)
-        if table is None:
-            table = self._eu_table(f) if f.kind is Kind.EU else self._au_table(f)
-            self._tables[f] = table
-        return table
-
-    def _child_rows(self, f: Formula):
-        v1 = {c: self.verdict(f.children[0], c) for c in self._region}
-        v2 = {c: self.verdict(f.children[1], c) for c in self._region}
-        return v1, v2
+    def _split(self, f: Formula) -> Split:
+        """(true, false): the region configurations where f is TRUE and where
+        it is FALSE; f is UNKNOWN on the rest of the region."""
+        split = self._splits.get(f)
+        if split is None:
+            if f.kind is Kind.EU:
+                split = self._eu_split(f)
+            elif f.kind is Kind.AU:
+                split = self._au_split(f)
+            else:
+                verdicts = [(c, self.verdict(f, c)) for c in self._region]
+                split = (
+                    frozenset(c for c, v in verdicts if v is Verdict.TRUE),
+                    frozenset(c for c, v in verdicts if v is Verdict.FALSE),
+                )
+            self._splits[f] = split
+        return split
 
     def _in_region_succ(self, c: Configuration):
         return [d for d in self.succ(c) if d.counter <= self.counter_cap]
 
     def _lfp(self, seed: set[Configuration], expand) -> set[Configuration]:
+        """Close ``seed`` under in-region predecessors p with ``expand(p,
+        reached)``; every such p has a successor in ``reached``."""
         reached = set(seed)
         frontier = list(seed)
         preds, _ = self._region_index
@@ -212,44 +238,35 @@ class BoundedEvaluator:
                     frontier.append(p)
         return reached
 
-    def _eu_table(self, f: Formula) -> dict[Configuration, Verdict]:
-        v1, v2 = self._child_rows(f)
+    def _eu_split(self, f: Formula) -> Split:
+        true1, false1 = self._split(f.children[0])
+        true2, false2 = self._split(f.children[1])
         may_f, _ = self.may_must_states(f)
         _, escape = self._region_index
-        sure = self._lfp(
-            {c for c in self._region if v2[c] is Verdict.TRUE},
-            lambda p, reached: v1[p] is Verdict.TRUE
-            and any(d in reached for d in self._in_region_succ(p)),
-        )
+        region = frozenset(self._region)
+        sure = self._lfp(true2, lambda p, reached: p in true1)
         # a path may also continue past the cap, so escape points with a
         # possible first operand seed the may-hold set; states that cannot
         # even reach a possibly-satisfying goal state are definitely out
         maybe = self._lfp(
-            {c for c in self._region if v2[c] is not Verdict.FALSE}
-            | {c for c in escape if v1[c] is not Verdict.FALSE},
-            lambda p, reached: v1[p] is not Verdict.FALSE
-            and any(d in reached for d in self._in_region_succ(p)),
+            (region - false2) | (escape - false1),
+            lambda p, reached: p not in false1,
         )
-        out = {}
-        for c in self._region:
-            out[c] = (
-                Verdict.TRUE if c in sure
-                else Verdict.UNKNOWN if c in maybe and c.state in may_f
-                else Verdict.FALSE
-            )
-        return out
+        unknown = {c for c in maybe if c.state in may_f}
+        return frozenset(sure), region - sure - unknown
 
-    def _au_table(self, f: Formula) -> dict[Configuration, Verdict]:
-        v1, v2 = self._child_rows(f)
+    def _au_split(self, f: Formula) -> Split:
+        true1, false1 = self._split(f.children[0])
+        true2, false2 = self._split(f.children[1])
         _, escape = self._region_index
         sure = self._lfp(
-            {c for c in self._region if v2[c] is Verdict.TRUE},
-            lambda p, reached: v1[p] is Verdict.TRUE
+            true2,
+            lambda p, reached: p in true1
             and p not in escape
             and all(d in reached for d in self._in_region_succ(p)),
         )
         # an infinite all-not-goal path inside the region refutes universally
-        lasso = {c for c in self._region if v2[c] is Verdict.FALSE}
+        lasso = set(false2)
         changed = True
         while changed:
             changed = False
@@ -257,28 +274,13 @@ class BoundedEvaluator:
                 if not any(d in lasso for d in self._in_region_succ(c)):
                     lasso.discard(c)
                     changed = True
-        bad = lasso | {
-            c for c in self._region
-            if v1[c] is Verdict.FALSE and v2[c] is Verdict.FALSE
-        }
-        refuted = self._lfp(
-            bad,
-            lambda p, reached: v2[p] is Verdict.FALSE
-            and any(d in reached for d in self._in_region_succ(p)),
-        )
+        refuted = self._lfp(lasso | (false1 & false2), lambda p, reached: p in false2)
+        assert not sure & refuted, "three-valued fixpoints disagree"
+        # with no possibly-satisfying goal state reachable, every path
+        # refutes the universal until
         may_f, _ = self.may_must_states(f)
-        out = {}
-        for c in self._region:
-            if c in sure:
-                assert c not in refuted, "three-valued fixpoints disagree"
-                out[c] = Verdict.TRUE
-            elif c in refuted or c.state not in may_f:
-                # with no possibly-satisfying goal state reachable, every
-                # path refutes the universal until
-                out[c] = Verdict.FALSE
-            else:
-                out[c] = Verdict.UNKNOWN
-        return out
+        refuted.update(c for c in self._region if c.state not in may_f)
+        return frozenset(sure), frozenset(refuted) - sure
 
     # -- synchronized operators --------------------------------------------------
     #
@@ -320,18 +322,14 @@ class BoundedEvaluator:
                 if d not in component:
                     component.add(d)
                     stack.append(d)
-        sat1 = set()
-        sat2 = set()
-        for d in component:
-            for child, bucket in ((f.children[0], sat1), (f.children[1], sat2)):
-                v = self.verdict(child, d)
-                if not v.definite:
-                    return None
-                if v is Verdict.TRUE:
-                    bucket.add(d)
+        true1, false1 = self._split(f.children[0])
+        true2, false2 = self._split(f.children[1])
+        if not (component <= true1 | false1 and component <= true2 | false2):
+            return None
+        sat1 = true1 & component
         preds, _ = self._region_index
         levels: list[frozenset[Configuration]] = []
-        dist = [frozenset(sat2)]
+        dist = [true2 & component]
         seen: dict[tuple, int] = {}
         scan_until = None
         for k, (level, _) in enumerate(
@@ -357,21 +355,16 @@ class BoundedEvaluator:
         return Verdict.UNKNOWN
 
     def _scan_ua(self, f: Formula, c: Configuration) -> Verdict:
-        sat1, sat2 = f.children
+        true1, false1 = self._split(f.children[0])
+        true2, false2 = self._split(f.children[1])
         prefix_certified = True  # every earlier level untruncated and all-sat1
         prefix_violated = False  # some earlier level definitely breaks sat1
         all_failed = True        # every bound so far definitely fails
         seen: set[frozenset[Configuration]] = set()
-        for k, (level, truncated) in enumerate(
-            iter_levels(c, self.succ, self.level_cap, self.counter_cap)
-        ):
-            rows2 = [self.verdict(sat2, d) for d in level]
-            if (
-                prefix_certified and not truncated and level
-                and all(v is Verdict.TRUE for v in rows2)
-            ):
+        for level, truncated in iter_levels(c, self.succ, self.level_cap, self.counter_cap):
+            if prefix_certified and not truncated and level and level <= true2:
                 return Verdict.TRUE
-            if not (prefix_violated or any(v is Verdict.FALSE for v in rows2)):
+            if not prefix_violated and level.isdisjoint(false2):
                 all_failed = False
             if not truncated:
                 # exact levels evolve deterministically: a repeat with every
@@ -379,10 +372,9 @@ class BoundedEvaluator:
                 if level in seen and all_failed:
                     return Verdict.FALSE
                 seen.add(level)
-            rows1 = [self.verdict(sat1, d) for d in level]
-            if any(v is Verdict.FALSE for v in rows1):
+            if not level.isdisjoint(false1):
                 prefix_violated = True
-            if truncated or any(not v.definite for v in rows1):
+            if truncated or not level <= true1:
                 prefix_certified = False
             if prefix_violated and all_failed:
                 # every later bound inherits the broken prefix
@@ -407,8 +399,7 @@ class BoundedEvaluator:
             return masks
         preds, _ = self._region_index
         cap = self.level_cap
-        goal = f.children[1]
-        layer = frozenset(c for c in self._region if self.verdict(goal, c) is Verdict.TRUE)
+        layer = self._split(f.children[1])[0]
         first: dict[frozenset[Configuration], int] = {}
         masks = {}
         while True:
@@ -446,7 +437,7 @@ class BoundedEvaluator:
         ``alive`` is empty no later bound can succeed (the scan never
         answers FALSE).
         """
-        sat1 = f.children[0]
+        true1, _ = self._split(f.children[0])
         masks = self._distance_masks(f)
         alive = -1
         for k, (level, _truncated) in enumerate(
@@ -458,7 +449,7 @@ class BoundedEvaluator:
             reach = 0
             for d in level:
                 mask = masks.get(d, 0) & wanted
-                if mask and self.verdict(sat1, d) is Verdict.TRUE:
+                if mask and d in true1:
                     reach |= mask
             alive &= reach << k
             if not alive:
@@ -750,47 +741,31 @@ def check_shift_periodicity(
                     seg = seg_of[lv]
                     if shifted > level_cap or lv > level_cap:
                         continue
-                    ok_a = not trace_vp.truncated[shifted] and not trace_v.truncated[lv]
-                    for imp, src_trace, src_lv, dst_trace, dst_lv in (
-                        ("2a", trace_vp, shifted, trace_v, lv),
-                        ("2b", trace_v, lv, trace_vp, shifted),
-                    ):
-                        if not ok_a:
-                            cases.append(AuditCase(s, v, lv, imp, seg, "skipped",
-                                                   "truncated levels"))
-                            continue
-                        missing = _match(
-                            src_trace.levels[src_lv], dst_trace.levels[dst_lv],
-                            bundle.prev_t, bundle.prev_p,
-                        )
-                        if missing is None:
-                            cases.append(AuditCase(s, v, lv, imp, seg, "pass"))
-                        else:
-                            cases.append(AuditCase(
-                                s, v, lv, imp, seg, "fail",
-                                f"no equivalent of {missing} at level {dst_lv}",
-                                _slope_diagnostics(oca, bundle, src_trace, missing, src_lv),
-                            ))
-                else:
-                    if lv < period or lv > level_cap:
-                        continue
+                    exact = not trace_vp.truncated[shifted] and not trace_v.truncated[lv]
+                    checks = (("2a", trace_vp, shifted, trace_v, lv),
+                              ("2b", trace_v, lv, trace_vp, shifted))
+                elif period <= lv <= level_cap:
+                    seg = None
                     exact = not trace_v.truncated[lv]
-                    for imp, src_lv, dst_lv in (("1a", lv, lv - period),
-                                                ("1b", lv - period, lv)):
-                        if not exact:
-                            cases.append(AuditCase(s, v, lv, imp, None, "skipped",
-                                                   "truncated levels"))
-                            continue
-                        missing = _match(
-                            trace_v.levels[src_lv], trace_v.levels[dst_lv],
-                            bundle.prev_t, bundle.prev_p,
-                        )
-                        if missing is None:
-                            cases.append(AuditCase(s, v, lv, imp, None, "pass"))
-                        else:
-                            cases.append(AuditCase(
-                                s, v, lv, imp, None, "fail",
-                                f"no equivalent of {missing} at level {dst_lv}",
-                                _slope_diagnostics(oca, bundle, trace_v, missing, src_lv),
-                            ))
+                    checks = (("1a", trace_v, lv, trace_v, lv - period),
+                              ("1b", trace_v, lv - period, trace_v, lv))
+                else:
+                    continue
+                for imp, src_trace, src_lv, dst_trace, dst_lv in checks:
+                    if not exact:
+                        cases.append(AuditCase(s, v, lv, imp, seg, "skipped",
+                                               "truncated levels"))
+                        continue
+                    missing = _match(
+                        src_trace.levels[src_lv], dst_trace.levels[dst_lv],
+                        bundle.prev_t, bundle.prev_p,
+                    )
+                    if missing is None:
+                        cases.append(AuditCase(s, v, lv, imp, seg, "pass"))
+                    else:
+                        cases.append(AuditCase(
+                            s, v, lv, imp, seg, "fail",
+                            f"no equivalent of {missing} at level {dst_lv}",
+                            _slope_diagnostics(oca, bundle, src_trace, missing, src_lv),
+                        ))
     return ShiftAuditReport(bundle, cases)

@@ -1,12 +1,15 @@
 import functools
 import random
+import time
 
 import pytest
 
 from ocasync import corpus, mc
-from ocasync.formula import TRUE, atom, au, eu, ex, land, lnot, parse_formula, ua, ue
+from ocasync.formula import (
+    TRUE, atom, au, eu, ex, land, lnot, parse_formula, pretty, subformulas, ua, ue,
+)
 from ocasync.mc import SyncCheck
-from ocasync.oca import Configuration, successors
+from ocasync.oca import Configuration, parse_oca_text, successors
 from ocasync.oracle import (
     AGREE, CHECKER_UNKNOWN, DISAGREE, ORACLE_UNKNOWN,
     BoundedEvaluator, Verdict, check_shift_periodicity, cross_check,
@@ -21,6 +24,16 @@ ASYM = corpus.load("asym-fork")
 INC = corpus.load("increment-loop")
 
 FA_P = parse_formula("FA p")
+
+
+def random_formula(rng, depth):
+    """A random formula of nesting depth <= depth over all nine kinds."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice((TRUE, atom("p"), atom("q")))
+    op = rng.choice((lnot, ex, land, eu, au, ua, ue))
+    if op in (lnot, ex):
+        return op(random_formula(rng, depth - 1))
+    return op(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
 
 
 class TestEvalBounded:
@@ -83,6 +96,56 @@ class TestEvalBounded:
                         hi = big.verdict(f, Configuration(0, v))
                         if lo.definite:
                             assert lo == hi, (f, v, small_caps, lo, hi)
+
+    def test_definite_verdicts_monotone_in_caps_fuzzed(self):
+        # every subformula of a random formula, at every state and at
+        # counters up to one above the small counter cap; about 5 s
+        rng = random.Random(4)
+        small_caps_choices = [(2, 4), (3, 6), (5, 10), (6, 3), (8, 2)]
+        flips = []
+        start = time.monotonic()
+        for case in range(1500):
+            oca = random_total_oca(rng, n_states=rng.randint(1, 3))
+            f = random_formula(rng, 3)
+            small_caps = rng.choice(small_caps_choices)
+            small = BoundedEvaluator(oca, *small_caps)
+            big = BoundedEvaluator(oca, 24, 48)
+            for s in range(oca.n_states):
+                for v in range(small_caps[0] + 2):
+                    c = Configuration(s, v)
+                    for g in subformulas(f):
+                        lo = small.verdict(g, c)
+                        if lo.definite and big.verdict(g, c) is not lo:
+                            flips.append((case, pretty(g), c, small_caps, lo))
+        assert not flips, (len(flips), flips[:3])
+        assert time.monotonic() - start < 60
+
+    def test_ua_prefix_with_false_first_operand_is_not_certified(self):
+        # EX p is FALSE at s0,0 (its one successor is s1,0), so only bound 0
+        # can hold, and the goal there is UNKNOWN at small caps; the scan
+        # used to certify a later bound anyway and answer TRUE, which
+        # flipped to FALSE once the caps grew
+        oca = parse_oca_text(
+            "states: s0 s1 s2\n"
+            "atoms: p q\n"
+            "label s0 = {p}\n"
+            "label s1 = {q}\n"
+            "s0 -[=0,0]-> s1\n"
+            "s0 -[>0,0]-> s2\n"
+            "s1 -[=0,+1]-> s0\n"
+            "s1 -[=0,+1]-> s1\n"
+            "s1 -[>0,-1]-> s2\n"
+            "s1 -[>0,0]-> s0\n"
+            "s2 -[=0,0]-> s2\n"
+            "s2 -[>0,-1]-> s0\n"
+            "s2 -[>0,-1]-> s1\n"
+            "s2 -[>0,0]-> s1\n"
+        )
+        f = parse_formula("EX p UA ((q UE q) & (A p U q))")
+        init = Configuration(0, 0)
+        for caps, want in (((6, 3), Verdict.UNKNOWN), ((10, 3), Verdict.UNKNOWN),
+                           ((20, 40), Verdict.FALSE), ((60, 200), Verdict.FALSE)):
+            assert eval_bounded(oca, init, f, *caps) is want, caps
 
     def test_ue_witness_semantics_on_unfolded_trees(self):
         # definitional evaluation agrees with the level-set reading used by
