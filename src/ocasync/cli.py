@@ -60,6 +60,16 @@ def _parse_caps(text: str) -> tuple[int, int]:
         raise OcaSyntaxError(f"malformed caps {text!r}; use counterCap,levelCap") from None
 
 
+def _check_args(args) -> dict:
+    """``check_oca`` keyword arguments from the mode flags (``--mode``,
+    ``--caps``, ``--b``, ``--budget``, ``--mine-v-cap``)."""
+    mode, supplied = _parse_mode(args.mode)
+    return {
+        "mode": mode, "supplied": supplied, "caps": _parse_caps(args.caps),
+        "b_override": args.b, "node_budget": args.budget, "mine_v_cap": args.mine_v_cap,
+    }
+
+
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
@@ -127,30 +137,14 @@ def _cmd_check(args) -> int:
     oca = _load_oca(args.oca)
     f = parse_formula(args.formula)
     init = parse_configuration(oca, args.init)
-    mode, supplied = _parse_mode(args.mode)
-    result = mc.check_oca(
-        oca, f, init, mode,
-        supplied=supplied,
-        caps=_parse_caps(args.caps),
-        b_override=args.b,
-        node_budget=args.budget,
-        mine_v_cap=args.mine_v_cap,
-    )
+    result = mc.check_oca(oca, f, init, **_check_args(args))
     return _ok("check", result.to_json())
 
 
 def _cmd_sat_sets(args) -> int:
     oca = _load_oca(args.oca)
     f = parse_formula(args.formula)
-    mode, supplied = _parse_mode(args.mode)
-    result = mc.check_oca(
-        oca, f, Configuration(0, 0), mode,
-        supplied=supplied,
-        caps=_parse_caps(args.caps),
-        b_override=args.b,
-        node_budget=args.budget,
-        mine_v_cap=args.mine_v_cap,
-    )
+    result = mc.check_oca(oca, f, Configuration(0, 0), **_check_args(args))
     return _ok("sat-sets", {
         "formula": pretty(f),
         "perState": {s: u.to_json() for s, u in sorted(result.per_state.items())},
@@ -208,13 +202,9 @@ def _cmd_mine_period(args) -> int:
 def _cmd_cross_check(args) -> int:
     oca = _load_oca(args.oca)
     f = parse_formula(args.formula)
-    mode, supplied = _parse_mode(args.mode)
     inits = [parse_configuration(oca, s) for s in args.init]
-    report = oracle.cross_check(
-        oca, f, inits, mode, _parse_caps(args.caps), supplied=supplied,
-    )
-    doc = report.to_json(oca)
-    return _ok("cross-check", doc)
+    report = oracle.cross_check(oca, f, inits, **_check_args(args))
+    return _ok("cross-check", report.to_json(oca))
 
 
 def _cmd_check_lemma11(args) -> int:
@@ -374,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     command = args.command
     try:
         return args.fn(args)
-    except (OcaSyntaxError, FormulaSyntaxError, ValueError, KeyError) as exc:
+    except (OcaSyntaxError, FormulaSyntaxError, ValueError) as exc:
         return _fail(command, "input", str(exc))
     except BudgetExceededError as exc:
         return _fail(command, "budget", str(exc), {

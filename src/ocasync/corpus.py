@@ -9,6 +9,7 @@ fresh automaton per call, so callers cannot corrupt the templates.
 
 from __future__ import annotations
 
+from .errors import UnknownNameError
 from .mc import Kripke, KripkeBuilder
 from .oca import Oca, parse_oca_text
 
@@ -120,7 +121,7 @@ def text(name: str) -> str:
     try:
         return _CORPUS[name]
     except KeyError:
-        raise KeyError(f"unknown corpus automaton {name!r}; have {names()}") from None
+        raise UnknownNameError(f"unknown corpus automaton {name!r}; have {names()}") from None
 
 
 def load(name: str) -> Oca:

@@ -27,6 +27,14 @@ class FormulaSyntaxError(ValueError):
         self.expected = expected
 
 
+class UnknownNameError(KeyError, ValueError):
+    """A state or corpus automaton named in the input does not exist.
+
+    A ``KeyError`` for lookups, and a ``ValueError`` so the command line
+    reports it as malformed input.
+    """
+
+
 class UncoveredOperatorError(ValueError):
     """The constant recursion has no case for the operator (UE)."""
 

@@ -272,21 +272,19 @@ def label_ctl(k: Kripke, f: Formula, sub_sat: dict[Formula, frozenset[int]]) -> 
 # Synchronized operators
 
 def check_ua_on_kripke(
-    k: Kripke, init: int, sat1, sat2, step_cap: int | None = None
+    k: Kripke, init: int, sat1: int, sat2: int, step_cap: int | None = None
 ) -> SyncCheck:
     """Does some single bound make every path of that length end in sat2 with
     sat1 everywhere before?  Exact on total structures; terminates without a
     step cap because the level-set orbit must repeat.
     """
-    sat1_m = sat1 if isinstance(sat1, int) else mask_of(sat1)
-    sat2_m = sat2 if isinstance(sat2, int) else mask_of(sat2)
     level = 1 << init
     seen: dict[int, int] = {}
     k_step = 0
     while True:
-        if level & ~sat2_m == 0:
+        if level & ~sat2 == 0:
             return SyncCheck(True, k_step, k_step + 1)
-        if level & ~sat1_m:
+        if level & ~sat1:
             return SyncCheck(False, None, k_step + 1)
         if level in seen:
             return SyncCheck(False, None, k_step + 1)
@@ -301,7 +299,7 @@ def check_ua_on_kripke(
 
 
 def check_ue_on_kripke(
-    k: Kripke, init: int, sat1, sat2, step_cap: int,
+    k: Kripke, init: int, sat1: int, sat2: int, step_cap: int,
     dist: list[int] | None = None,
 ) -> SyncCheck:
     """Does some single bound admit, for every earlier level, a sat1 node of
@@ -318,19 +316,17 @@ def check_ue_on_kripke(
     """
     if step_cap < 1:
         raise ValueError("step cap must be at least 1")
-    sat1_m = sat1 if isinstance(sat1, int) else mask_of(sat1)
-    sat2_m = sat2 if isinstance(sat2, int) else mask_of(sat2)
     if dist is None:
-        dist = [sat2_m]
-    elif not dist or dist[0] != sat2_m:
+        dist = [sat2]
+    elif not dist or dist[0] != sat2:
         raise ValueError("a shared distance sequence must start at sat2")
     levels = [1 << init]
     seen: dict[tuple[int, int], int] = {(levels[0], dist[0]): 0}
     scan_until: int | None = None
     k_step = 0
     while True:
-        if levels[k_step] & sat2_m:
-            if all(levels[j] & sat1_m & dist[k_step - j] for j in range(k_step)):
+        if levels[k_step] & sat2:
+            if all(levels[j] & sat1 & dist[k_step - j] for j in range(k_step)):
                 return SyncCheck(True, k_step, k_step + 1)
         if scan_until is not None and k_step >= scan_until:
             return SyncCheck(False, None, k_step + 1)
@@ -492,9 +488,11 @@ def check_oca(
         )
 
     kripke = unfold_kripke(oca, t_eff, p_uniform)
+    width = t_eff + p_uniform
     step_cap = 4 * kripke.n * kripke.n + 64
+    init_node = init.state * width + counter_class(init.counter, t_eff, p_uniform)
     sat: dict[Formula, int] = {}
-    witnesses: dict[tuple[Formula, int], int | None] = {}
+    witness_k = None
     for g in subformulas(f):
         if g.kind in (Kind.UA, Kind.UE):
             sat1, sat2 = sat[g.children[0]], sat[g.children[1]]
@@ -507,12 +505,12 @@ def check_oca(
                     res = check_ue_on_kripke(kripke, node, sat1, sat2, step_cap, dist)
                 if res.holds:
                     mask |= 1 << node
-                witnesses[(g, node)] = res.witness_k
+                if node == init_node and g == f:
+                    witness_k = res.witness_k
             sat[g] = mask
         else:
             sat[g] = _label_mask(kripke, g, sat)
 
-    width = t_eff + p_uniform
     per_state: dict[str, UpSet] = {}
     top = sat[f]
     for s in range(oca.n_states):
@@ -528,9 +526,7 @@ def check_oca(
             UpSet(t_eff, p_uniform, base, residues)
         )
 
-    init_node = init.state * width + counter_class(init.counter, t_eff, p_uniform)
     holds = bool(top >> init_node & 1)
-    witness_k = witnesses.get((f, init_node))
     if witness_k is not None and init.counter >= width:
         # the level sequence of the class representative matches the concrete
         # one in satisfaction but not in step counts, so its bound is not a

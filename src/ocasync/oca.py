@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import OcaSyntaxError
+from .errors import OcaSyntaxError, UnknownNameError
 
 ZERO = "=0"
 POS = ">0"
@@ -55,7 +55,7 @@ class Oca:
         try:
             return self.state_names.index(name)
         except ValueError:
-            raise KeyError(f"unknown state {name!r}") from None
+            raise UnknownNameError(f"unknown state {name!r}") from None
 
     @cached_property
     def _outgoing(self) -> dict[tuple[int, str], tuple[Transition, ...]]:

@@ -6,9 +6,13 @@ three-valued verdicts: UNKNOWN absorbs every way the caps could hide the
 answer.  Over the capped region a formula's verdicts are kept as one pair of
 configuration sets, (TRUE, FALSE), with UNKNOWN everywhere else; the
 plain-until fixpoints and the synchronized scans work on these pairs by set
-algebra.  Uses: differential testing of the finite-structure checker, mining
-empirical threshold/period pairs, and auditing the segment/shift periodicity
-of level sets at scaled-down constant bundles.
+algebra.  A synchronized UE formula is decided by one witness scan over a
+per-formula exact-distance index, which can answer TRUE only, plus a FALSE
+repeat rule for scans that found no witness on a cap-closed component.
+Uses: differential testing of the finite-structure checker, mining empirical
+threshold/period pairs, and auditing the segment/shift periodicity of level
+sets at scaled-down constant bundles.  The region counts against the same
+node budget as the checker's unfolding.
 """
 
 from __future__ import annotations
@@ -68,6 +72,13 @@ class BoundedEvaluator:
     def __init__(self, oca: Oca, counter_cap: int, level_cap: int):
         if counter_cap < 0 or level_cap < 0:
             raise ValueError("caps must be non-negative")
+        required = oca.n_states * (counter_cap + 1)
+        budget = mc.node_budget_default()
+        if required > budget:
+            raise BudgetExceededError(
+                f"oracle region needs {required} configurations, over the budget of {budget}",
+                required=required, budget=budget,
+            )
         self.oca = oca
         self.counter_cap = counter_cap
         self.level_cap = level_cap
@@ -298,61 +309,10 @@ class BoundedEvaluator:
             # the scan is complete on cap-closed components: exact levels
             # must repeat, and the repeat rule then decides negatively
             return self._scan_ua(f, c)
-        if c.counter <= self.counter_cap and c not in self.escaping:
-            v = self._exact_ue(f, c)
-            if v is not None:
-                return v
-        return self._scan_ue(f, c)
-
-    def _exact_ue(self, f: Formula, c: Configuration) -> Verdict | None:
-        """Exact per-level witness check on a cap-closed component.
-
-        Both the level sequence and the exact-distance goal predecessors
-        evolve deterministically over the finite component, so once that pair
-        revisits an earlier value, scanning on to twice the transient plus
-        one period settles the answer.  The distance sets are kept inside the
-        component: no level meets anything outside it, and over the whole
-        region the sets can take longer to repeat.  None if some child
-        verdict on the component is indefinite.
-        """
-        component = {c}
-        stack = [c]
-        while stack:
-            for d in self.succ(stack.pop()):
-                if d not in component:
-                    component.add(d)
-                    stack.append(d)
-        true1, false1 = self._split(f.children[0])
-        true2, false2 = self._split(f.children[1])
-        if not (component <= true1 | false1 and component <= true2 | false2):
-            return None
-        sat1 = true1 & component
-        preds, _ = self._region_index
-        levels: list[frozenset[Configuration]] = []
-        dist = [true2 & component]
-        seen: dict[tuple, int] = {}
-        scan_until = None
-        for k, (level, _) in enumerate(
-            iter_levels(c, self.succ, self.level_cap, self.counter_cap)
-        ):
-            levels.append(level)
-            if k:
-                dist.append(frozenset(
-                    d for e in dist[k - 1] for d in preds[e] if d in component
-                ))
-            if scan_until is None:
-                key = (level, dist[k])
-                if key in seen:
-                    base = seen[key]
-                    scan_until = 2 * base + (k - base) - 1
-                else:
-                    seen[key] = k
-            if level & dist[0]:
-                if all(levels[j] & sat1 & dist[k - j] for j in range(k)):
-                    return Verdict.TRUE
-            if scan_until is not None and k >= scan_until:
-                return Verdict.FALSE
-        return Verdict.UNKNOWN
+        v = self._scan_ue(f, c)
+        if v is Verdict.UNKNOWN and self._ue_repeats(f, c):
+            return Verdict.FALSE
+        return v
 
     def _scan_ua(self, f: Formula, c: Configuration) -> Verdict:
         true1, false1 = self._split(f.children[0])
@@ -456,6 +416,44 @@ class BoundedEvaluator:
                 return Verdict.UNKNOWN
         return Verdict.UNKNOWN
 
+    def _ue_repeats(self, f: Formula, c: Configuration) -> bool:
+        """FALSE rule for a UE scan that found no witness: True iff no
+        bound at all, below or above the level cap, has a witness from c.
+
+        Applies when c is in the region, not escaping, and both operands are
+        definite on c's component (everything reachable from c).  No path
+        from c leaves the component, so its distance layers are the region's
+        D_k (``_distance_masks``) cut to it, and the pair (level k,
+        D_k ∩ component) evolves deterministically.  If it first repeats at
+        steps base < k, a witness at any bound >= base + k shifts down by
+        k - base, so the least witness is at most base + k - 1; when that
+        fits under the level cap, the scan has already ruled it out.
+        """
+        if c.counter > self.counter_cap or c in self.escaping:
+            return False
+        component = {c}
+        stack = [c]
+        while stack:
+            for d in self.succ(stack.pop()):
+                if d not in component:
+                    component.add(d)
+                    stack.append(d)
+        for g in f.children:
+            true, false = self._split(g)
+            if not all(d in true or d in false for d in component):
+                return False
+        masks = self._distance_masks(f)
+        near = {d: masks[d] for d in component if d in masks}
+        seen: dict[tuple, int] = {}
+        for k, (level, _) in enumerate(
+            iter_levels(c, self.succ, self.level_cap, self.counter_cap)
+        ):
+            layer = frozenset(d for d, mask in near.items() if mask >> k & 1)
+            base = seen.setdefault((level, layer), k)
+            if base < k:
+                return base + k - 1 <= self.level_cap
+        return False
+
 
 def eval_bounded(
     oca: Oca, c: Configuration, f: Formula, counter_cap: int, level_cap: int
@@ -555,13 +553,16 @@ def cross_check(
     caps: tuple[int, int] = (60, 200),
     *,
     supplied: TpPair | None = None,
+    b_override: int | None = None,
+    node_budget: int | None = None,
     mine_v_cap: int | None = None,
     evaluator: BoundedEvaluator | None = None,
 ) -> CrossReport:
     """Run the reduction-based checker against the bounded oracle per init.
 
     A DISAGREE row (both sides definite, different answers) is always a bug
-    in one of them; ORACLE-UNKNOWN rows carry no evidence either way.
+    in one of them; ORACLE-UNKNOWN rows carry no evidence either way.  The
+    keyword arguments other than ``evaluator`` go to ``mc.check_oca``.
     """
     ev = evaluator or BoundedEvaluator(oca, *caps)
     verdicts = [ev.verdict(f, c) for c in inits]
@@ -571,7 +572,8 @@ def cross_check(
         try:
             result = mc.check_oca(
                 oca, f, inits[0], mode,
-                supplied=supplied, caps=caps, mine_v_cap=mine_v_cap, evaluator=ev,
+                supplied=supplied, caps=caps, b_override=b_override,
+                node_budget=node_budget, mine_v_cap=mine_v_cap, evaluator=ev,
             )
         except BudgetExceededError as exc:
             error = str(exc)

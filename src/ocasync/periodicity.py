@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 from . import bignum
 from .bignum import Number
 from .formula import Kind
-from .lps import basic_slopes, negative_basic_slopes
+from .lps import negative_basic_slopes
 
 
 class TpPair(NamedTuple):
@@ -106,10 +106,6 @@ class ConstantBundle:
     counter_threshold: Number
     m: int
     below_paper_regime: bool
-
-    @cached_property
-    def slopes(self) -> list[Fraction]:
-        return basic_slopes(self.b)
 
     @cached_property
     def negative_slopes(self) -> list[Fraction]:

@@ -4,7 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from ocasync import corpus
+from ocasync import corpus, mc
 from ocasync.cli import main
 from ocasync.oca import oca_to_json
 
@@ -194,6 +194,25 @@ class TestOtherCommands:
         check_schema(schema, doc)
         assert doc["data"]["counts"].get("AGREE", 0) == 3
 
+    def test_cross_check_honours_the_scheme_bound(self, capsys, schema):
+        # the default bound needs three states; the countdown has one
+        code, doc, _ = run(
+            capsys, "cross-check", "--oca", "countdown", "--formula", "FA p",
+            "--init", "s,3", "--mode", "paper", "--b", "1", "--caps", "30,60",
+        )
+        assert code == 0
+        check_schema(schema, doc)
+        assert doc["data"]["counts"] == {"AGREE": 1}
+
+    def test_cross_check_honours_the_node_budget(self, capsys, schema):
+        code, doc, _ = run(
+            capsys, "cross-check", "--oca", "random-b", "--formula", "E true U p",
+            "--init", "x,0", "--mode", "paper", "--budget", "5", "--caps", "30,60",
+        )
+        assert code == 0
+        check_schema(schema, doc)
+        assert doc["data"]["checkerError"].endswith("over the budget of 5")
+
     def test_repeated_main_calls_share_no_state(self, capsys):
         # the parser is built once per process; parsed values must not leak
         # from one call into the next
@@ -289,6 +308,44 @@ class TestErrorsAndDeterminism:
             "--init", "s,0", "--mode", "psychic",
         )
         assert code == 1
+        check_schema(schema, doc)
+
+    def test_unknown_names_are_input_errors(self, capsys, schema):
+        code, doc, _ = run(
+            capsys, "check", "--oca", "countdown", "--formula", "p", "--init", "nope,0",
+        )
+        assert code == 1 and doc["error"]["message"] == "\"unknown state 'nope'\""
+        check_schema(schema, doc)
+        code, doc, _ = run(capsys, "validate", "--oca", "corpus:nope")
+        assert code == 1 and doc["error"]["message"].startswith(
+            "\"unknown corpus automaton 'nope'; have [")
+
+    def test_key_error_inside_the_library_is_internal(self, capsys, schema, monkeypatch):
+        def broken(*args):
+            raise KeyError("lost node")
+
+        monkeypatch.setattr(mc, "unfold_kripke", broken)
+        code, doc, _ = run(
+            capsys, "check", "--oca", "countdown", "--formula", "FA p", "--init", "s,2",
+        )
+        assert code == 3 and doc["error"]["kind"] == "internal"
+        assert doc["error"]["message"] == "KeyError: 'lost node'"
+        check_schema(schema, doc)
+
+    def test_oracle_region_over_budget(self, capsys, schema, monkeypatch):
+        # two states, so counter cap c needs 2 * (c + 1) configurations
+        monkeypatch.setenv("OCASYNC_BUDGET", "42")
+        code, doc, _ = run(
+            capsys, "oracle", "--oca", "countdown", "--formula", "p", "--init", "s,0",
+            "--counter-cap", "20",
+        )
+        assert code == 0 and doc["data"]["verdict"] == "FALSE"
+        code, doc, _ = run(
+            capsys, "oracle", "--oca", "countdown", "--formula", "p", "--init", "s,0",
+            "--counter-cap", "21",
+        )
+        assert code == 2 and doc["error"]["kind"] == "budget"
+        assert (doc["error"]["required"], doc["error"]["budget"]) == (44, 42)
         check_schema(schema, doc)
 
     def test_byte_identical_reruns(self, capsys):

@@ -198,6 +198,43 @@ def reference_scan_ue(ev, f, c, succ):
     return Verdict.UNKNOWN
 
 
+def reference_exact_ue(ev, f, c, succ):
+    """The UE verdict on c's cap-closed component by its definition: exact
+    distance layers from naive predecessors cut to the component, the
+    per-level witness test at every bound, and FALSE once the bounds reach
+    2 * base + period - 1 after the (level, distance layer) pair first
+    repeats.  Needs c in the region, not escaping, with both operands
+    definite on the component; None if they are not."""
+    component, stack = {c}, [c]
+    while stack:
+        for d in succ(stack.pop()):
+            if d not in component:
+                component.add(d)
+                stack.append(d)
+    if any(not ev.verdict(g, d).definite for g in f.children for d in component):
+        return None
+    sat1 = {d for d in component if ev.verdict(f.children[0], d) is Verdict.TRUE}
+    goal = {d for d in component if ev.verdict(f.children[1], d) is Verdict.TRUE}
+    preds = {d: {e for e in component if d in succ(e)} for d in component}
+    levels, dist, seen, scan_until = [], [frozenset(goal)], {}, None
+    for k, level in enumerate(_in_region_levels(succ, c, ev.counter_cap, ev.level_cap)):
+        levels.append(frozenset(level))
+        if k:
+            dist.append(frozenset(e for d in dist[k - 1] for e in preds[d]))
+        if scan_until is None:
+            key = (levels[k], dist[k])
+            if key in seen:
+                base, period = seen[key], k - seen[key]
+                scan_until = 2 * base + period - 1
+            else:
+                seen[key] = k
+        if level & goal and all(levels[j] & sat1 & dist[k - j] for j in range(k)):
+            return Verdict.TRUE
+        if scan_until is not None and k >= scan_until:
+            return Verdict.FALSE
+    return Verdict.UNKNOWN
+
+
 class ReferenceEvaluator(BoundedEvaluator):
     """An evaluator whose UE scan is ``reference_scan_ue``, memoised per
     (formula, configuration)."""
@@ -298,6 +335,48 @@ class TestSynchronizedScan:
                            for level in levels for d in level for e in succ(d)):
                         leaves.add(c)
                 assert ev.escaping == leaves
+
+    def test_false_rule_matches_exact_reference(self):
+        # every cap-closed configuration with definite operands; states that
+        # cannot reach a goal state are left to the may-states rule.  From
+        # a,1 the levels a, b, c, c, ... repeat only after a transient of
+        # two steps, and no goal is reachable inside the component, so the
+        # repeat bound decides the verdict at each level cap
+        chain = parse_oca_text(
+            "states: a b c g\n"
+            "atoms: p q\n"
+            "label g = {q}\n"
+            "a -[=0,0]-> a\n"
+            "a -[>0,0]-> b\n"
+            "b -[=0,0]-> b\n"
+            "b -[>0,0]-> c\n"
+            "c -[=0,0]-> g\n"
+            "c -[>0,0]-> c\n"
+            "g -[=0,0]-> g\n"
+            "g -[>0,0]-> g\n"
+        )
+        start = time.monotonic()
+        decided = set()
+        for oca in self._automata() + [chain]:
+            succ = _successors(oca)
+            for counter_cap in range(13):
+                for level_cap in range(25):
+                    ev = BoundedEvaluator(oca, counter_cap, level_cap)
+                    for f in UE_SUITE:
+                        may, _ = ev.may_must_states(f)
+                        for s in may:
+                            for v in range(counter_cap + 1):
+                                c = Configuration(s, v)
+                                if c in ev.escaping:
+                                    continue
+                                want = reference_exact_ue(ev, f, c, succ)
+                                if want is None:
+                                    continue
+                                assert ev.verdict(f, c) is want, (
+                                    f, c, counter_cap, level_cap)
+                                decided.add(want)
+        assert decided == set(Verdict)
+        assert time.monotonic() - start < 10
 
     def test_exact_ue_repeats_on_the_component_distances(self):
         # from u the counter never moves and the component is {u, g}; with
