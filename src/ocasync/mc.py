@@ -7,6 +7,12 @@ wraps high ones onto residue classes, label plain operators by fixpoints,
 decide the synchronized operators by level-set iteration, and read the
 per-state satisfaction sets back as ultimately periodic sets.
 
+The synchronized checks run once per start node but share their level-set
+work across an unfolding: a UA answer depends on the level set alone, so each
+UA operator keeps one memo of answers per level set, and every UE operator
+reads one cache of level-set images plus its own distance sequence.  None
+of it outlives ``check_oca``.
+
 Every ``Kripke`` structure, unfolded or hand-built, is one layout: rows of
 ``width`` counter classes, with a row's edges given by ``Move``s that act on
 the whole row at once.  Node sets are bitmasks over that layout throughout
@@ -271,36 +277,76 @@ def label_ctl(k: Kripke, f: Formula, sub_sat: dict[Formula, frozenset[int]]) -> 
 # ---------------------------------------------------------------------------
 # Synchronized operators
 
+def _step_cap_exceeded(step_cap: int) -> StepCapExceededError:
+    """The error for a level iteration whose answer needs more than
+    ``step_cap + 1`` iterations: it stays undecided at horizon ``step_cap``."""
+    return StepCapExceededError(
+        "level iteration exceeded its step cap undecided",
+        partial_horizon=step_cap, budget=step_cap,
+    )
+
+
 def check_ua_on_kripke(
-    k: Kripke, init: int, sat1: int, sat2: int, step_cap: int | None = None
+    k: Kripke, init: int, sat1: int, sat2: int, step_cap: int | None = None,
+    memo: dict[int, SyncCheck] | None = None,
 ) -> SyncCheck:
     """Does some single bound make every path of that length end in sat2 with
     sat1 everywhere before?  Exact on total structures; terminates without a
     step cap because the level-set orbit must repeat.
+
+    The answer from a level set depends on the set alone: bound 0 inside
+    sat2, failure outside sat1 or on a revisited set, else the answer at its
+    image one step later.  ``memo`` maps level masks to their answers; callers
+    checking many start nodes pass one dict, fixed to this structure, sat1 and
+    sat2, to every call.  A call walks until a memo hit or a decided level and
+    records every level it walked, so merging orbits are walked once.  An
+    answer that needs more than ``step_cap + 1`` iterations raises
+    ``StepCapExceededError``, whether walked or read from the memo.
     """
+    if step_cap is not None and step_cap < 0:
+        raise ValueError("step cap must be non-negative")
+    if memo is None:
+        memo = {}
+    path: list[int] = []  # walked levels without an answer yet, in orbit order
+    on_path: dict[int, int] = {}
     level = 1 << init
-    seen: dict[int, int] = {}
-    k_step = 0
     while True:
+        res = memo.get(level)
+        if res is not None:
+            break
         if level & ~sat2 == 0:
-            return SyncCheck(True, k_step, k_step + 1)
+            res = memo[level] = SyncCheck(True, 0, 1)
+            break
         if level & ~sat1:
-            return SyncCheck(False, None, k_step + 1)
-        if level in seen:
-            return SyncCheck(False, None, k_step + 1)
-        seen[level] = k_step
-        if step_cap is not None and k_step + 1 > step_cap:
-            raise StepCapExceededError(
-                "level iteration exceeded its step cap undecided",
-                partial_horizon=k_step, budget=step_cap,
-            )
+            res = memo[level] = SyncCheck(False, None, 1)
+            break
+        first = on_path.get(level)
+        if first is not None:
+            # the levels from the first visit on form a cycle of length c,
+            # and each fails after c + 1 iterations
+            res = SyncCheck(False, None, len(path) - first + 1)
+            for lv in path[first:]:
+                memo[lv] = res
+            del path[first:]
+            break
+        if step_cap is not None and len(path) + 1 > step_cap:
+            raise _step_cap_exceeded(step_cap)
+        on_path[level] = len(path)
+        path.append(level)
         level = k.image(level)
-        k_step += 1
+    holds, witness_k, iterations = res
+    for shift, lv in enumerate(reversed(path), 1):
+        res = memo[lv] = SyncCheck(
+            holds, None if witness_k is None else witness_k + shift, iterations + shift
+        )
+    if step_cap is not None and res.iterations > step_cap + 1:
+        raise _step_cap_exceeded(step_cap)
+    return res
 
 
 def check_ue_on_kripke(
     k: Kripke, init: int, sat1: int, sat2: int, step_cap: int,
-    dist: list[int] | None = None,
+    dist: list[int] | None = None, images: dict[int, int] | None = None,
 ) -> SyncCheck:
     """Does some single bound admit, for every earlier level, a sat1 node of
     that level from which sat2 is reachable in exactly the remaining steps?
@@ -312,10 +358,13 @@ def check_ue_on_kripke(
     ``dist[d]`` holds the nodes reaching sat2 in exactly d steps.  It does not
     depend on ``init``, so callers checking many start nodes pass one list,
     starting ``[sat2]``, to every call; each call extends it in place as far
-    as it scans.
+    as it scans.  ``images`` maps a level mask to ``k.image`` of it; it
+    depends on the structure alone, so callers share one dict per structure.
     """
     if step_cap < 1:
         raise ValueError("step cap must be at least 1")
+    if images is None:
+        images = {}
     if dist is None:
         dist = [sat2]
     elif not dist or dist[0] != sat2:
@@ -331,11 +380,12 @@ def check_ue_on_kripke(
         if scan_until is not None and k_step >= scan_until:
             return SyncCheck(False, None, k_step + 1)
         if k_step + 1 > step_cap:
-            raise StepCapExceededError(
-                "level iteration exceeded its step cap undecided",
-                partial_horizon=k_step, budget=step_cap,
-            )
-        levels.append(k.image(levels[k_step]))
+            raise _step_cap_exceeded(step_cap)
+        level = levels[k_step]
+        nxt = images.get(level)
+        if nxt is None:
+            nxt = images[level] = k.image(level)
+        levels.append(nxt)
         if len(dist) == k_step + 1:
             dist.append(k.preimage(dist[k_step]))
         k_step += 1
@@ -493,16 +543,22 @@ def check_oca(
     init_node = init.state * width + counter_class(init.counter, t_eff, p_uniform)
     sat: dict[Formula, int] = {}
     witness_k = None
+    images: dict[int, int] = {}  # level images depend on the structure alone
     for g in subformulas(f):
         if g.kind in (Kind.UA, Kind.UE):
             sat1, sat2 = sat[g.children[0]], sat[g.children[1]]
-            dist = [sat2]  # UE's distance sequence is the same for every start node
+            # UA's answers per level set and UE's distance sequence are the
+            # same for every start node of this operator
+            memo: dict[int, SyncCheck] = {}
+            dist = [sat2]
             mask = 0
             for node in range(kripke.n):
                 if g.kind is Kind.UA:
-                    res = check_ua_on_kripke(kripke, node, sat1, sat2, step_cap)
+                    res = check_ua_on_kripke(kripke, node, sat1, sat2, step_cap, memo)
                 else:
-                    res = check_ue_on_kripke(kripke, node, sat1, sat2, step_cap, dist)
+                    res = check_ue_on_kripke(
+                        kripke, node, sat1, sat2, step_cap, dist, images
+                    )
                 if res.holds:
                     mask |= 1 << node
                 if node == init_node and g == f:

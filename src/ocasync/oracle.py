@@ -62,6 +62,17 @@ def _and(a: Verdict, b: Verdict) -> Verdict:
 Split = tuple[frozenset[Configuration], frozenset[Configuration]]
 
 
+def _check_budget(what: str, required: int, unit: str) -> None:
+    """Raise ``BudgetExceededError`` before allocating ``required`` units
+    over the node budget."""
+    budget = mc.node_budget_default()
+    if required > budget:
+        raise BudgetExceededError(
+            f"{what} {required} {unit}, over the budget of {budget}",
+            required=required, budget=budget,
+        )
+
+
 class BoundedEvaluator:
     """Shared caches for evaluating formulas over one automaton at fixed caps.
 
@@ -72,13 +83,7 @@ class BoundedEvaluator:
     def __init__(self, oca: Oca, counter_cap: int, level_cap: int):
         if counter_cap < 0 or level_cap < 0:
             raise ValueError("caps must be non-negative")
-        required = oca.n_states * (counter_cap + 1)
-        budget = mc.node_budget_default()
-        if required > budget:
-            raise BudgetExceededError(
-                f"oracle region needs {required} configurations, over the budget of {budget}",
-                required=required, budget=budget,
-            )
+        _check_budget("oracle region needs", oca.n_states * (counter_cap + 1), "configurations")
         self.oca = oca
         self.counter_cap = counter_cap
         self.level_cap = level_cap
@@ -478,10 +483,12 @@ def mine_period(
     Samples verdicts at counters 0..v_cap, then returns the lexicographically
     least pair (t, p) with t + 2p <= v_cap such that no verdict at or above t
     is UNKNOWN and verdicts at congruent counters >= t agree.  The raw verdict
-    row is always returned.
+    row is always returned.  The v_cap + 1 samples are checked against the
+    node budget before any is taken.
     """
     if v_cap < 2:
         raise ValueError("need at least counters 0..2 to mine a period")
+    _check_budget("period mining samples", v_cap + 1, "counters")
     ev = evaluator or BoundedEvaluator(oca, *caps)
     row = [ev.verdict(f, Configuration(state, v)) for v in range(v_cap + 1)]
     for t in range(v_cap - 1):
@@ -721,6 +728,10 @@ def check_shift_periodicity(
         )
     if counter_cap is None:
         counter_cap = max(vs) + period + level_cap + 1
+    _check_budget(
+        "level-set audit traces", (level_cap + 1) * oca.n_states * (counter_cap + 1),
+        "configurations",
+    )
     state_list = states if states is not None else list(range(oca.n_states))
     cases: list[AuditCase] = []
     for s in state_list:

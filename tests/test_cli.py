@@ -348,6 +348,31 @@ class TestErrorsAndDeterminism:
         assert (doc["error"]["required"], doc["error"]["budget"]) == (44, 42)
         check_schema(schema, doc)
 
+    def test_mining_samples_over_budget(self, capsys, schema, monkeypatch):
+        # the region, 2 * 21 configurations, fits; 51 sampled counters do not
+        monkeypatch.setenv("OCASYNC_BUDGET", "45")
+        argv = ["mine-period", "--oca", "countdown", "--formula", "p", "--state", "s",
+                "--counter-cap", "20"]
+        code, doc, _ = run(capsys, *argv, "--v-cap", "44")
+        assert code == 0 and doc["data"]["pair"] == {"t": 0, "p": 1}
+        code, doc, _ = run(capsys, *argv, "--v-cap", "50")
+        assert code == 2 and doc["error"]["kind"] == "budget"
+        assert (doc["error"]["required"], doc["error"]["budget"]) == (51, 45)
+        check_schema(schema, doc)
+
+    def test_audit_traces_over_budget(self, capsys, schema, monkeypatch):
+        # countdown's default audit at b = 1 traces levels 0..15 over two
+        # states and counters 0..25: 16 * 2 * 26 configurations
+        argv = ["check-lemma11", "--oca", "countdown", "--b", "1"]
+        monkeypatch.setenv("OCASYNC_BUDGET", "832")
+        code, doc, _ = run(capsys, *argv)
+        assert code == 0 and doc["data"]["cases"] > 0
+        monkeypatch.setenv("OCASYNC_BUDGET", "831")
+        code, doc, _ = run(capsys, *argv)
+        assert code == 2 and doc["error"]["kind"] == "budget"
+        assert (doc["error"]["required"], doc["error"]["budget"]) == (832, 831)
+        check_schema(schema, doc)
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["check", "--oca", "fork", "--formula", "E true U p", "--init", "s,3"]
         _, _, first = run(capsys, *argv)

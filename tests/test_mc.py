@@ -161,6 +161,33 @@ def ue_reference(k, init, sat1, sat2, step_cap):
                 seen[key] = k_step
 
 
+def ua_reference(k, init, sat1, sat2):
+    """Synchronized UA as it was decided before answers were shared: one
+    orbit walk per start node, failing on the first revisited level set."""
+    level = 1 << init
+    seen = set()
+    k_step = 0
+    while True:
+        if level & ~sat2 == 0:
+            return (True, k_step, k_step + 1)
+        if level & ~sat1 or level in seen:
+            return (False, None, k_step + 1)
+        seen.add(level)
+        level = k.image(level)
+        k_step += 1
+
+
+def random_kripke(rng, n):
+    """A total structure of n nodes with one to three successors each and
+    atom ``p`` on about 40% of them."""
+    succ = tuple(
+        tuple(sorted(rng.sample(range(n), rng.randint(1, min(3, n)))))
+        for _ in range(n)
+    )
+    labels = tuple(frozenset(a for a in ("p",) if rng.random() < 0.4) for _ in range(n))
+    return Kripke.from_successors(succ, labels)
+
+
 def au_reference(k, sat1, sat2):
     """Least fixpoint of A sat1 U sat2, one node at a time."""
     x = sat2
@@ -209,12 +236,41 @@ class TestUnfoldingKernels:
                 step_cap = 4 * k.n * k.n + 64
                 for _ in range(3):
                     sat1, sat2 = rng.getrandbits(k.n), rng.getrandbits(k.n)
-                    dist = [sat2]
-                    for node in range(k.n):
+                    dist, images = [sat2], {}
+                    order = list(range(k.n))
+                    rng.shuffle(order)
+                    for node in order:
                         expect = ue_reference(k, node, sat1, sat2, step_cap)
-                        shared = check_ue_on_kripke(k, node, sat1, sat2, step_cap, dist)
+                        shared = check_ue_on_kripke(
+                            k, node, sat1, sat2, step_cap, dist, images)
                         alone = check_ue_on_kripke(k, node, sat1, sat2, step_cap)
                         assert tuple(shared) == tuple(alone) == expect, (oca, t, p, node)
+
+    def test_shared_ua_memo_matches_reference(self, rng):
+        structures = [corpus.tree_synchronized()[0], corpus.tree_staggered()[0]]
+        structures += [random_kripke(rng, rng.randint(1, 10)) for _ in range(40)]
+        structures += [unfold_kripke(oca, t, p) for oca in kernel_automata(rng)
+                       for t, p in [(0, 1), (2, 3), (4, 2)]]
+        revisits = 0
+        for k in structures:
+            step_cap = 4 * k.n * k.n + 64
+            for sat1 in (k.full_mask, rng.getrandbits(k.n) | rng.getrandbits(k.n)):
+                sat2 = rng.getrandbits(k.n) & rng.getrandbits(k.n)
+                expect = [ua_reference(k, node, sat1, sat2) for node in range(k.n)]
+                order = list(range(k.n))
+                rng.shuffle(order)
+                memo = {}
+                for node in order:
+                    shared = check_ua_on_kripke(k, node, sat1, sat2, step_cap, memo)
+                    assert tuple(shared) == expect[node], (k, node)
+                    assert tuple(check_ua_on_kripke(k, node, sat1, sat2)) == expect[node]
+                for node, (holds, _, it) in enumerate(expect):
+                    # a failure whose last level lies inside sat1 is a revisit
+                    level = 1 << node
+                    for _ in range(it - 1):
+                        level = k.image(level)
+                    revisits += not holds and level & ~sat1 == 0
+        assert revisits > 0
 
     def test_shared_distance_sequence_must_start_at_goal(self):
         k, root = corpus.tree_staggered()
@@ -299,17 +355,29 @@ class TestSyncChecks:
             check_ue_on_kripke(k, root, k.atom_mask("white"), k.atom_mask("stripes"), 3)
         assert exc.value.partial_horizon == 3
 
+    def test_ua_step_cap_raises_undecided(self):
+        k, root = corpus.tree_synchronized()
+        black = k.atom_mask("black")
+        assert check_ua_on_kripke(k, root, k.full_mask, black, 3).witness_k == 3
+        with pytest.raises(StepCapExceededError) as exc:
+            check_ua_on_kripke(k, root, k.full_mask, black, 2)
+        assert exc.value.partial_horizon == 2
+
+    def test_ua_step_cap_counts_through_memo_hits(self):
+        k, root = corpus.tree_synchronized()
+        black = k.atom_mask("black")
+        memo = {}
+        assert check_ua_on_kripke(k, root, k.full_mask, black, None, memo).witness_k == 3
+        # the root's answer is now a memo hit, and its bound of 3 still needs
+        # more than two steps
+        with pytest.raises(StepCapExceededError) as exc:
+            check_ua_on_kripke(k, root, k.full_mask, black, 2, memo)
+        assert exc.value.partial_horizon == 2
+
     def test_ua_termination_without_cap_on_fuzzed_structures(self, rng):
         for _ in range(60):
             n = rng.randint(1, 10)
-            succ = tuple(
-                tuple(sorted(rng.sample(range(n), rng.randint(1, min(3, n)))))
-                for _ in range(n)
-            )
-            labels = tuple(
-                frozenset(a for a in ("p",) if rng.random() < 0.4) for _ in range(n)
-            )
-            k = Kripke.from_successors(succ, labels)
+            k = random_kripke(rng, n)
             res = check_ua_on_kripke(k, rng.randrange(n), k.full_mask, k.atom_mask("p"))
             assert res.iterations <= 2**n + 1
 
