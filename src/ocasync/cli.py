@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import bignum, corpus, lps, mc, oracle, periodicity
@@ -70,8 +71,49 @@ def _check_args(args) -> dict:
     }
 
 
+def _dumps(o, ind: str = "") -> str:
+    """``json.dumps(o, indent=2, sort_keys=True)`` byte for byte, for a value
+    that starts a line indented by ``ind``.
+
+    ``indent`` turns off json's C encoder, and its pure-Python one yields
+    every fragment through nested generators.  Here plain dicts with str
+    keys, lists, tuples, str, int, bool and None are written directly, one
+    joined string per container; anything else (floats, int or str
+    subclasses, dicts with other keys) goes through ``json.dumps``.  Joining
+    per container keeps only one subtree's fragments alive at a time; one
+    fragment list for the whole document is faster but peaks far higher.
+    """
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is dict:
+        if all(type(k) is str for k in o):
+            if not o:
+                return "{}"
+            inner = ind + "  "
+            return "{\n" + inner + (",\n" + inner).join([
+                encode_basestring_ascii(k) + ": " + _dumps(o[k], inner) for k in sorted(o)
+            ]) + "\n" + ind + "}"
+    elif t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = ind + "  "
+        return "[\n" + inner + (",\n" + inner).join([
+            _dumps(v, inner) for v in o
+        ]) + "\n" + ind + "]"
+    elif o is None:
+        return "null"
+    elif o is True:
+        return "true"
+    elif o is False:
+        return "false"
+    return json.dumps(o, indent=2, sort_keys=True).replace("\n", "\n" + ind)
+
+
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_dumps(doc))
 
 
 def _ok(command: str, data: dict) -> int:

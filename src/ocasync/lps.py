@@ -163,9 +163,11 @@ def adjust_length(
 def _simple_cycles(
     oca: Oca, by_src: dict[int, list[int]], state: int, max_len: int,
 ) -> Iterator[tuple[int, ...]]:
-    """Simple cycles at ``state`` (no repeated intermediate state), shortest-
-    lexicographic order on transition index sequences; ``by_src`` lists the
-    transition indices leaving each state."""
+    """Simple cycles at ``state`` (no repeated intermediate state) of at most
+    ``max_len`` transitions, depth first over transition indices; ``by_src``
+    lists the transition indices leaving each state.  The DFS stops at depth
+    ``max_len``, so a smaller bound yields the same cycles, in the same order,
+    as a larger bound filtered by length."""
 
     def dfs(current: int, path: list[int], visited: set[int]) -> Iterator[tuple[int, ...]]:
         if len(path) >= max_len:
@@ -194,6 +196,9 @@ def enumerate_lps(
     by_src: dict[int, list[int]] = {}
     for i, t in enumerate(oca.transitions):
         by_src.setdefault(t.src, []).append(i)
+    # each state's cycles at the full bound, once; a node with less flat
+    # length left skips the longer ones (see ``_simple_cycles``)
+    cycles: dict[int, list[tuple[int, ...]]] = {}
 
     def rec(
         state: int, alpha0: list[int],
@@ -213,7 +218,11 @@ def enumerate_lps(
                 yield from rec(oca.transitions[idx].dst, alpha0, segments, flat_left - 1, size_left)
                 tail.pop()
         if size_left > 0:
-            for beta in _simple_cycles(oca, by_src, state, flat_left):
+            if state not in cycles:
+                cycles[state] = list(_simple_cycles(oca, by_src, state, flat_len_bound))
+            for beta in cycles[state]:
+                if len(beta) > flat_left:
+                    continue
                 segments.append((beta, []))
                 yield from rec(state, alpha0, segments, flat_left - len(beta), size_left - 1)
                 segments.pop()

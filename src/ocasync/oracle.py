@@ -29,7 +29,7 @@ from .oca import (
     Configuration, Oca, OracleTrace, iter_levels, level_sets, successors, witness_path,
 )
 from .periodicity import ConstantBundle, TpPair, core_levels, segment_start, shift_map
-from .upset import tp_equivalent
+from .upset import tp_class
 
 
 class Verdict(Enum):
@@ -684,14 +684,13 @@ def _match(
     source: frozenset[Configuration], target: frozenset[Configuration],
     prev_t: int, prev_p: int,
 ) -> Configuration | None:
-    """First source configuration without an equivalent same-state partner."""
-    for (e, u) in sorted(source):
-        if not any(
-            e2 == e and tp_equivalent(u, u2, prev_t, prev_p)
-            for (e2, u2) in target
-        ):
-            return Configuration(e, u)
-    return None
+    """First source configuration, in sorted order, without an equivalent
+    same-state partner in ``target``."""
+    classes = {(s, tp_class(u, prev_t, prev_p)) for s, u in target}
+    return min(
+        (c for c in source if (c.state, tp_class(c.counter, prev_t, prev_p)) not in classes),
+        default=None,
+    )
 
 
 def check_shift_periodicity(

@@ -172,11 +172,15 @@ def to_progressions(u: UpSet) -> list[tuple[int, int]]:
     return out
 
 
+def tp_class(u: int, t: int, p: int) -> tuple[int, int]:
+    """The class of ``u`` under ``tp_equivalent``: ``u`` itself below the
+    threshold, its residue modulo the period at or above it."""
+    if p < 1:
+        raise ValueError("period must be positive")
+    return (0, u) if u < t else (1, u % p)
+
+
 def tp_equivalent(u: int, v: int, t: int, p: int) -> bool:
     """Equivalence used for end-counter comparisons: equal below the threshold,
     congruent modulo the period at or above it."""
-    if p < 1:
-        raise ValueError("period must be positive")
-    if u >= t and v >= t:
-        return abs(u - v) % p == 0
-    return u == v and u < t and v < t
+    return tp_class(u, t, p) == tp_class(v, t, p)

@@ -1,11 +1,14 @@
 import json
+import math
+from enum import IntEnum
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ocasync import corpus, mc
-from ocasync.cli import main
+from ocasync.cli import _dumps, main
 from ocasync.oca import oca_to_json
 
 
@@ -384,3 +387,66 @@ class TestErrorsAndDeterminism:
         for u in doc["data"]["perState"].values():
             assert u["base"] == sorted(u["base"])
             assert u["residues"] == sorted(u["residues"])
+
+
+class _Level(IntEnum):
+    LOW = -3
+    HIGH = 2**70
+
+
+class _Name(str):
+    pass
+
+
+_strings = st.text() | st.text(
+    alphabet=st.characters(max_codepoint=0x1F) | st.sampled_from('"\\/\x7f\xe9\u2028\ud800\U0001f600')
+)
+_leaves = (
+    st.none() | st.booleans() | _strings
+    | st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+)
+# values that ``_dumps`` hands to ``json.dumps``
+_fallback = st.floats() | st.sampled_from(list(_Level)) | _strings.map(_Name)
+_documents = st.recursive(
+    _leaves | _fallback,
+    lambda kids: (
+        st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(_strings, kids, max_size=4)
+        | st.dictionaries(st.integers(), kids, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+class TestEmitter:
+    """The CLI prints ``json.dumps(doc, indent=2, sort_keys=True)`` byte for
+    byte, through its own emitter.  These run on every Python version of the
+    tier-1 matrix; the pinned output digests are checked on one only."""
+
+    @given(_documents)
+    @example({"b": [], "a": {}, "c": (), "d": [[{}], ((), [None, True, False])]})
+    @example([math.nan, math.inf, -math.inf, -0.0, 1e300, {2: "x", -1: [_Level.LOW]}])
+    @example({"k": {1: {"nested": [1.5, {3: ()}]}}, "\u00e9\"\\": _Name("\x00")})
+    def test_matches_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--oca", "countdown", "--formula", "FA p", "--init", "s,2"),
+        ("sat-sets", "--oca", "fork", "--formula", "p | q"),
+        ("constants", "--oca", "asym-fork", "--formula", "p UA p"),
+        ("oracle", "--oca", "increment-loop", "--formula", "FA p", "--init", "s,0",
+         "--counter-cap", "5", "--level-cap", "5"),
+        ("mine-period", "--oca", "countdown", "--formula", "EX p", "--state", "s",
+         "--v-cap", "20"),
+        ("cross-check", "--oca", "countdown", "--formula", "FA p", "--init", "s,0",
+         "--init", "s,5"),
+        ("check-lemma11", "--oca", "countdown", "--b", "1"),
+        ("lps", "--oca", "fork", "--src", "s", "--dst", "s", "--flat", "3",
+         "--size", "2", "--start", "s,2", "--target-length", "4"),
+        ("validate", "--oca", "fork"),
+        pytest.param(("oracle", "--oca", "countdown", "--formula", "p &", "--init", "s,0"),
+                     id="input-error"),
+    ], ids=lambda argv: argv[0])
+    def test_every_subcommand_prints_json_dumps_bytes(self, capsys, argv):
+        _, doc, out = run(capsys, *argv)
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -217,6 +217,67 @@ class TestEnumerateLps:
             assert set(got) == self._brute_schemes(oca, 0, 1, 3, 2)
 
 
+def reference_enumerate_lps(oca, start_state, end_state, flat_len_bound, size_bound):
+    """``enumerate_lps`` with its simple cycles searched afresh at every
+    recursion node, bounded by the flat length left there."""
+    by_src = {}
+    for i, t in enumerate(oca.transitions):
+        by_src.setdefault(t.src, []).append(i)
+
+    def cycles(state, max_len):
+        def dfs(current, path, visited):
+            if len(path) >= max_len:
+                return
+            for idx in by_src.get(current, ()):
+                dst = oca.transitions[idx].dst
+                if dst == state:
+                    yield tuple(path + [idx])
+                elif dst not in visited:
+                    yield from dfs(dst, path + [idx], visited | {dst})
+
+        yield from dfs(state, [], {state})
+
+    def rec(state, alpha0, segments, flat_left, size_left):
+        if state == end_state:
+            yield Lps(start_state, tuple(alpha0),
+                      tuple((beta, tuple(alpha)) for beta, alpha in segments))
+        tail = alpha0 if not segments else segments[-1][1]
+        if flat_left > 0:
+            for idx in by_src.get(state, ()):
+                tail.append(idx)
+                yield from rec(oca.transitions[idx].dst, alpha0, segments,
+                               flat_left - 1, size_left)
+                tail.pop()
+        if size_left > 0:
+            for beta in cycles(state, flat_left):
+                segments.append((beta, []))
+                yield from rec(state, alpha0, segments, flat_left - len(beta), size_left - 1)
+                segments.pop()
+
+    yield from rec(start_state, [], [], flat_len_bound, size_bound)
+
+
+class TestEnumerationOrder:
+    """One cycle list per state, filtered by the flat length left, yields
+    the schemes of the per-node cycle search in the same order."""
+
+    def test_corpus(self):
+        for name in corpus.names():
+            oca = corpus.load(name)
+            for src, dst in itertools.product(range(oca.n_states), repeat=2):
+                for flat, size in ((4, 2), (5, 1)):
+                    assert list(enumerate_lps(oca, src, dst, flat, size)) == list(
+                        reference_enumerate_lps(oca, src, dst, flat, size)), (name, src, dst)
+
+    def test_random_automata(self, rng):
+        for _ in range(120):
+            oca = random_total_oca(rng, n_states=rng.randint(1, 3))
+            src, dst = rng.randrange(oca.n_states), rng.randrange(oca.n_states)
+            flat, size = rng.randint(0, 5), rng.randint(0, 2)
+            assert list(enumerate_lps(oca, src, dst, flat, size)) == list(
+                reference_enumerate_lps(oca, src, dst, flat, size)), (oca, src, dst, flat, size)
+
+
 def countdown_loop_scheme():
     loop = next(
         i for i, t in enumerate(COUNTDOWN.transitions)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from ocasync import corpus, mc
+from ocasync import corpus, mc, oracle
 from ocasync.formula import (
     TRUE, atom, au, eu, ex, land, lnot, parse_formula, pretty, subformulas, ua, ue,
 )
@@ -13,7 +13,7 @@ from ocasync.oca import Configuration, parse_oca_text, successors
 from ocasync.oracle import (
     AGREE, CHECKER_UNKNOWN, DISAGREE, ORACLE_UNKNOWN,
     BoundedEvaluator, Verdict, check_shift_periodicity, cross_check,
-    default_audit_counters, eval_bounded, mine_period,
+    _match, default_audit_counters, eval_bounded, mine_period,
 )
 from ocasync.periodicity import TpPair, ua_constants
 from conftest import random_total_oca
@@ -394,6 +394,34 @@ class TestSynchronizedScan:
                 assert ev.verdict(f, c) is Verdict.FALSE, (v, level_cap)
         assert eval_bounded(ASYM, Configuration(u, 0), f, 3, 1) is Verdict.UNKNOWN
 
+    def test_repeat_rule_needs_definite_operands(self):
+        # from c (self-loop, edge to d) the levels fill the component by step
+        # 6 and repeat at step 7, so a goal-free repeat fits under level cap
+        # 12.  The goal (FA p) & q can only hold at d, whose levels {x_k, y_k}
+        # run round rings of 3 and 5 states and are all-p first at step 15:
+        # UNKNOWN below level cap 15.  Read off the TRUE set alone, the
+        # repeat would answer FALSE at level caps 12-14, but c reaches d in
+        # one step, so the formula is TRUE.
+        lines = [
+            "states: c d x0 x1 x2 y0 y1 y2 y3 y4", "atoms: p q",
+            "label d = {q}", "label x0 = {p}", "label y0 = {p}",
+            "c -[=0,0]-> c", "c -[=0,0]-> d", "d -[=0,0]-> x1", "d -[=0,0]-> y1",
+        ]
+        lines += [f"x{i} -[=0,0]-> x{(i + 1) % 3}" for i in range(3)]
+        lines += [f"y{i} -[=0,0]-> y{(i + 1) % 5}" for i in range(5)]
+        lines += [f"{s} -[>0,0]-> {s}" for s in ("c", "d", "x0", "x1", "x2",
+                                                  "y0", "y1", "y2", "y3", "y4")]
+        oca = parse_oca_text("\n".join(lines) + "\n")
+        f = parse_formula("true UE ((FA p) & q)")
+        c, d = Configuration(0, 0), Configuration(1, 0)
+        for level_cap in (12, 13, 14):
+            ev = BoundedEvaluator(oca, 0, level_cap)
+            assert c not in ev.escaping
+            assert ev.verdict(f.children[1], d) is Verdict.UNKNOWN
+            assert ev.verdict(f, c) is Verdict.UNKNOWN, level_cap
+        for caps in ((0, 15), (60, 200)):
+            assert eval_bounded(oca, c, f, *caps) is Verdict.TRUE, caps
+
 
 class TestMinePeriod:
     def test_constant_formula(self):
@@ -532,6 +560,21 @@ class TestCrossCheck:
         assert doc["counts"][AGREE] == 1
 
 
+def reference_match(source, target, prev_t, prev_p):
+    """``oracle._match`` by its definition: the first source configuration,
+    in sorted order, with no same-state target partner that is equal to it
+    below ``prev_t`` or congruent to it modulo ``prev_p`` at or above."""
+    def equivalent(u, v):
+        if u >= prev_t and v >= prev_t:
+            return abs(u - v) % prev_p == 0
+        return u == v
+
+    for e, u in sorted(source):
+        if not any(e2 == e and equivalent(u, u2) for e2, u2 in target):
+            return Configuration(e, u)
+    return None
+
+
 class TestShiftAudit:
     def test_deterministic_countdown_segment_zero_holds(self):
         bundle = ua_constants(COUNTDOWN.n_states, 0, 1, b_override=1)
@@ -578,6 +621,29 @@ class TestShiftAudit:
                     assert "manyRepetitionsThreshold" in fail.diagnostics
         # either way the audit ran; failures are informative, not required
         assert isinstance(found_failure, bool)
+
+    def test_match_agrees_with_the_pairwise_definition(self):
+        rng = random.Random(11)
+        for _ in range(3000):
+            t, p = rng.randint(0, 4), rng.randint(1, 4)
+            source, target = (
+                frozenset(Configuration(rng.randrange(3), rng.randrange(12))
+                          for _ in range(rng.randint(0, 6)))
+                for _ in range(2)
+            )
+            assert _match(source, target, t, p) == reference_match(source, target, t, p), (
+                source, target, t, p)
+
+    def test_audit_with_a_nontrivial_prev_pair(self, monkeypatch):
+        # the pinned benchmark jobs audit only (prev_t, prev_p) = (0, 1)
+        for oca in (COUNTDOWN, ASYM, random_total_oca(random.Random(3), n_states=2)):
+            bundle = ua_constants(oca.n_states, 2, 3, b_override=1)
+            got = check_shift_periodicity(oca, bundle).to_json(oca)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_match", reference_match)
+                want = check_shift_periodicity(oca, bundle).to_json(oca)
+            assert got == want
+            assert got["failures"]
 
     def test_counters_below_threshold_rejected(self):
         bundle = ua_constants(COUNTDOWN.n_states, 0, 1, b_override=1)
