@@ -14,7 +14,8 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple
+from collections.abc import Sequence
+from typing import Iterator, NamedTuple
 
 from .errors import OcaSyntaxError, UnknownNameError
 
@@ -67,6 +68,17 @@ class Oca:
     def outgoing(self, state: int, guard: str) -> tuple[Transition, ...]:
         return self._outgoing.get((state, guard), ())
 
+    @cached_property
+    def row_steps(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per state, the destination states of its transitions grouped as
+        (``=0`` effect 0, ``=0`` effect +1, ``>0`` effect -1, ``>0``
+        effect 0, ``>0`` effect +1): the step table of ``step_rows``."""
+        slot = {(ZERO, 0): 0, (ZERO, 1): 1, (POS, -1): 2, (POS, 0): 3, (POS, 1): 4}
+        table = [[[] for _ in slot] for _ in range(self.n_states)]
+        for t in self.transitions:
+            table[t.src][slot[t.guard, t.effect]].append(t.dst)
+        return tuple(tuple(tuple(dsts) for dsts in groups) for groups in table)
+
 
 def validate(oca: Oca) -> list[str]:
     """Return one diagnostic per violated automaton invariant (empty if valid)."""
@@ -106,53 +118,148 @@ def successors(oca: Oca, c: Configuration) -> set[Configuration]:
     return {Configuration(t.dst, c.counter + t.effect) for t in oca.outgoing(c.state, guard)}
 
 
+# ---------------------------------------------------------------------------
+# Configuration sets as counter bitsets
+#
+# A set of configurations is one tuple of ``n_states`` non-negative ints, its
+# rows: bit v of row s means configuration (s, v).  One level step is one
+# mask-and-shift per transition: ``=0`` reads bit 0, ``>0`` clears it, and
+# the effect shifts the row.
+
+Rows = tuple[int, ...]
+
+
+def row_bits(row: int) -> Iterator[int]:
+    """The set bits of ``row`` (the counters of one state), lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
+def rows_to_set(rows: Rows) -> frozenset[Configuration]:
+    """The configurations of a row tuple."""
+    return frozenset(
+        Configuration(s, v) for s, row in enumerate(rows) for v in row_bits(row)
+    )
+
+
+def step_rows(oca: Oca, rows: Rows) -> list[int]:
+    """The one-step successors of a row tuple, with no counter cap."""
+    nxt = [0] * len(rows)
+    for row, (zero_stay, zero_inc, dec, stay, inc) in zip(rows, oca.row_steps):
+        if not row:
+            continue
+        if row & 1:
+            for d in zero_stay:
+                nxt[d] |= 1
+            for d in zero_inc:
+                nxt[d] |= 2
+            row ^= 1
+            if not row:
+                continue
+        for d in stay:
+            nxt[d] |= row
+        if dec:
+            down = row >> 1
+            for d in dec:
+                nxt[d] |= down
+        if inc:
+            up = row << 1
+            for d in inc:
+                nxt[d] |= up
+    return nxt
+
+
+def iter_level_rows(
+    oca: Oca, origin: Configuration, level_cap: int, counter_cap: int
+) -> Iterator[tuple[Rows, bool]]:
+    """Lazy (rows, truncated) pairs for levels 0..level_cap from ``origin``.
+
+    Bits above ``counter_cap`` are cleared, and the first clearing sets the
+    sticky truncation flag, so every later level is a known
+    under-approximation; a scan that decides early never builds the deeper
+    levels.  No mask of ``counter_cap`` bits is built unless a row already
+    reaches that width.
+    """
+    limit = counter_cap + 1
+    level = [0] * oca.n_states
+    dropped = origin.counter >= limit
+    if not dropped:
+        level[origin.state] = 1 << origin.counter
+    rows = tuple(level)
+    yield rows, dropped
+    for _ in range(level_cap):
+        level = step_rows(oca, rows)
+        if max(level) >> limit:
+            keep = (1 << limit) - 1
+            level = [row & keep for row in level]
+            dropped = True
+        rows = tuple(level)
+        yield rows, dropped
+
+
+class LevelView(Sequence):
+    """Read-only sequence of a trace's levels that builds the frozenset of
+    one level only when it is indexed; ``len`` converts nothing."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: tuple[Rows, ...]):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, k: int) -> frozenset[Configuration]:
+        return rows_to_set(self._rows[k])
+
+
 @dataclass(frozen=True)
 class OracleTrace:
     """Level-by-level reachability from an origin configuration.
 
-    ``levels[k]`` holds every configuration reachable by a valid path of
-    length exactly ``k``, except those whose counter exceeded ``counter_cap``;
-    once anything is dropped the level (and all later ones) is flagged
-    truncated, marking the set as a known under-approximation.
+    ``rows[k]`` holds, as counter bitsets, every configuration reachable by
+    a valid path of length exactly ``k``, except those whose counter
+    exceeded ``counter_cap``; once anything is dropped the level (and all
+    later ones) is flagged truncated, marking the set as a known
+    under-approximation.  ``levels[k]`` is the same level as a frozenset.
     """
 
     origin: Configuration
-    levels: tuple[frozenset[Configuration], ...]
+    rows: tuple[Rows, ...]
     counter_cap: int
     level_cap: int
     truncated: tuple[bool, ...]
 
-
-def iter_levels(
-    origin: Configuration,
-    succ: Callable[[Configuration], Iterable[Configuration]],
-    level_cap: int,
-    counter_cap: int,
-) -> Iterator[tuple[frozenset[Configuration], bool]]:
-    """Lazy (level, truncated) pairs for levels 0..level_cap under the
-    one-step relation ``succ``, dropping configurations above counter_cap
-    as ``level_sets`` does; a scan that decides early never builds the
-    deeper levels."""
-    level = frozenset({origin}) if origin.counter <= counter_cap else frozenset()
-    dropped = not level
-    yield level, dropped
-    for _ in range(level_cap):
-        nxt: set[Configuration] = set()
-        for c in level:
-            nxt.update(succ(c))
-        level = frozenset(c for c in nxt if c.counter <= counter_cap)
-        dropped = dropped or len(level) != len(nxt)
-        yield level, dropped
+    @property
+    def levels(self) -> LevelView:
+        return LevelView(self.rows)
 
 
 def level_sets(oca: Oca, origin: Configuration, level_cap: int, counter_cap: int) -> OracleTrace:
     """Explore levels 0..level_cap, dropping configurations above counter_cap."""
     if level_cap < 0 or counter_cap < 0:
         raise ValueError("caps must be non-negative")
-    levels, trunc = zip(*iter_levels(
-        origin, lambda c: successors(oca, c), level_cap, counter_cap
-    ))
-    return OracleTrace(origin, levels, counter_cap, level_cap, trunc)
+    rows, trunc = zip(*iter_level_rows(oca, origin, level_cap, counter_cap))
+    return OracleTrace(origin, rows, counter_cap, level_cap, trunc)
+
+
+def _predecessor(
+    oca: Oca, prev: Rows, cur: Configuration
+) -> tuple[Configuration, Transition] | None:
+    """The smallest configuration of ``prev`` (lowest state, then lowest
+    counter) with a transition to ``cur``, and its first such transition."""
+    w = cur.counter
+    for s, row in enumerate(prev):
+        for u in (w - 1, w, w + 1):
+            if u < 0 or not (row >> u) & 1:
+                continue
+            guard = ZERO if u == 0 else POS
+            for t in oca.outgoing(s, guard):
+                if t.dst == cur.state and u + t.effect == w:
+                    return Configuration(s, u), t
+    return None
 
 
 def witness_path(
@@ -161,24 +268,19 @@ def witness_path(
     """Reconstruct one path from the trace origin to ``target`` at ``level``
     by walking predecessors back through the levels; None if the target is
     not there.  Deterministic: the smallest predecessor wins."""
-    if level >= len(trace.levels) or target not in trace.levels[level]:
+    rows = trace.rows
+    if level >= len(rows) or target.counter < 0 or not (
+        rows[level][target.state] >> target.counter
+    ) & 1:
         return None
     path: list[Transition] = []
     cur = target
     for lv in range(level, 0, -1):
-        for cand in sorted(trace.levels[lv - 1]):
-            guard = ZERO if cand.counter == 0 else POS
-            hit = next(
-                (t for t in oca.outgoing(cand.state, guard)
-                 if t.dst == cur.state and cand.counter + t.effect == cur.counter),
-                None,
-            )
-            if hit is not None:
-                path.append(hit)
-                cur = cand
-                break
-        else:
+        hit = _predecessor(oca, rows[lv - 1], cur)
+        if hit is None:
             return None
+        cur, t = hit
+        path.append(t)
     path.reverse()
     return path
 

@@ -3,12 +3,15 @@
 Everything here evaluates the definitional semantics directly on the infinite
 configuration graph, restricted by a counter cap and a level cap, and returns
 three-valued verdicts: UNKNOWN absorbs every way the caps could hide the
-answer.  Over the capped region a formula's verdicts are kept as one pair of
-configuration sets, (TRUE, FALSE), with UNKNOWN everywhere else; the
-plain-until fixpoints and the synchronized scans work on these pairs by set
-algebra.  A synchronized UE formula is decided by one witness scan over a
-per-formula exact-distance index, which can answer TRUE only, plus a FALSE
-repeat rule for scans that found no witness on a cap-closed component.
+answer.  Every configuration set is kept in ``oca``'s counter-bitset layout:
+one Python int per state, its row, whose bit v is the configuration
+(state, v).  Over the capped region a formula's verdicts are one pair of row
+tuples, (TRUE, FALSE), with UNKNOWN everywhere else; the plain-until
+fixpoints iterate an in-region pre-image of rows, and the synchronized scans
+test the levels of ``oca.iter_level_rows`` against these rows with a few
+ANDs per level.  A synchronized UE formula is decided by one witness scan
+over a per-formula exact-distance index, which can answer TRUE only, plus a
+FALSE repeat rule for scans that found no witness on a cap-closed component.
 Uses: differential testing of the finite-structure checker, mining empirical
 threshold/period pairs, and auditing the segment/shift periodicity of level
 sets at scaled-down constant bundles.  The region counts against the same
@@ -20,16 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from . import mc
 from .errors import BudgetExceededError
 from .formula import Formula, Kind, pretty
 from .lps import analyze_cycle_repetitions, compress_path_with_exponents
 from .oca import (
-    Configuration, Oca, OracleTrace, iter_levels, level_sets, successors, witness_path,
+    Configuration, Oca, OracleTrace, Rows, iter_level_rows, level_sets, row_bits,
+    step_rows, successors, witness_path,
 )
 from .periodicity import ConstantBundle, TpPair, core_levels, segment_start, shift_map
-from .upset import tp_class
 
 
 class Verdict(Enum):
@@ -58,8 +62,8 @@ def _and(a: Verdict, b: Verdict) -> Verdict:
     return Verdict.TRUE
 
 
-# (TRUE, FALSE) configuration sets over the capped region; the rest is UNKNOWN
-Split = tuple[frozenset[Configuration], frozenset[Configuration]]
+# (TRUE, FALSE) row tuples over the capped region; the rest is UNKNOWN
+Split = tuple[Rows, Rows]
 
 
 def _check_budget(what: str, required: int, unit: str) -> None:
@@ -73,11 +77,32 @@ def _check_budget(what: str, required: int, unit: str) -> None:
         )
 
 
+def _meets(a: Rows, b: Rows) -> bool:
+    """True iff the two row tuples share a configuration."""
+    return any(map(int.__and__, a, b))
+
+
+class _Distances(NamedTuple):
+    """A UE goal's exact-distance index (``BoundedEvaluator._distances``)."""
+
+    masks: list[list[int]]  # masks[s][v]: the distances of (s, v), as bits
+    support: Rows           # the configurations with a nonzero mask
+    layers: list[Rows]      # D_0, D_1, ... until the first repeat or the cap
+    start: int              # D_m for m >= len(layers) is D_{start + (m - start) % period}
+
+    def layer(self, m: int) -> Rows:
+        n = len(self.layers)
+        if m >= n:
+            m = self.start + (m - self.start) % (n - self.start)
+        return self.layers[m]
+
+
 class BoundedEvaluator:
     """Shared caches for evaluating formulas over one automaton at fixed caps.
 
     ``verdict`` is the one recursive definition; ``_split(f)`` is f's table
-    over the region, the (TRUE, FALSE) pair of configuration sets.
+    over the region, the (TRUE, FALSE) pair of row tuples (``oca.Rows``:
+    bit v of row s is configuration (s, v)).
     """
 
     def __init__(self, oca: Oca, counter_cap: int, level_cap: int):
@@ -87,14 +112,10 @@ class BoundedEvaluator:
         self.oca = oca
         self.counter_cap = counter_cap
         self.level_cap = level_cap
-        self._region = [
-            Configuration(s, v)
-            for s in range(oca.n_states)
-            for v in range(counter_cap + 1)
-        ]
+        self._full = (1 << (counter_cap + 1)) - 1
         self._succ: dict[Configuration, tuple[Configuration, ...]] = {}
         self._splits: dict[Formula, Split] = {}
-        self._distances: dict[Formula, dict[Configuration, int]] = {}
+        self._distance_index: dict[Formula, _Distances] = {}
         self._sync_memo: dict[tuple[Formula, Configuration], Verdict] = {}
         self._may_must: dict[Formula, tuple[frozenset[int], frozenset[int]]] = {}
 
@@ -107,27 +128,44 @@ class BoundedEvaluator:
             self._succ[c] = cached
         return cached
 
-    @cached_property
-    def _region_index(
-        self,
-    ) -> tuple[dict[Configuration, list[Configuration]], frozenset[Configuration]]:
-        """(preds, boundary): the in-region predecessors of every region
-        configuration, and the region configurations with a successor above
-        the counter cap."""
-        preds: dict[Configuration, list[Configuration]] = {c: [] for c in self._region}
-        boundary = set()
-        for c in self._region:
-            for d in self.succ(c):
-                if d.counter > self.counter_cap:
-                    boundary.add(c)
-                else:
-                    preds[d].append(c)
-        return preds, frozenset(boundary)
+    def _levels(self, c: Configuration):
+        return iter_level_rows(self.oca, c, self.level_cap, self.counter_cap)
+
+    def _pre(self, rows: Rows) -> Rows:
+        """The in-region configurations with a successor in ``rows``, which
+        must lie inside the region."""
+        full = self._full
+        out = []
+        for zero_stay, zero_inc, dec, stay, inc in self.oca.row_steps:
+            zero = pos = 0
+            for d in zero_stay:
+                zero |= rows[d]
+            for d in zero_inc:
+                zero |= rows[d] >> 1
+            for d in stay:
+                pos |= rows[d]
+            for d in dec:
+                pos |= rows[d] << 1
+            for d in inc:
+                pos |= rows[d] >> 1
+            out.append((zero & 1) | (pos & full & -2))
+        return tuple(out)
 
     @cached_property
-    def escaping(self) -> frozenset[Configuration]:
+    def _boundary(self) -> Rows:
+        """The region configurations with a successor above the counter cap:
+        a ``>0`` increment at the cap, or a ``=0`` increment when the cap
+        is 0."""
+        cap = self.counter_cap
+        return tuple(
+            (1 << cap) if (inc if cap else zero_inc) else 0
+            for _, zero_inc, _, _, inc in self.oca.row_steps
+        )
+
+    @cached_property
+    def escaping(self) -> Rows:
         """Configurations in the capped region from which some path can leave it."""
-        return frozenset(self._lfp(self._region_index[1], lambda p, reached: True))
+        return self._lfp(self._boundary, (self._full,) * self.oca.n_states)
 
     # -- state-level approximations -------------------------------------------
 
@@ -207,7 +245,9 @@ class BoundedEvaluator:
             if c.counter > self.counter_cap:
                 return Verdict.UNKNOWN
             true, false = self._split(f)
-            return Verdict.TRUE if c in true else Verdict.FALSE if c in false else Verdict.UNKNOWN
+            s, v = c
+            return (Verdict.TRUE if (true[s] >> v) & 1
+                    else Verdict.FALSE if (false[s] >> v) & 1 else Verdict.UNKNOWN)
         if kind in (Kind.UA, Kind.UE):
             key = (f, c)
             cached = self._sync_memo.get(key)
@@ -220,89 +260,119 @@ class BoundedEvaluator:
     # -- three-valued region tables -----------------------------------------------
 
     def _split(self, f: Formula) -> Split:
-        """(true, false): the region configurations where f is TRUE and where
-        it is FALSE; f is UNKNOWN on the rest of the region."""
+        """(true, false): the region rows where f is TRUE and where it is
+        FALSE; f is UNKNOWN on the rest of the region."""
         split = self._splits.get(f)
         if split is None:
-            if f.kind is Kind.EU:
+            kind = f.kind
+            full = self._full
+            if kind is Kind.TRUE:
+                split = ((full,) * self.oca.n_states, (0,) * self.oca.n_states)
+            elif kind is Kind.ATOM:
+                true = tuple(full if f.name in lab else 0 for lab in self.oca.labels)
+                split = (true, tuple(full ^ row for row in true))
+            elif kind is Kind.NOT:
+                true, false = self._split(f.children[0])
+                split = (false, true)
+            elif kind is Kind.AND:
+                true1, false1 = self._split(f.children[0])
+                true2, false2 = self._split(f.children[1])
+                split = (tuple(map(int.__and__, true1, true2)),
+                         tuple(map(int.__or__, false1, false2)))
+            elif kind is Kind.EU:
                 split = self._eu_split(f)
-            elif f.kind is Kind.AU:
+            elif kind is Kind.AU:
                 split = self._au_split(f)
             else:
-                verdicts = [(c, self.verdict(f, c)) for c in self._region]
-                split = (
-                    frozenset(c for c, v in verdicts if v is Verdict.TRUE),
-                    frozenset(c for c, v in verdicts if v is Verdict.FALSE),
-                )
+                # EX children and synchronized scans may look above the cap,
+                # so these go through ``verdict`` one configuration at a time
+                true, false = [], []
+                for s in range(self.oca.n_states):
+                    t = u = 0
+                    for v in range(self.counter_cap + 1):
+                        r = self.verdict(f, Configuration(s, v))
+                        if r is Verdict.TRUE:
+                            t |= 1 << v
+                        elif r is Verdict.FALSE:
+                            u |= 1 << v
+                    true.append(t)
+                    false.append(u)
+                split = (tuple(true), tuple(false))
             self._splits[f] = split
         return split
 
-    def _in_region_succ(self, c: Configuration):
-        return [d for d in self.succ(c) if d.counter <= self.counter_cap]
-
-    def _lfp(self, seed: set[Configuration], expand) -> set[Configuration]:
-        """Close ``seed`` under in-region predecessors p with ``expand(p,
-        reached)``; every such p has a successor in ``reached``."""
-        reached = set(seed)
-        frontier = list(seed)
-        preds, _ = self._region_index
-        while frontier:
-            cur = frontier.pop()
-            for p in preds[cur]:
-                if p not in reached and expand(p, reached):
-                    reached.add(p)
-                    frontier.append(p)
+    def _lfp(self, seed: Rows, allowed: Rows) -> Rows:
+        """Close ``seed`` under in-region predecessors inside ``allowed``:
+        the least R with R = seed | (pre(R) & allowed)."""
+        reached = frontier = seed
+        while any(frontier):
+            frontier = tuple(
+                p & a & ~r for p, a, r in zip(self._pre(frontier), allowed, reached)
+            )
+            reached = tuple(map(int.__or__, reached, frontier))
         return reached
+
+    def _states_outside(self, states: frozenset[int]) -> Rows:
+        """Full rows for the states not in ``states``, empty rows for the rest."""
+        return tuple(0 if s in states else self._full for s in range(self.oca.n_states))
 
     def _eu_split(self, f: Formula) -> Split:
         true1, false1 = self._split(f.children[0])
         true2, false2 = self._split(f.children[1])
         may_f, _ = self.may_must_states(f)
-        _, escape = self._region_index
-        region = frozenset(self._region)
-        sure = self._lfp(true2, lambda p, reached: p in true1)
+        full = self._full
+        sure = self._lfp(true2, true1)
         # a path may also continue past the cap, so escape points with a
         # possible first operand seed the may-hold set; states that cannot
         # even reach a possibly-satisfying goal state are definitely out
         maybe = self._lfp(
-            (region - false2) | (escape - false1),
-            lambda p, reached: p not in false1,
+            tuple((full ^ f2) | (e & ~f1)
+                  for f2, e, f1 in zip(false2, self._boundary, false1)),
+            tuple(full ^ f1 for f1 in false1),
         )
-        unknown = {c for c in maybe if c.state in may_f}
-        return frozenset(sure), region - sure - unknown
+        outside = self._states_outside(may_f)
+        return sure, tuple(
+            full & ~r & ~(m & ~o) for r, m, o in zip(sure, maybe, outside)
+        )
 
     def _au_split(self, f: Formula) -> Split:
         true1, false1 = self._split(f.children[0])
         true2, false2 = self._split(f.children[1])
-        _, escape = self._region_index
-        sure = self._lfp(
-            true2,
-            lambda p, reached: p in true1
-            and p not in escape
-            and all(d in reached for d in self._in_region_succ(p)),
-        )
+        full = self._full
+        # p joins once it is TRUE for the first operand, has no successor
+        # above the cap, and has every successor in the set already
+        ok = tuple(t1 & ~e for t1, e in zip(true1, self._boundary))
+        sure = true2
+        while True:
+            blocked = self._pre(tuple(full ^ r for r in sure))
+            new = tuple(o & ~b & ~r for o, b, r in zip(ok, blocked, sure))
+            if not any(new):
+                break
+            sure = tuple(map(int.__or__, sure, new))
         # an infinite all-not-goal path inside the region refutes universally
-        lasso = set(false2)
-        changed = True
-        while changed:
-            changed = False
-            for c in list(lasso):
-                if not any(d in lasso for d in self._in_region_succ(c)):
-                    lasso.discard(c)
-                    changed = True
-        refuted = self._lfp(lasso | (false1 & false2), lambda p, reached: p in false2)
-        assert not sure & refuted, "three-valued fixpoints disagree"
+        lasso = false2
+        while True:
+            kept = tuple(map(int.__and__, lasso, self._pre(lasso)))
+            if kept == lasso:
+                break
+            lasso = kept
+        refuted = self._lfp(
+            tuple(lr | (f1 & f2) for lr, f1, f2 in zip(lasso, false1, false2)), false2
+        )
+        assert not _meets(sure, refuted), "three-valued fixpoints disagree"
         # with no possibly-satisfying goal state reachable, every path
         # refutes the universal until
         may_f, _ = self.may_must_states(f)
-        refuted.update(c for c in self._region if c.state not in may_f)
-        return frozenset(sure), frozenset(refuted) - sure
+        outside = self._states_outside(may_f)
+        return sure, tuple((r | o) & ~t for r, o, t in zip(refuted, outside, sure))
 
     # -- synchronized operators --------------------------------------------------
     #
     # These are decided entirely within the oracle (definitional level
     # iteration over configuration sets), sharing no code with the
-    # finite-structure checker that the cross-checks compare against.
+    # finite-structure checker that the cross-checks compare against; the
+    # row stepper they share with ``oca.level_sets`` is pinned against
+    # ``oca.successors``.
 
     def _sync_verdict(self, f: Formula, c: Configuration) -> Verdict:
         may_f, _ = self.may_must_states(f)
@@ -322,70 +392,89 @@ class BoundedEvaluator:
     def _scan_ua(self, f: Formula, c: Configuration) -> Verdict:
         true1, false1 = self._split(f.children[0])
         true2, false2 = self._split(f.children[1])
+        not_true1 = tuple(~row for row in true1)
+        not_true2 = tuple(~row for row in true2)
+        meet = int.__and__  # any(map(meet, a, b)): rows a and b intersect
         prefix_certified = True  # every earlier level untruncated and all-sat1
         prefix_violated = False  # some earlier level definitely breaks sat1
         all_failed = True        # every bound so far definitely fails
-        seen: set[frozenset[Configuration]] = set()
-        for level, truncated in iter_levels(c, self.succ, self.level_cap, self.counter_cap):
-            if prefix_certified and not truncated and level and level <= true2:
+        seen: set[Rows] = set()
+        for level, truncated in self._levels(c):
+            if prefix_certified and not truncated and any(level) and not any(
+                map(meet, level, not_true2)
+            ):
                 return Verdict.TRUE
-            if not prefix_violated and level.isdisjoint(false2):
-                all_failed = False
-            if not truncated:
-                # exact levels evolve deterministically: a repeat with every
-                # bound so far refuted refutes every later bound as well
-                if level in seen and all_failed:
-                    return Verdict.FALSE
-                seen.add(level)
-            if not level.isdisjoint(false1):
-                prefix_violated = True
-            if truncated or not level <= true1:
+            if all_failed:
+                if not prefix_violated and not any(map(meet, level, false2)):
+                    all_failed = False
+                elif not truncated:
+                    # exact levels evolve deterministically: a repeat with
+                    # every bound so far refuted refutes every later bound;
+                    # the size test hashes each level once
+                    n = len(seen)
+                    seen.add(level)
+                    if len(seen) == n:
+                        return Verdict.FALSE
+                if not prefix_violated and any(map(meet, level, false1)):
+                    prefix_violated = True
+            if prefix_certified and (truncated or any(map(meet, level, not_true1))):
                 prefix_certified = False
-            if prefix_violated and all_failed:
+            if all_failed and prefix_violated:
                 # every later bound inherits the broken prefix
                 return Verdict.FALSE
+            if not (all_failed or prefix_certified):
+                # neither answer can come from a later level
+                return Verdict.UNKNOWN
         return Verdict.UNKNOWN
 
-    def _distance_masks(self, f: Formula) -> dict[Configuration, int]:
+    def _distances(self, f: Formula) -> _Distances:
         """Exact-distance index of a UE formula's goal over the capped region.
 
-        Bit m of a configuration's mask is set iff some path of exactly
+        Bit m of ``masks[s][v]`` is set iff some path of exactly
         m <= level_cap steps, every configuration on it inside the region,
-        leads from it to a configuration where the second operand is TRUE;
-        configurations with no such path are absent.  The layers
-        D_0 = goal, D_{m+1} = in-region predecessors of D_m are a
-        deterministic sequence over a finite region, so once a layer repeats
-        an earlier one, D_start, every later layer repeats the cycle
-        D_start..D_{start+period-1}; building stops there and each mask's
-        cycle bits are tiled out to the level cap.
+        leads from (s, v) to a configuration where the second operand is
+        TRUE.  The layers D_0 = goal, D_{m+1} = in-region predecessors of
+        D_m are a deterministic sequence over a finite region, so once a
+        layer repeats an earlier one, D_start, every later layer repeats the
+        cycle D_start..D_{start+period-1}; building stops there and each
+        mask's cycle bits are tiled out to the level cap.
         """
-        masks = self._distances.get(f)
-        if masks is not None:
-            return masks
-        preds, _ = self._region_index
+        index = self._distance_index.get(f)
+        if index is not None:
+            return index
         cap = self.level_cap
+        n_states = self.oca.n_states
         layer = self._split(f.children[1])[0]
-        first: dict[frozenset[Configuration], int] = {}
-        masks = {}
+        first: dict[Rows, int] = {}
+        layers: list[Rows] = []
+        masks = [[0] * (self.counter_cap + 1) for _ in range(n_states)]
+        support = [0] * n_states
+        start = 0
         while True:
-            m = first[layer] = len(first)
-            for d in layer:
-                masks[d] = masks.get(d, 0) | (1 << m)
+            m = first[layer] = len(layers)
+            layers.append(layer)
+            bit = 1 << m
+            for s, row in enumerate(layer):
+                support[s] |= row
+                mask_s = masks[s]
+                for v in row_bits(row):
+                    mask_s[v] |= bit
             if m == cap:
                 break
-            layer = frozenset(p for d in layer for p in preds[d])
-            start = first.get(layer)
-            if start is not None:
+            layer = self._pre(layer)
+            if layer in first:
+                start = first[layer]
                 period = m + 1 - start
                 reps = (cap - start) // period + 1
                 tile = ((1 << (period * reps)) - 1) // ((1 << period) - 1)
                 full = (1 << (cap + 1)) - 1
-                for d, mask in masks.items():
-                    cycle = (mask >> start) & ((1 << period) - 1)
-                    masks[d] = (mask | (cycle * tile) << start) & full
+                for mask_s in masks:
+                    for v, mask in enumerate(mask_s):
+                        cycle = (mask >> start) & ((1 << period) - 1)
+                        mask_s[v] = (mask | (cycle * tile) << start) & full
                 break
-        self._distances[f] = masks
-        return masks
+        index = self._distance_index[f] = _Distances(masks, tuple(support), layers, start)
+        return index
 
     def _scan_ue(self, f: Formula, c: Configuration) -> Verdict:
         """Bounded witness search: TRUE iff for some k <= level_cap, level k
@@ -403,20 +492,22 @@ class BoundedEvaluator:
         answers FALSE).
         """
         true1, _ = self._split(f.children[0])
-        masks = self._distance_masks(f)
+        goal = self._split(f.children[1])[0]
+        dist = self._distances(f)
+        masks = dist.masks
+        starts = tuple(map(int.__and__, true1, dist.support))
         alive = -1
-        for k, (level, _truncated) in enumerate(
-            iter_levels(c, self.succ, self.level_cap, self.counter_cap)
-        ):
-            if (alive >> k) & 1 and any(masks.get(d, 0) & 1 for d in level):
+        for k, (level, _truncated) in enumerate(self._levels(c)):
+            if (alive >> k) & 1 and _meets(level, goal):
                 return Verdict.TRUE
             wanted = (alive >> (k + 1)) << 1  # offsets m >= 1 with bit k + m alive
             reach = 0
-            for d in level:
-                mask = masks.get(d, 0) & wanted
-                if mask and d in true1:
-                    reach |= mask
-            alive &= reach << k
+            for s, row in enumerate(map(int.__and__, level, starts)):
+                if row:
+                    mask_s = masks[s]
+                    for v in row_bits(row):
+                        reach |= mask_s[v]
+            alive &= (reach & wanted) << k
             if not alive:
                 return Verdict.UNKNOWN
         return Verdict.UNKNOWN
@@ -428,32 +519,30 @@ class BoundedEvaluator:
         Applies when c is in the region, not escaping, and both operands are
         definite on c's component (everything reachable from c).  No path
         from c leaves the component, so its distance layers are the region's
-        D_k (``_distance_masks``) cut to it, and the pair (level k,
+        D_k (``_distances``) cut to it, and the pair (level k,
         D_k ∩ component) evolves deterministically.  If it first repeats at
         steps base < k, a witness at any bound >= base + k shifts down by
         k - base, so the least witness is at most base + k - 1; when that
         fits under the level cap, the scan has already ruled it out.
         """
-        if c.counter > self.counter_cap or c in self.escaping:
+        if c.counter > self.counter_cap or (self.escaping[c.state] >> c.counter) & 1:
             return False
-        component = {c}
-        stack = [c]
-        while stack:
-            for d in self.succ(stack.pop()):
-                if d not in component:
-                    component.add(d)
-                    stack.append(d)
+        component = frontier = tuple(
+            1 << c.counter if s == c.state else 0 for s in range(self.oca.n_states)
+        )
+        while any(frontier):
+            frontier = tuple(
+                d & ~r for d, r in zip(step_rows(self.oca, frontier), component)
+            )
+            component = tuple(map(int.__or__, component, frontier))
         for g in f.children:
             true, false = self._split(g)
-            if not all(d in true or d in false for d in component):
+            if any(r & ~(t | u) for r, t, u in zip(component, true, false)):
                 return False
-        masks = self._distance_masks(f)
-        near = {d: masks[d] for d in component if d in masks}
-        seen: dict[tuple, int] = {}
-        for k, (level, _) in enumerate(
-            iter_levels(c, self.succ, self.level_cap, self.counter_cap)
-        ):
-            layer = frozenset(d for d, mask in near.items() if mask >> k & 1)
+        dist = self._distances(f)
+        seen: dict[tuple[Rows, Rows], int] = {}
+        for k, (level, _) in enumerate(self._levels(c)):
+            layer = tuple(map(int.__and__, dist.layer(k), component))
             base = seen.setdefault((level, layer), k)
             if base < k:
                 return base + k - 1 <= self.level_cap
@@ -680,17 +769,40 @@ def _slope_diagnostics(
     }
 
 
-def _match(
-    source: frozenset[Configuration], target: frozenset[Configuration],
-    prev_t: int, prev_p: int,
-) -> Configuration | None:
-    """First source configuration, in sorted order, without an equivalent
-    same-state partner in ``target``."""
-    classes = {(s, tp_class(u, prev_t, prev_p)) for s, u in target}
-    return min(
-        (c for c in source if (c.state, tp_class(c.counter, prev_t, prev_p)) not in classes),
-        default=None,
-    )
+def _fold(row: int, width: int) -> int:
+    """OR of the ``width``-bit chunks of ``row``."""
+    if row.bit_length() <= width:
+        return row
+    shift = width
+    while shift < row.bit_length():
+        row |= row >> shift
+        shift *= 2
+    return row & ((1 << width) - 1)
+
+
+def _tile(chunk: int, width: int, length: int) -> int:
+    """``chunk`` (``width`` bits) repeated over at least ``length`` bits."""
+    while width < length:
+        chunk |= chunk << width
+        width *= 2
+    return chunk
+
+
+def _match(source: Rows, target: Rows, prev_t: int, prev_p: int) -> Configuration | None:
+    """First source configuration, in (state, counter) order, without an
+    equivalent same-state partner in ``target``: the same counter below
+    ``prev_t``, the same residue modulo ``prev_p`` at or above it
+    (``upset.tp_class``)."""
+    for s, (src, dst) in enumerate(zip(source, target)):
+        t = min(prev_t, src.bit_length())  # no mask wider than the row
+        missing = src & ((1 << t) - 1) & ~dst
+        high = src >> t << t
+        if high:
+            residues = _fold(dst >> t << t, prev_p)
+            missing |= high & ~_tile(residues, prev_p, high.bit_length())
+        if missing:
+            return Configuration(s, (missing & -missing).bit_length() - 1)
+    return None
 
 
 def check_shift_periodicity(
@@ -734,9 +846,13 @@ def check_shift_periodicity(
     state_list = states if states is not None else list(range(oca.n_states))
     cases: list[AuditCase] = []
     for s in state_list:
+        # trace_vp at v is trace_v at v + period whenever both are audited
+        traces: dict[int, OracleTrace] = {}
         for v in vs:
-            trace_v = level_sets(oca, Configuration(s, v), level_cap, counter_cap)
-            trace_vp = level_sets(oca, Configuration(s, v + period), level_cap, counter_cap)
+            for u in (v, v + period):
+                if u not in traces:
+                    traces[u] = level_sets(oca, Configuration(s, u), level_cap, counter_cap)
+            trace_v, trace_vp = traces[v], traces[v + period]
             core = core_levels(v, bundle)
             core_set = set(core)
             seg_of = {}
@@ -769,7 +885,7 @@ def check_shift_periodicity(
                                                "truncated levels"))
                         continue
                     missing = _match(
-                        src_trace.levels[src_lv], dst_trace.levels[dst_lv],
+                        src_trace.rows[src_lv], dst_trace.rows[dst_lv],
                         bundle.prev_t, bundle.prev_p,
                     )
                     if missing is None:

@@ -23,6 +23,14 @@ def random_total_oca(rng: random.Random, n_states: int = 3,
     return oca
 
 
+def rows_of(configs, n_states: int) -> tuple[int, ...]:
+    """A configuration set as row ints: bit v of row s is (s, v)."""
+    rows = [0] * n_states
+    for s, v in configs:
+        rows[s] |= 1 << v
+    return tuple(rows)
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

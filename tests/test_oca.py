@@ -1,16 +1,19 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
+from ocasync import oca as oca_module
 from ocasync.oca import (
     Configuration, Oca, Transition, POS, ZERO,
-    iter_levels, level_sets, loads, oca_to_json, oca_to_text, parse_configuration,
-    parse_oca_json, parse_oca_text, successors, validate, witness_path,
+    iter_level_rows, level_sets, loads, oca_to_json, oca_to_text, parse_configuration,
+    parse_oca_json, parse_oca_text, rows_to_set, step_rows, successors, validate,
+    witness_path,
 )
 from ocasync.errors import OcaSyntaxError
 from ocasync import corpus
-from conftest import random_total_oca
+from conftest import random_total_oca, rows_of
 
 
 def one_state(transitions):
@@ -162,31 +165,115 @@ def reference_levels(oca, origin, level_cap, counter_cap):
     return out
 
 
+def reference_witness_path(oca, trace, target, level):
+    """``witness_path`` over frozenset levels: walk back through each
+    level's configurations in sorted order, taking the first one with a
+    transition to the current configuration."""
+    if level >= len(trace.levels) or target not in trace.levels[level]:
+        return None
+    path = []
+    cur = target
+    for lv in range(level, 0, -1):
+        for cand in sorted(trace.levels[lv - 1]):
+            guard = ZERO if cand.counter == 0 else POS
+            hit = next(
+                (t for t in oca.outgoing(cand.state, guard)
+                 if t.dst == cur.state and cand.counter + t.effect == cur.counter),
+                None,
+            )
+            if hit is not None:
+                path.append(hit)
+                cur = cand
+                break
+        else:
+            return None
+    path.reverse()
+    return path
+
+
 class TestIterLevels:
+    """The row stepper, pinned against naive ``successors``."""
+
+    def test_step_rows_matches_successors(self, rng):
+        for _ in range(40):
+            oca = random_total_oca(rng, n_states=rng.randint(1, 4))
+            configs = {Configuration(rng.randrange(oca.n_states), rng.randint(0, 9))
+                       for _ in range(rng.randint(0, 8))}
+            want = set()
+            for c in configs:
+                want |= successors(oca, c)
+            got = step_rows(oca, rows_of(configs, oca.n_states))
+            assert rows_to_set(got) == want, (configs, oca)
+
     def test_matches_level_sets_and_path_enumeration(self, rng):
+        # caps 0..3 with origins below, at and above the cap; the truncation
+        # flags come from the reference's paths that first exceed the cap
+        flagged = set()
         for _ in range(12):
             oca = random_total_oca(rng, n_states=rng.randint(1, 3))
-            for counter_cap in (0, 1, 3):
-                for counter in (0, 1, counter_cap + 1, counter_cap + 3):
+            for counter_cap in range(4):
+                for counter in sorted({0, 1, counter_cap, counter_cap + 1, counter_cap + 3}):
                     origin = Configuration(rng.randrange(oca.n_states), counter)
                     for level_cap in (0, 1, 5):
-                        lazy = list(iter_levels(
-                            origin, lambda c: successors(oca, c), level_cap, counter_cap))
+                        lazy = [(rows_to_set(rows), truncated) for rows, truncated
+                                in iter_level_rows(oca, origin, level_cap, counter_cap)]
                         trace = level_sets(oca, origin, level_cap, counter_cap)
                         assert lazy == list(zip(trace.levels, trace.truncated))
                         assert lazy == reference_levels(oca, origin, level_cap, counter_cap)
+                        flagged.update(truncated for _, truncated in lazy)
+        assert flagged == {False, True}
 
-    def test_levels_are_built_on_demand(self):
-        calls = []
+    def test_levels_are_built_on_demand(self, monkeypatch):
+        steps = []
 
-        def succ(c):
-            calls.append(c)
-            return successors(COUNTDOWN, c)
+        def counting_step(oca, rows):
+            steps.append(rows)
+            return step_rows(oca, rows)
 
-        levels = iter_levels(Configuration(0, 2), succ, 10**6, 10)
-        assert next(levels) == (frozenset({Configuration(0, 2)}), False)
-        assert next(levels) == (frozenset({Configuration(0, 1)}), False)
-        assert calls == [Configuration(0, 2)]
+        monkeypatch.setattr(oca_module, "step_rows", counting_step)
+        levels = iter_level_rows(COUNTDOWN, Configuration(0, 2), 10**6, 10)
+        assert next(levels) == ((0b100, 0), False)
+        assert next(levels) == ((0b10, 0), False)
+        assert steps == [(0b100, 0)]
+
+    def test_huge_counter_cap_allocates_no_cap_sized_mask(self):
+        oca = random_total_oca(random.Random(5), n_states=3)
+        tracemalloc.start()
+        try:
+            trace = level_sets(oca, Configuration(0, 3), 40, 10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not any(trace.truncated)
+        assert peak < 1 << 20, peak
+
+    def test_levels_view_converts_only_what_is_indexed(self, monkeypatch):
+        trace = level_sets(FORK, Configuration(0, 1), 30, 10**9)
+        converted = []
+
+        def counting(rows):
+            converted.append(rows)
+            return rows_to_set(rows)
+
+        monkeypatch.setattr(oca_module, "rows_to_set", counting)
+        assert len(trace.levels) == 31
+        assert converted == []
+        assert trace.levels[1] == successors(FORK, Configuration(0, 1))
+        assert converted == [trace.rows[1]]
+
+    def test_witness_path_matches_frozenset_version(self, rng):
+        for _ in range(30):
+            oca = random_total_oca(rng, n_states=rng.randint(1, 4))
+            origin = Configuration(rng.randrange(oca.n_states), rng.randint(0, 4))
+            counter_cap = rng.choice((3, 6, 50))
+            trace = level_sets(oca, origin, 7, counter_cap)
+            for depth in (0, 1, 4, 7):
+                targets = sorted(trace.levels[depth])
+                targets += [Configuration(s, v) for s in range(oca.n_states)
+                            for v in (0, 5, counter_cap + 1)]
+                for target in targets:
+                    assert witness_path(oca, trace, target, depth) == \
+                        reference_witness_path(oca, trace, target, depth), (target, depth)
 
 
 class TestFormats:

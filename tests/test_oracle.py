@@ -9,14 +9,14 @@ from ocasync.formula import (
     TRUE, atom, au, eu, ex, land, lnot, parse_formula, pretty, subformulas, ua, ue,
 )
 from ocasync.mc import SyncCheck
-from ocasync.oca import Configuration, parse_oca_text, successors
+from ocasync.oca import Configuration, parse_oca_text, rows_to_set, successors
 from ocasync.oracle import (
     AGREE, CHECKER_UNKNOWN, DISAGREE, ORACLE_UNKNOWN,
     BoundedEvaluator, Verdict, check_shift_periodicity, cross_check,
     _match, default_audit_counters, eval_bounded, mine_period,
 )
 from ocasync.periodicity import TpPair, ua_constants
-from conftest import random_total_oca
+from conftest import random_total_oca, rows_of
 
 COUNTDOWN = corpus.load("countdown")
 FORK = corpus.load("fork")
@@ -153,6 +153,11 @@ class TestEvalBounded:
         ev = BoundedEvaluator(ASYM, 20, 60)
         f = parse_formula("true UE p")
         assert ev.verdict(f, Configuration(0, 1)) is Verdict.TRUE
+
+
+def _has(rows, c):
+    """True iff configuration c is in the row tuple."""
+    return bool((rows[c.state] >> c.counter) & 1)
 
 
 def _successors(oca):
@@ -300,7 +305,7 @@ class TestSynchronizedScan:
             for counter_cap, level_cap in ((0, 5), (3, 2), (7, 30), (12, 12), (12, 40)):
                 ev = BoundedEvaluator(oca, counter_cap, level_cap)
                 for f in UE_SUITE:
-                    masks = ev._distance_masks(f)
+                    dist = ev._distances(f)
                     for s in range(oca.n_states):
                         for v in range(counter_cap + 1):
                             c = Configuration(s, v)
@@ -310,21 +315,28 @@ class TestSynchronizedScan:
                                 if any(ev.verdict(f.children[1], d) is Verdict.TRUE
                                        for d in level)
                             )
-                            assert masks.get(c, 0) == want, (f, c, counter_cap, level_cap)
+                            assert dist.masks[s][v] == want, (f, c, counter_cap, level_cap)
+                            assert _has(dist.support, c) == bool(want)
+                            for m in range(level_cap + 1):
+                                assert _has(dist.layer(m), c) == bool(want >> m & 1)
 
     def test_region_index_matches_successors(self):
+        # the in-region pre-image, the boundary and the escaping rows
+        rng = random.Random(7)
         for oca in self._automata():
             succ = _successors(oca)
             for counter_cap in (0, 1, 5, 12):
                 ev = BoundedEvaluator(oca, counter_cap, 10)
                 region = [Configuration(s, v) for s in range(oca.n_states)
                           for v in range(counter_cap + 1)]
-                preds, boundary = ev._region_index
-                assert set(preds) == set(region)
                 for d in region:
-                    assert sorted(preds[d]) == sorted(
-                        c for c in region if d in successors(oca, c))
-                assert boundary == {
+                    assert rows_to_set(ev._pre(rows_of([d], oca.n_states))) == {
+                        c for c in region if d in successors(oca, c)}
+                for _ in range(20):
+                    target = {c for c in region if rng.random() < 0.3}
+                    assert rows_to_set(ev._pre(rows_of(target, oca.n_states))) == {
+                        c for c in region if successors(oca, c) & target}
+                assert rows_to_set(ev._boundary) == {
                     c for c in region
                     if any(d.counter > counter_cap for d in successors(oca, c))
                 }
@@ -334,7 +346,7 @@ class TestSynchronizedScan:
                     if any(e.counter > counter_cap
                            for level in levels for d in level for e in succ(d)):
                         leaves.add(c)
-                assert ev.escaping == leaves
+                assert rows_to_set(ev.escaping) == leaves
 
     def test_false_rule_matches_exact_reference(self):
         # every cap-closed configuration with definite operands; states that
@@ -367,7 +379,7 @@ class TestSynchronizedScan:
                         for s in may:
                             for v in range(counter_cap + 1):
                                 c = Configuration(s, v)
-                                if c in ev.escaping:
+                                if _has(ev.escaping, c):
                                     continue
                                 want = reference_exact_ue(ev, f, c, succ)
                                 if want is None:
@@ -390,7 +402,7 @@ class TestSynchronizedScan:
             ev = BoundedEvaluator(ASYM, 3, level_cap)
             for v in range(4):
                 c = Configuration(u, v)
-                assert c not in ev.escaping
+                assert not _has(ev.escaping, c)
                 assert ev.verdict(f, c) is Verdict.FALSE, (v, level_cap)
         assert eval_bounded(ASYM, Configuration(u, 0), f, 3, 1) is Verdict.UNKNOWN
 
@@ -416,7 +428,7 @@ class TestSynchronizedScan:
         c, d = Configuration(0, 0), Configuration(1, 0)
         for level_cap in (12, 13, 14):
             ev = BoundedEvaluator(oca, 0, level_cap)
-            assert c not in ev.escaping
+            assert not _has(ev.escaping, c)
             assert ev.verdict(f.children[1], d) is Verdict.UNKNOWN
             assert ev.verdict(f, c) is Verdict.UNKNOWN, level_cap
         for caps in ((0, 15), (60, 200)):
@@ -560,6 +572,29 @@ class TestCrossCheck:
         assert doc["counts"][AGREE] == 1
 
 
+class TestDifferentialFuzz:
+    def test_random_automata_and_formulas_never_disagree(self):
+        # 1000 seeded cases over all nine operator kinds, every case kept
+        # whatever it costs or answers; about 5 s
+        counts = {}
+        disagreements = []
+        start = time.monotonic()
+        for seed in range(1000):
+            rng = random.Random(seed)
+            oca = random_total_oca(rng, n_states=rng.randint(1, 4))
+            f = random_formula(rng, 3)
+            inits = [Configuration(rng.randrange(oca.n_states), rng.randint(0, 11))
+                     for _ in range(10)]
+            rep = cross_check(oca, f, inits, "empirical", (40, 120))
+            for status, n in rep.counts().items():
+                counts[status] = counts.get(status, 0) + n
+            disagreements += [(seed, pretty(f), r.init) for r in rep.disagreements]
+        elapsed = time.monotonic() - start
+        assert not disagreements, disagreements[:5]
+        assert counts.get(AGREE, 0) >= 9000, counts
+        assert elapsed < 60, elapsed
+
+
 def reference_match(source, target, prev_t, prev_p):
     """``oracle._match`` by its definition: the first source configuration,
     in sorted order, with no same-state target partner that is equal to it
@@ -631,19 +666,48 @@ class TestShiftAudit:
                           for _ in range(rng.randint(0, 6)))
                 for _ in range(2)
             )
-            assert _match(source, target, t, p) == reference_match(source, target, t, p), (
-                source, target, t, p)
+            got = _match(rows_of(source, 3), rows_of(target, 3), t, p)
+            assert got == reference_match(source, target, t, p), (source, target, t, p)
+        # thresholds and periods as wide as the rows themselves
+        for _ in range(1000):
+            t, p = rng.randint(0, 14), rng.randint(1, 14)
+            source, target = (
+                frozenset(Configuration(rng.randrange(2), rng.randrange(12))
+                          for _ in range(rng.randint(0, 8)))
+                for _ in range(2)
+            )
+            got = _match(rows_of(source, 2), rows_of(target, 2), t, p)
+            assert got == reference_match(source, target, t, p), (source, target, t, p)
 
     def test_audit_with_a_nontrivial_prev_pair(self, monkeypatch):
         # the pinned benchmark jobs audit only (prev_t, prev_p) = (0, 1)
+        def frozenset_match(source, target, prev_t, prev_p):
+            return reference_match(rows_to_set(source), rows_to_set(target), prev_t, prev_p)
+
         for oca in (COUNTDOWN, ASYM, random_total_oca(random.Random(3), n_states=2)):
             bundle = ua_constants(oca.n_states, 2, 3, b_override=1)
             got = check_shift_periodicity(oca, bundle).to_json(oca)
             with monkeypatch.context() as m:
-                m.setattr(oracle, "_match", reference_match)
+                m.setattr(oracle, "_match", frozenset_match)
                 want = check_shift_periodicity(oca, bundle).to_json(oca)
             assert got == want
             assert got["failures"]
+
+    def test_audit_builds_one_trace_per_origin(self, monkeypatch):
+        # counters 40..43 at period 2 need origins 40..45: six traces per state
+        bundle = ua_constants(COUNTDOWN.n_states, 0, 1, b_override=1)
+        assert bundle.period == 2
+        calls = []
+        real = oracle.level_sets
+
+        def counting(oca, origin, level_cap, counter_cap):
+            calls.append(origin)
+            return real(oca, origin, level_cap, counter_cap)
+
+        monkeypatch.setattr(oracle, "level_sets", counting)
+        check_shift_periodicity(COUNTDOWN, bundle, counters=[40, 41, 42, 43])
+        assert sorted(calls) == [Configuration(s, v) for s in range(COUNTDOWN.n_states)
+                                 for v in range(40, 46)]
 
     def test_counters_below_threshold_rejected(self):
         bundle = ua_constants(COUNTDOWN.n_states, 0, 1, b_override=1)
