@@ -21,7 +21,7 @@ from .errors import (
 )
 from .formula import parse_formula, pretty
 from .oca import (
-    Configuration, Oca, loads, oca_to_json, parse_configuration, validate,
+    Configuration, Oca, loads, oca_to_json, parse_configuration, require_valid, validate,
 )
 
 EXIT_OK = 0
@@ -31,6 +31,13 @@ EXIT_INTERNAL = 3
 
 
 def _load_oca(spec: str) -> Oca:
+    """The automaton named by ``spec``; an invalid one is malformed input."""
+    oca = _read_oca(spec)
+    require_valid(oca)
+    return oca
+
+
+def _read_oca(spec: str) -> Oca:
     if spec.startswith("corpus:"):
         return corpus.load(spec[len("corpus:"):])
     path = Path(spec)
@@ -133,7 +140,7 @@ def _fail(command: str, kind: str, message: str, extra: dict | None = None) -> i
 # Subcommands
 
 def _cmd_validate(args) -> int:
-    oca = _load_oca(args.oca)
+    oca = _read_oca(args.oca)
     diags = validate(oca)
     if diags:
         return _fail("validate", "input", "automaton invalid",

@@ -42,6 +42,13 @@ class Formula:
     children: tuple["Formula", ...] = ()
     name: str = ""
 
+    def __post_init__(self):
+        # the generated hash's value, once: the oracle's memos are keyed by formula
+        object.__setattr__(self, "_hash", hash((self.kind, self.children, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __str__(self) -> str:
         return pretty(self)
 

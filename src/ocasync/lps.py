@@ -3,9 +3,9 @@
 A scheme is an expression ``a0 b1* a1 ... bk* ak`` over the transitions of an
 automaton, where the ``a`` pieces are plain transition sequences and each
 ``b`` piece is a cycle.  A concrete path is shaped by the scheme if it
-instantiates every star with a concrete repetition count.  Schemes are purely
-syntactic: guard feasibility is checked only when a shaped path is walked
-against a concrete starting counter.
+instantiates every star with a concrete repetition count.  Each piece is
+read once, as counter arithmetic (``Piece``: its effect, and the counters its
+guards allow it to start from); the shaped search steps plain int counters.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .oca import Configuration, Oca, ZERO
 
@@ -36,6 +36,35 @@ class CycleStats:
         return Fraction(self.effect, self.length)
 
 
+class Piece(NamedTuple):
+    """A transition sequence as counter arithmetic: walkable from counter v
+    iff ``lo <= v <= hi``, then at ``dst`` with counter ``v + delta``."""
+
+    length: int
+    dst: int
+    delta: int
+    lo: int
+    hi: float
+
+
+def _piece(oca: Oca, state: int, seq: tuple[int, ...]) -> Piece:
+    """``seq`` read from ``state``.  With o the offset before a step, ``=0``
+    needs v + o == 0 and ``>0`` needs v + o >= 1; no decrement is zero-guarded
+    on a valid automaton, so ``lo >= 0`` keeps every counter non-negative."""
+    o, lo, hi = 0, 0, math.inf
+    for idx in seq:
+        t = oca.transitions[idx]
+        if t.src != state:
+            raise ValueError(f"transition {idx} breaks the state chain")
+        if t.guard == ZERO:
+            lo, hi = max(lo, -o), min(hi, -o)
+        else:
+            lo = max(lo, 1 - o)
+        o += t.effect
+        state = t.dst
+    return Piece(len(seq), state, o, lo, hi)
+
+
 @dataclass(frozen=True)
 class Lps:
     """``alpha0`` then ``segments`` of (cycle, following path), all state-chained."""
@@ -52,51 +81,23 @@ class Lps:
     def size(self) -> int:
         return len(self.segments)
 
-    def pieces(self) -> list[tuple[str, tuple[int, ...]]]:
-        out: list[tuple[str, tuple[int, ...]]] = [("path", self.alpha0)]
+    def pieces(self, oca: Oca) -> tuple[Piece, list[tuple[Piece, Piece]]]:
+        """The ``alpha0`` piece and one (cycle, tail) pair per segment; raises
+        ``ValueError`` on a broken state chain, an empty or an open cycle."""
+        first = _piece(oca, self.start_state, self.alpha0)
+        state = first.dst
+        segments = []
         for beta, alpha in self.segments:
-            out.append(("cycle", beta))
-            out.append(("path", alpha))
-        return out
-
-    def end_state(self, oca: Oca) -> int:
-        state = self.start_state
-        for _, seq in self.pieces():
-            for idx in seq:
-                state = oca.transitions[idx].dst
-        return state
-
-    def check_chained(self, oca: Oca) -> None:
-        """Raise if pieces are not state-compatible or a cycle does not close."""
-        state = self.start_state
-        for idx in self.alpha0:
-            t = oca.transitions[idx]
-            if t.src != state:
-                raise ValueError("alpha0 breaks the state chain")
-            state = t.dst
-        for beta, alpha in self.segments:
-            if not beta:
-                raise ValueError("empty cycle")
-            cyc_state = state
-            for idx in beta:
-                t = oca.transitions[idx]
-                if t.src != cyc_state:
-                    raise ValueError("cycle breaks the state chain")
-                cyc_state = t.dst
-            if cyc_state != state:
-                raise ValueError("cycle does not return to its start state")
-            for idx in alpha:
-                t = oca.transitions[idx]
-                if t.src != state:
-                    raise ValueError("alpha breaks the state chain")
-                state = t.dst
+            cycle = _piece(oca, state, beta)
+            if not beta or cycle.dst != state:
+                raise ValueError("a cycle must be non-empty and return to its start state")
+            tail = _piece(oca, state, alpha)
+            segments.append((cycle, tail))
+            state = tail.dst
+        return first, segments
 
     def cycle_stats(self, oca: Oca) -> list[CycleStats]:
-        out = []
-        for beta, _ in self.segments:
-            eff = sum(oca.transitions[i].effect for i in beta)
-            out.append(CycleStats(eff, len(beta)))
-        return out
+        return [CycleStats(c.delta, c.length) for c, _ in self.pieces(oca)[1]]
 
 
 def basic_slopes(b: int) -> list[Fraction]:
@@ -230,23 +231,6 @@ def enumerate_lps(
     yield from rec(start_state, [], [], flat_len_bound, size_bound)
 
 
-def _walk(oca: Oca, config: Configuration, seq: tuple[int, ...]) -> Configuration | None:
-    """Apply a transition sequence with guard checks; None if it is invalid."""
-    state, counter = config
-    for idx in seq:
-        t = oca.transitions[idx]
-        if t.src != state:
-            return None
-        if counter == 0:
-            if t.guard != ZERO:
-                return None
-        elif t.guard == ZERO:
-            return None
-        state, counter = t.dst, counter + t.effect
-        assert counter >= 0
-    return Configuration(state, counter)
-
-
 def _shaped_paths(
     oca: Oca,
     scheme: Lps,
@@ -257,40 +241,36 @@ def _shaped_paths(
     """(end configuration, exponent vector) of every valid shaped path of
     exactly ``target_length``, every star instantiated at most ``exp_cap``
     times; depth-first, so exponent vectors come in ascending lexicographic
-    order."""
-    if scheme.start_state != start.state or len(scheme.alpha0) > target_length:
+    order.  Raises ``ValueError`` where ``Lps.pieces`` does."""
+    first, segments = scheme.pieces(oca)
+    if (scheme.start_state != start.state or first.length > target_length
+            or not first.lo <= start.counter <= first.hi):
         return
-    first = _walk(oca, start, scheme.alpha0)
-    if first is None:
-        return
-    segments = scheme.segments
+    end_state = segments[-1][1].dst if segments else first.dst
+    last = len(segments) - 1
     exps: list[int] = []
 
-    def rec(j: int, config: Configuration, remaining: int):
-        if j == len(segments):
+    def rec(j: int, v: int, remaining: int):
+        if j > last:
             if remaining == 0:
-                yield config, tuple(exps)
+                yield Configuration(end_state, v), tuple(exps)
             return
-        beta, alpha = segments[j]
-        last = j + 1 == len(segments)
+        cycle, tail = segments[j]
         e = 0
         while True:
-            left = remaining - e * len(beta) - len(alpha)
+            left = remaining - e * cycle.length - tail.length
             # after the last segment the length must be used up exactly
-            if left == 0 or (left > 0 and not last):
-                end = _walk(oca, config, alpha)
-                if end is not None:
-                    exps.append(e)
-                    yield from rec(j + 1, end, left)
-                    exps.pop()
-            if e >= exp_cap or (e + 1) * len(beta) > remaining:
+            if (left == 0 or (left > 0 and j < last)) and tail.lo <= v <= tail.hi:
+                exps.append(e)
+                yield from rec(j + 1, v + tail.delta, left)
+                exps.pop()
+            if (e >= exp_cap or (e + 1) * cycle.length > remaining
+                    or not cycle.lo <= v <= cycle.hi):
                 return
-            config = _walk(oca, config, beta)
-            if config is None:
-                return
+            v += cycle.delta
             e += 1
 
-    yield from rec(0, first, target_length - len(scheme.alpha0))
+    yield from rec(0, start.counter + first.delta, target_length - first.length)
 
 
 def shaped_reach(
@@ -304,7 +284,6 @@ def shaped_reach(
     with every star instantiated at most ``exp_cap`` times."""
     if target_length < 0:
         raise ValueError("target length must be non-negative")
-    scheme.check_chained(oca)
     return {end for end, _ in _shaped_paths(oca, scheme, start, target_length, exp_cap)}
 
 
@@ -330,10 +309,8 @@ def analyze_cycle_repetitions(
     if len(exponents) != scheme.size:
         raise ValueError("one exponent per cycle required")
     totals: dict[Fraction, int] = {}
-    for (beta, _), e in zip(scheme.segments, exponents):
-        eff = sum(oca.transitions[i].effect for i in beta)
-        slope = Fraction(eff, len(beta))
-        totals[slope] = totals.get(slope, 0) + e
+    for stats, e in zip(scheme.cycle_stats(oca), exponents):
+        totals[stats.slope] = totals.get(stats.slope, 0) + e
     return totals
 
 

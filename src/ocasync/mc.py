@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import bignum, upset
 from .errors import BudgetExceededError, StepCapExceededError, UncoveredOperatorError
 from .formula import Formula, Kind, formula_atoms, pretty, subformulas
-from .oca import Configuration, Oca, ZERO, validate
+from .oca import Configuration, Oca, ZERO, require_valid
 from .periodicity import ConstantBundle, TpPair, ctl_constants, ua_constants, uniform_pair
 from .upset import UpSet
 
@@ -503,9 +503,7 @@ def check_oca(
     Empirical mining reuses ``evaluator`` (a ``BoundedEvaluator``) when it
     was built for this automaton at these caps.
     """
-    diags = validate(oca)
-    if diags:
-        raise ValueError("invalid automaton: " + "; ".join(diags))
+    require_valid(oca)
     unbound = formula_atoms(f) - oca.atoms
     if unbound:
         raise ValueError(f"formula uses undeclared atoms {sorted(unbound)}")

@@ -110,6 +110,13 @@ def validate(oca: Oca) -> list[str]:
     return diags
 
 
+def require_valid(oca: Oca) -> None:
+    """Raise ``ValueError`` naming every violated invariant, if any."""
+    diags = validate(oca)
+    if diags:
+        raise ValueError("invalid automaton: " + "; ".join(diags))
+
+
 def successors(oca: Oca, c: Configuration) -> set[Configuration]:
     """All one-step successors of a configuration under the guard semantics."""
     if c.counter < 0:

@@ -9,7 +9,8 @@ from hypothesis import example, given, strategies as st
 
 from ocasync import corpus, mc
 from ocasync.cli import _dumps, main
-from ocasync.oca import oca_to_json
+from ocasync.formula import parse_formula
+from ocasync.oca import Configuration, loads, oca_to_json, validate
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +151,48 @@ class TestValidate:
     def test_missing_file_exits_one(self, capsys, schema):
         code, doc, _ = run(capsys, "validate", "--oca", "/nonexistent.oca")
         assert code == 1 and doc["error"]["kind"] == "input"
+        check_schema(schema, doc)
+
+
+class TestInvalidAutomata:
+    """Every subcommand but ``validate`` refuses an invalid automaton at load,
+    as malformed input with ``check_oca``'s message."""
+
+    AUTOMATA = {
+        "zero-decrement": "states: s\natoms: p\ns -[=0,-1]-> s\ns -[>0,-1]-> s\n",
+        "not-total": "states: s\natoms: p\ns -[=0,0]-> s\n",
+    }
+    COMMANDS = [
+        ("check", "--formula", "FA p", "--init", "s,1"),
+        ("sat-sets", "--formula", "p"),
+        ("constants", "--formula", "p UA p"),
+        ("oracle", "--formula", "EX p", "--init", "s,0"),
+        ("oracle", "--formula", "FA p", "--init", "s,1"),
+        ("mine-period", "--formula", "EX p", "--state", "s"),
+        ("cross-check", "--formula", "EX p", "--init", "s,0"),
+        ("check-lemma11",),
+        ("lps", "--src", "s", "--dst", "s", "--start", "s,0", "--target-length", "2"),
+    ]
+
+    @pytest.mark.parametrize("name", sorted(AUTOMATA))
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_rejected_at_load(self, capsys, schema, tmp_path, name, argv):
+        path = tmp_path / f"{name}.oca"
+        path.write_text(self.AUTOMATA[name])
+        with pytest.raises(ValueError) as exc:
+            mc.check_oca(loads(self.AUTOMATA[name]), parse_formula("p"), Configuration(0, 0))
+        code, doc, _ = run(capsys, argv[0], "--oca", str(path), *argv[1:])
+        assert code == 1 and doc["error"] == {"kind": "input", "message": str(exc.value)}
+        assert str(exc.value).startswith("invalid automaton: ")
+        check_schema(schema, doc)
+
+    @pytest.mark.parametrize("name", sorted(AUTOMATA))
+    def test_validate_still_lists_diagnostics(self, capsys, schema, tmp_path, name):
+        path = tmp_path / f"{name}.oca"
+        path.write_text(self.AUTOMATA[name])
+        code, doc, _ = run(capsys, "validate", "--oca", str(path))
+        assert code == 1 and doc["error"]["message"] == "automaton invalid"
+        assert doc["error"]["diagnostics"] == validate(loads(self.AUTOMATA[name]))
         check_schema(schema, doc)
 
 

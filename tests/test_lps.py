@@ -6,11 +6,13 @@ import pytest
 
 from ocasync import corpus
 from ocasync.lps import (
-    CycleStats, Lps, adjust_length, analyze_cycle_repetitions, basic_slopes,
-    combine_cycles_ratio, compress_path_with_exponents, enumerate_lps,
+    CycleStats, Lps, _piece, _shaped_paths, adjust_length, analyze_cycle_repetitions,
+    basic_slopes, combine_cycles_ratio, compress_path_with_exponents, enumerate_lps,
     shaped_reach, shaped_witness_exponents,
 )
-from ocasync.oca import Configuration, level_sets, witness_path
+from ocasync.oca import (
+    Configuration, Oca, POS, Transition, ZERO, level_sets, witness_path,
+)
 from conftest import random_total_oca
 
 COUNTDOWN = corpus.load("countdown")
@@ -388,6 +390,198 @@ class TestShapedSearchAgainstBruteForce:
             shaped_reach(COUNTDOWN, scheme, Configuration(0, 5), -1, 10)
         assert shaped_witness_exponents(
             COUNTDOWN, scheme, Configuration(0, 5), Configuration(0, 5), -1, 10) is None
+
+
+def random_walk(rng, oca, state, length):
+    """A state-chained transition sequence of ``length`` steps from ``state``,
+    guards ignored."""
+    seq = []
+    for _ in range(length):
+        idx = rng.choice([i for i, t in enumerate(oca.transitions) if t.src == state])
+        seq.append(idx)
+        state = oca.transitions[idx].dst
+    return tuple(seq)
+
+
+class TestPiece:
+    """A piece's interval [lo, hi] holds exactly the counters its sequence
+    is walkable from, and ``delta`` is the walk's counter effect."""
+
+    def test_matches_step_by_step_replay(self, rng):
+        walkable = blocked = zero_tested = 0
+        for _ in range(40):
+            oca = random_total_oca(rng, n_states=rng.randint(1, 3))
+            for _ in range(30):
+                state = rng.randrange(oca.n_states)
+                seq = random_walk(rng, oca, state, rng.randint(0, 8))
+                piece = _piece(oca, state, seq)
+                assert piece.length == len(seq)
+                for v in range(7):
+                    end = replay(oca, Configuration(state, v), seq)
+                    assert (piece.lo <= v <= piece.hi) == (end is not None), (oca, seq, v)
+                    if end is None:
+                        blocked += 1
+                        continue
+                    assert end == Configuration(piece.dst, v + piece.delta)
+                    walkable += 1
+                    zero_tested += piece.hi == v
+        assert walkable > 1000 and blocked > 1000 and zero_tested > 100
+
+    def test_broken_chain_raises(self, rng):
+        oca = random_total_oca(rng, n_states=3)
+        for state in range(oca.n_states):
+            walk = random_walk(rng, oca, state, 2)
+            end = oca.transitions[walk[-1]].dst
+            for idx, t in enumerate(oca.transitions):
+                if t.src != state:
+                    with pytest.raises(ValueError):
+                        _piece(oca, state, (idx,))
+                if t.src != end:
+                    with pytest.raises(ValueError):
+                        _piece(oca, state, walk + (idx,))
+
+
+def walk_reference(oca, config, seq):
+    """Apply a transition sequence with guard checks; None if it is invalid."""
+    state, counter = config
+    for idx in seq:
+        t = oca.transitions[idx]
+        if t.src != state:
+            return None
+        if counter == 0:
+            if t.guard != ZERO:
+                return None
+        elif t.guard == ZERO:
+            return None
+        state, counter = t.dst, counter + t.effect
+        assert counter >= 0
+    return Configuration(state, counter)
+
+
+def shaped_paths_reference(oca, scheme, start, target_length, exp_cap):
+    """The shaped search that walked every piece step by step, after every
+    exponent."""
+    if scheme.start_state != start.state or len(scheme.alpha0) > target_length:
+        return
+    first = walk_reference(oca, start, scheme.alpha0)
+    if first is None:
+        return
+    segments = scheme.segments
+    exps = []
+
+    def rec(j, config, remaining):
+        if j == len(segments):
+            if remaining == 0:
+                yield config, tuple(exps)
+            return
+        beta, alpha = segments[j]
+        last = j + 1 == len(segments)
+        e = 0
+        while True:
+            left = remaining - e * len(beta) - len(alpha)
+            if left == 0 or (left > 0 and not last):
+                end = walk_reference(oca, config, alpha)
+                if end is not None:
+                    exps.append(e)
+                    yield from rec(j + 1, end, left)
+                    exps.pop()
+            if e >= exp_cap or (e + 1) * len(beta) > remaining:
+                return
+            config = walk_reference(oca, config, beta)
+            if config is None:
+                return
+            e += 1
+
+    yield from rec(0, first, target_length - len(scheme.alpha0))
+
+
+def zero_test_oca():
+    """States a, b; the cycles a-b-a and b-a-b each pass a zero test, so
+    they repeat from one counter only."""
+    transitions = {
+        "a=0+1b": Transition(0, ZERO, 1, 1), "b>0-1a": Transition(1, POS, -1, 0),
+        "a>0-1a": Transition(0, POS, -1, 0), "a>0+0b": Transition(0, POS, 0, 1),
+        "b=0+0a": Transition(1, ZERO, 0, 0), "b=0+1b": Transition(1, ZERO, 1, 1),
+    }
+    oca = Oca(("a", "b"), frozenset({"p"}), (frozenset(), frozenset({"p"})),
+              tuple(transitions.values()))
+    index = {t: i for i, t in enumerate(oca.transitions)}
+    return oca, {name: index[t] for name, t in transitions.items()}
+
+
+def zero_tested_schemes():
+    oca, t = zero_test_oca()
+    up_down, down_up = (t["a=0+1b"], t["b>0-1a"]), (t["b>0-1a"], t["a=0+1b"])
+    dec = (t["a>0-1a"],)
+    schemes = [
+        Lps(0, (), ((up_down, ()),)),
+        Lps(0, dec, ((up_down, (t["a=0+1b"],)), (down_up, ()))),
+        Lps(0, (), ((dec, ()), (up_down, ()), (dec + up_down, ()))),
+        Lps(0, (t["a>0+0b"],), (((t["b=0+1b"],), (t["b>0-1a"],)), (dec, ()))),
+        Lps(1, (t["b=0+0a"],), ((dec + (t["a>0+0b"], t["b=0+0a"]), up_down),)),
+        Lps(1, (), ((down_up, (t["b>0-1a"],)), (dec, ()))),
+    ]
+    return oca, schemes
+
+
+class TestShapedPathsPinned:
+    """``_shaped_paths`` on pieces yields the same (end, exponents) sequence,
+    in the same order, as the step-by-step walk."""
+
+    @staticmethod
+    def assert_same(oca, scheme, counters, lengths, caps):
+        for counter, length, cap in itertools.product(counters, lengths, caps):
+            start = Configuration(scheme.start_state, counter)
+            got = list(_shaped_paths(oca, scheme, start, length, cap))
+            assert got == list(shaped_paths_reference(oca, scheme, start, length, cap)), (
+                scheme, start, length, cap)
+
+    def test_enumerated_schemes(self, rng):
+        automata = [corpus.load(name) for name in corpus.names()]
+        automata += [random_total_oca(rng, n_states=rng.randint(1, 3)) for _ in range(12)]
+        for oca in automata:
+            for end_state in range(oca.n_states):
+                for scheme in itertools.islice(enumerate_lps(oca, 0, end_state, 4, 2), 16):
+                    self.assert_same(oca, scheme, range(4), range(0, 9, 2), (0, 2, 5))
+
+    def test_hand_built_zero_tested_cycles(self):
+        oca, schemes = zero_tested_schemes()
+        hits = 0
+        for scheme in schemes:
+            self.assert_same(oca, scheme, range(5), range(10), (0, 1, 3, 9))
+            hits += len(list(_shaped_paths(
+                oca, scheme, Configuration(scheme.start_state, 0), 8, 9)))
+        assert hits > 0
+
+
+class TestSchemeValidation:
+    """An unchained scheme, an empty cycle and a cycle that does not close
+    are rejected by every search and by the repetition analysis."""
+
+    def bad_schemes(self):
+        oca, t = zero_test_oca()
+        dec = (t["a>0-1a"],)
+        return oca, [
+            Lps(0, (t["a>0+0b"],), ((dec, ()),)),         # cycle leaves a, scheme is at b
+            Lps(0, (), ((dec, (t["b>0-1a"],)),)),        # tail leaves b, scheme is at a
+            Lps(1, dec, ((dec, ()),)),                   # alpha0 leaves a, start is b
+            Lps(0, (), (((), dec),)),                    # empty cycle
+            Lps(0, (), (((t["a=0+1b"],), ()),)),         # a -> b does not close
+            Lps(0, (), (((t["a=0+1b"], t["b=0+1b"]), ()),)),  # ends at b
+        ]
+
+    def test_every_entry_point_raises(self):
+        oca, schemes = self.bad_schemes()
+        for scheme in schemes:
+            start = Configuration(scheme.start_state, 1)
+            with pytest.raises(ValueError):
+                shaped_reach(oca, scheme, start, 3, 3)
+            with pytest.raises(ValueError):
+                shaped_witness_exponents(oca, scheme, start, start, 3, 3)
+            with pytest.raises(ValueError):
+                analyze_cycle_repetitions(oca, scheme, [1])
+            with pytest.raises(ValueError):
+                scheme.cycle_stats(oca)
 
 
 class TestAnalyzeRepetitions:
