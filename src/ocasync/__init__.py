@@ -7,12 +7,12 @@ from .errors import (
     OcaSyntaxError,
     StepCapExceededError,
 )
-from .formula import Formula, Kind, nesting_depth, parse_formula, pretty, subformulas
+from .formula import Formula, Kind, parse_formula, pretty, subformulas
 from .mc import CheckResult, Kripke, check_oca, check_ua_on_kripke, check_ue_on_kripke, unfold_kripke
 from .oca import Configuration, Oca, OracleTrace, level_sets, successors, validate
 from .oracle import BoundedEvaluator, Verdict, cross_check, eval_bounded, mine_period
 from .periodicity import ConstantBundle, TpPair, ctl_constants, ua_constants
-from .upset import UpSet, tp_equivalent
+from .upset import UpSet
 
 __version__ = "0.1.0"
 
@@ -41,12 +41,10 @@ __all__ = [
     "eval_bounded",
     "level_sets",
     "mine_period",
-    "nesting_depth",
     "parse_formula",
     "pretty",
     "subformulas",
     "successors",
-    "tp_equivalent",
     "ua_constants",
     "unfold_kripke",
     "validate",

@@ -236,14 +236,6 @@ def bit_length(x: Number) -> int:
     return x.bit_length() if isinstance(x, int) else x.approx_bit_length()
 
 
-def multiply(a: Number, b: Number) -> Number:
-    return a * b
-
-
-def add(a: Number, b: Number) -> Number:
-    return a + b
-
-
 def maximum(a: Number, b: Number) -> Number:
     return a if a >= b else b
 

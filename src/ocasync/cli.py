@@ -2,8 +2,9 @@
 
 Every subcommand reads an automaton (a file path, or a built-in corpus name),
 dispatches to the library, and writes exactly one JSON document to stdout.
-Exit codes: 0 completed (including negative verdicts), 1 malformed input,
-2 resource budget exceeded, 3 internal invariant failure.
+Exit codes: 0 completed (including negative verdicts), 1 malformed input
+(argument errors included), 2 resource budget exceeded, 3 internal invariant
+failure.
 """
 
 from __future__ import annotations
@@ -42,7 +43,11 @@ def _read_oca(spec: str) -> Oca:
         return corpus.load(spec[len("corpus:"):])
     path = Path(spec)
     if path.exists():
-        return loads(path.read_text())
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise OcaSyntaxError(f"cannot read automaton file: {exc}") from None
+        return loads(text)
     if spec in corpus.names():
         return corpus.load(spec)
     raise OcaSyntaxError(f"no such file or corpus automaton: {spec}")
@@ -315,9 +320,28 @@ def _cmd_lps(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _ArgumentError(Exception):
+    """A command line the parser rejects; ``command`` is the subcommand whose
+    arguments are wrong, or None when the subcommand itself is missing or
+    unknown."""
+
+    def __init__(self, command: str | None, message: str):
+        super().__init__(message)
+        self.command = command
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ``_ArgumentError`` where argparse would print usage and exit 2."""
+
+    command: str | None = None  # set on each subcommand's parser
+
+    def error(self, message: str):
+        raise _ArgumentError(self.command, message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="ocasync",
         description="Synchronized branching-time model checking over one-counter automata",
     )
@@ -404,15 +428,25 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, formula=False)
     p.set_defaults(fn=_cmd_validate)
 
+    for name, p in sub.choices.items():
+        p.command = name
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
     try:
+        args, extra = parser.parse_known_args(argv)
+        command = args.command
+        if extra:
+            raise _ArgumentError(command, f"unrecognized arguments: {' '.join(extra)}")
         return args.fn(args)
+    except _ArgumentError as exc:
+        if exc.command is None:  # the schema has no command to report
+            parser.print_usage(sys.stderr)
+            print(f"ocasync: error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        return _fail(exc.command, "input", str(exc))
     except (OcaSyntaxError, FormulaSyntaxError, ValueError) as exc:
         return _fail(command, "input", str(exc))
     except BudgetExceededError as exc:

@@ -32,7 +32,6 @@ class Kind(Enum):
     UE = "UE"
 
 
-TEMPORAL_KINDS = frozenset({Kind.EX, Kind.EU, Kind.AU, Kind.UA, Kind.UE})
 SYNC_KINDS = frozenset({Kind.UA, Kind.UE})
 
 
@@ -112,12 +111,6 @@ def subformulas(f: Formula) -> list[Formula]:
 
 def formula_atoms(f: Formula) -> frozenset[str]:
     return frozenset(g.name for g in subformulas(f) if g.kind is Kind.ATOM)
-
-
-def nesting_depth(f: Formula) -> int:
-    """Temporal/synchronized operators count one level each; booleans do not."""
-    inner = max((nesting_depth(c) for c in f.children), default=0)
-    return inner + 1 if f.kind in TEMPORAL_KINDS else inner
 
 
 # ---------------------------------------------------------------------------

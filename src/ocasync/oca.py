@@ -381,7 +381,7 @@ def parse_oca_json(doc: dict) -> Oca:
             Transition(index[t["src"]], t["guard"], int(t["effect"]), index[t["dst"]])
             for t in doc["transitions"]
         ]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise OcaSyntaxError(f"malformed automaton JSON: {exc}") from exc
     return Oca(tuple(state_names), frozenset(atoms), tuple(labels), tuple(transitions))
 

@@ -739,11 +739,11 @@ class ShiftAuditReport:
         }
 
 
-def default_audit_counters(bundle: ConstantBundle, count: int = 3) -> list[int]:
+def default_audit_counters(bundle: ConstantBundle) -> list[int]:
     """Sample counters comfortably above the counter threshold, high enough
     that the core segments cannot overlap."""
     base = bundle.counter_threshold + bundle.period + bundle.prev_t + 1
-    return [base + j for j in range(count)]
+    return [base, base + 1, base + 2]
 
 
 def _slope_diagnostics(
@@ -790,9 +790,9 @@ def _tile(chunk: int, width: int, length: int) -> int:
 
 def _match(source: Rows, target: Rows, prev_t: int, prev_p: int) -> Configuration | None:
     """First source configuration, in (state, counter) order, without an
-    equivalent same-state partner in ``target``: the same counter below
-    ``prev_t``, the same residue modulo ``prev_p`` at or above it
-    (``upset.tp_class``)."""
+    equivalent same-state partner in ``target``.  Two counters are equivalent
+    when they are equal, or when both are at least ``prev_t`` and congruent
+    modulo ``prev_p``."""
     for s, (src, dst) in enumerate(zip(source, target)):
         t = min(prev_t, src.bit_length())  # no mask wider than the row
         missing = src & ((1 << t) - 1) & ~dst
@@ -810,8 +810,6 @@ def check_shift_periodicity(
     bundle: ConstantBundle,
     *,
     counters: list[int] | None = None,
-    lengths: list[int] | None = None,
-    states: list[int] | None = None,
     level_cap: int | None = None,
     counter_cap: int | None = None,
 ) -> ShiftAuditReport:
@@ -843,9 +841,8 @@ def check_shift_periodicity(
         "level-set audit traces", (level_cap + 1) * oca.n_states * (counter_cap + 1),
         "configurations",
     )
-    state_list = states if states is not None else list(range(oca.n_states))
     cases: list[AuditCase] = []
-    for s in state_list:
+    for s in range(oca.n_states):
         # trace_vp at v is trace_v at v + period whenever both are audited
         traces: dict[int, OracleTrace] = {}
         for v in vs:
@@ -853,17 +850,13 @@ def check_shift_periodicity(
                 if u not in traces:
                     traces[u] = level_sets(oca, Configuration(s, u), level_cap, counter_cap)
             trace_v, trace_vp = traces[v], traces[v + period]
-            core = core_levels(v, bundle)
-            core_set = set(core)
+            core_set = set(core_levels(v, bundle))
             seg_of = {}
             for i in range(bundle.m + 1):
                 start = segment_start(i, v, bundle)
                 for lv in range(start, start + bundle.seg_threshold):
                     seg_of.setdefault(lv, i)
-            probe = lengths if lengths is not None else sorted(
-                set(core) | {lv for lv in range(period, level_cap + 1)}
-            )
-            for lv in probe:
+            for lv in sorted(core_set | set(range(period, level_cap + 1))):
                 if lv in core_set:
                     shifted = shift_map(lv, v, bundle)
                     seg = seg_of[lv]

@@ -61,11 +61,11 @@ def ctl_constants(op: Kind, child_pairs: list[TpPair], k: int) -> TpPair:
         return uniform_pair(child_pairs)
     if op is Kind.EX:
         (t, p), = child_pairs
-        return TpPair(bignum.add(t, p), bignum.multiply(big_k, p))
+        return TpPair(t + p, big_k * p)
     # EU / AU
     (t1, p1), (t2, p2) = child_pairs
-    period = bignum.lcm(bignum.multiply(big_k, p1), p2)
-    threshold = bignum.add(bignum.maximum(t1, t2), bignum.multiply(2 * k * k, period))
+    period = bignum.lcm(big_k * p1, p2)
+    threshold = bignum.maximum(t1, t2) + 2 * k * k * period
     return TpPair(threshold, period)
 
 
@@ -150,9 +150,9 @@ def ua_constants(
     if b < 1:
         raise ValueError("scheme bound must be positive")
     B = bignum.lcm_range(2 * b**3)
-    period = bignum.multiply(B, prev_p)
-    seg_threshold = bignum.multiply(b**9, period)
-    counter_threshold = bignum.multiply(b**11, period)
+    period = B * prev_p
+    seg_threshold = b**9 * period
+    counter_threshold = b**11 * period
     m = _totient_sum(b)
     below = b < 3
     if not (period > prev_t):

@@ -153,6 +153,21 @@ class TestValidate:
         assert code == 1 and doc["error"]["kind"] == "input"
         check_schema(schema, doc)
 
+    def test_unreadable_path_exits_one(self, capsys, schema, tmp_path):
+        code, doc, _ = run(capsys, "validate", "--oca", str(tmp_path))
+        assert code == 1 and doc["error"]["kind"] == "input"
+        assert doc["error"]["message"].startswith("cannot read automaton file: ")
+        check_schema(schema, doc)
+
+    @pytest.mark.parametrize("label", [[], "a", 3])
+    def test_label_not_an_object_exits_one(self, capsys, schema, tmp_path, label):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"states": ["a"], "label": label, "transitions": []}))
+        code, doc, _ = run(capsys, "validate", "--oca", str(path))
+        assert code == 1 and doc["error"]["kind"] == "input"
+        assert doc["error"]["message"].startswith("malformed automaton JSON: ")
+        check_schema(schema, doc)
+
 
 class TestInvalidAutomata:
     """Every subcommand but ``validate`` refuses an invalid automaton at load,
@@ -194,6 +209,44 @@ class TestInvalidAutomata:
         assert code == 1 and doc["error"]["message"] == "automaton invalid"
         assert doc["error"]["diagnostics"] == validate(loads(self.AUTOMATA[name]))
         check_schema(schema, doc)
+
+
+class TestArgumentErrors:
+    """A command line argparse rejects exits 1 (malformed input), not 2 (the
+    budget code); under a known subcommand it prints one error document."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("check", "--b", "x"), "argument --b: invalid int value: 'x'"),
+        (("lps", "--oca", "countdown", "--src", "s"),
+         "the following arguments are required: --dst"),
+        (("cross-check", "--oca", "countdown", "--formula", "p", "--init", "s,0",
+          "--caps", "-1,5"), "argument --caps: expected one argument"),
+        (("oracle", "--oca", "countdown", "--formula", "p", "--init", "s,0", "--zzz", "1"),
+         "unrecognized arguments: --zzz 1"),
+    ], ids=["check", "lps", "cross-check", "oracle"])
+    def test_known_subcommand_prints_an_input_error(self, capsys, schema, argv, message):
+        code, doc, _ = run(capsys, *argv)
+        assert code == 1
+        assert doc == {"command": argv[0], "ok": False,
+                       "error": {"kind": "input", "message": message}}
+        check_schema(schema, doc)
+
+    @pytest.mark.parametrize("argv, message", [
+        ((), "the following arguments are required: command"),
+        (("bogus", "--oca", "countdown"), "argument command: invalid choice: 'bogus'"),
+    ], ids=["missing", "unknown"])
+    def test_no_known_subcommand_writes_stderr_only(self, capsys, argv, message):
+        assert main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"ocasync: error: {message}" in captured.err
+
+    def test_help_still_exits_zero(self, capsys):
+        for argv in (["-h"], ["check", "-h"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert "usage: ocasync" in capsys.readouterr().out
 
 
 class TestOtherCommands:

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from ocasync.errors import FormulaSyntaxError
 from ocasync.formula import (
     FALSE, TRUE, Formula, Kind, atom, au, eu, ex, formula_atoms, land, lnot,
-    lor, nesting_depth, parse_formula, pretty, subformulas, ua, ue,
+    lor, parse_formula, pretty, subformulas, ua, ue,
 )
 
 
@@ -69,18 +69,6 @@ class TestParsing:
 
 
 class TestStructure:
-    def test_nesting_depth_atoms(self):
-        assert nesting_depth(atom("p")) == 0
-        assert nesting_depth(TRUE) == 0
-
-    def test_nesting_depth_single_sync(self):
-        assert nesting_depth(ua(TRUE, atom("p"))) == 1
-
-    def test_nesting_depth_counts_temporal_only(self):
-        f = au(atom("p"), ua(TRUE, atom("q")))
-        assert nesting_depth(f) == 2
-        assert nesting_depth(land(atom("p"), lnot(atom("q")))) == 0
-
     def test_subformulas_children_before_parents(self):
         f = au(atom("p"), ua(TRUE, atom("q")))
         subs = subformulas(f)

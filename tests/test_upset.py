@@ -1,27 +1,11 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
-from ocasync.upset import (
-    UpSet, bool_op, complement, empty, from_progressions, full, intersect,
-    normalize, singleton, to_progressions, tp_equivalent, union,
-)
+from ocasync.upset import UpSet, normalize
 
 
 def members(u, bound):
     return [v for v in range(bound + 1) if u.member(v)]
-
-
-def brute_progression_members(progs, bound):
-    out = set()
-    for off, stride in progs:
-        if stride == 0:
-            if off <= bound:
-                out.add(off)
-        else:
-            out.update(range(off, bound + 1, stride))
-    return sorted(out)
 
 
 upsets = st.builds(
@@ -35,48 +19,6 @@ upsets = st.builds(
     st.frozensets(st.integers(0, 5), max_size=6),
     st.frozensets(st.integers(0, 5), max_size=6),
 )
-
-
-class TestBoolOps:
-    def test_complement_of_full_is_empty(self):
-        assert bool_op("COMPLEMENT", full()) == empty()
-
-    def test_union_of_evens_and_odds_is_full(self):
-        evens = UpSet(0, 2, frozenset(), frozenset({0}))
-        odds = UpSet(0, 2, frozenset(), frozenset({1}))
-        assert bool_op("UNION", evens, odds) == full()
-
-    def test_intersect_enumerated_memberships(self):
-        at_least_two = UpSet(2, 1, frozenset(), frozenset({0}))
-        mult3 = UpSet(0, 3, frozenset(), frozenset({0}))
-        got = bool_op("INTERSECT", at_least_two, mult3)
-        assert [got.member(v) for v in (0, 2, 3, 4, 6)] == [False, False, True, False, True]
-        # derived oracle: memberships up to 20 by definition
-        assert members(got, 20) == [v for v in range(21) if v >= 2 and v % 3 == 0]
-
-    def test_bool_op_arity_checks(self):
-        with pytest.raises(ValueError):
-            bool_op("COMPLEMENT", full(), full())
-        with pytest.raises(ValueError):
-            bool_op("UNION", full())
-        with pytest.raises(ValueError):
-            bool_op("XOR", full(), full())
-
-    @given(upsets, upsets)
-    def test_ops_agree_with_pointwise_sets(self, a, b):
-        bound = a.threshold + b.threshold + 3 * math.lcm(a.period, b.period)
-        sa, sb = set(members(a, bound)), set(members(b, bound))
-        assert set(members(union(a, b), bound)) == sa | sb
-        assert set(members(intersect(a, b), bound)) == sa & sb
-        assert set(members(complement(a), bound)) == set(range(bound + 1)) - sa
-
-    @given(upsets, upsets)
-    def test_de_morgan(self, a, b):
-        bound = a.threshold + b.threshold + 3 * math.lcm(a.period, b.period)
-        lhs = complement(union(a, b))
-        rhs = intersect(complement(a), complement(b))
-        assert lhs == rhs  # canonical forms make this structural
-        assert members(lhs, bound) == members(rhs, bound)
 
 
 class TestNormalize:
@@ -104,57 +46,6 @@ class TestNormalize:
             assert n.member(v) == n.member(v + n.period)
 
 
-class TestProgressions:
-    def test_singleton(self):
-        assert from_progressions([(1, 0)]) == UpSet(2, 1, frozenset({1}), frozenset())
-        assert from_progressions([(1, 0)]) == singleton(1)
-
-    def test_plain_stride(self):
-        assert from_progressions([(0, 2)]) == UpSet(0, 2, frozenset(), frozenset({0}))
-
-    def test_round_trip_extensionally_equal(self):
-        u = UpSet(3, 4, frozenset({0, 2}), frozenset({1, 2}))
-        back = from_progressions(to_progressions(u))
-        assert members(back, 50) == members(u, 50)
-        assert back == normalize(u)
-
-    def test_to_progressions_offsets_below_t_plus_p(self):
-        u = normalize(UpSet(3, 4, frozenset({0, 2}), frozenset({1, 2})))
-        for off, stride in to_progressions(u):
-            assert off < u.threshold + u.period
-            assert stride in (0, u.period)
-
-    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 5)), max_size=5))
-    def test_from_progressions_matches_brute_force(self, progs):
-        u = from_progressions(progs)
-        assert members(u, 40) == brute_progression_members(progs, 40)
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            from_progressions([(-1, 2)])
-
-
-class TestTpEquivalent:
-    def test_above_threshold_congruent(self):
-        assert tp_equivalent(7, 13, 5, 3)
-
-    def test_below_threshold_requires_equality(self):
-        assert tp_equivalent(2, 2, 5, 3)
-        assert not tp_equivalent(2, 3, 5, 3)
-
-    def test_mixed_sides_fail(self):
-        assert not tp_equivalent(4, 7, 5, 3)
-
-    def test_period_must_be_positive(self):
-        with pytest.raises(ValueError):
-            tp_equivalent(1, 1, 0, 0)
-
-    @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 10), st.integers(1, 8))
-    def test_is_an_equivalence_on_samples(self, u, v, t, p):
-        assert tp_equivalent(u, u, t, p)
-        assert tp_equivalent(u, v, t, p) == tp_equivalent(v, u, t, p)
-
-
 class TestValidation:
     def test_field_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -164,6 +55,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             UpSet(0, 2, frozenset(), frozenset({2}))
 
-    def test_json_round_trip(self):
-        u = normalize(UpSet(3, 4, frozenset({1}), frozenset({2})))
-        assert UpSet.from_json(u.to_json()) == u
