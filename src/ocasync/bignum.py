@@ -25,23 +25,27 @@ MATERIALIZE_LIMIT = 50_000
 _LN2 = math.log(2)
 
 
+def _primes(n: int) -> list[int]:
+    """The primes up to ``n``, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
+    return [p for p in range(2, n + 1) if sieve[p]]
+
+
 @lru_cache(maxsize=None)
 def _exact_lcm_range(n: int) -> int:
     if n < 1:
         raise ValueError("range must reach at least 1")
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
     factors = []
-    for p in range(2, n + 1):
-        if sieve[p]:
-            pk = p
-            while pk * p <= n:
-                pk *= p
-            factors.append(pk)
-    return math.prod(factors) if factors else 1
+    for p in _primes(n):
+        pk = p
+        while pk * p <= n:
+            pk *= p
+        factors.append(pk)
+    return math.prod(factors)
 
 
 @lru_cache(maxsize=None)
@@ -77,15 +81,8 @@ def _log2_lcm_estimate(n: int) -> float:
     if n <= MATERIALIZE_LIMIT:
         return float(_exact_lcm_range(n).bit_length())
     correction = 0.0
-    bound = int(n**0.5) + 1
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(bound**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    for p in range(2, bound + 1):
-        if sieve[p]:
-            correction += (int(math.log(n, p)) - 1) * math.log2(p)
+    for p in _primes(int(n**0.5) + 1):
+        correction += (int(math.log(n, p)) - 1) * math.log2(p)
     return n / _LN2 + correction
 
 

@@ -74,11 +74,12 @@ def _parse_caps(text: str) -> tuple[int, int]:
 
 
 def _check_args(args) -> dict:
-    """``check_oca`` keyword arguments from the mode flags (``--mode``,
-    ``--caps``, ``--b``, ``--budget``, ``--mine-v-cap``)."""
-    mode, supplied = _parse_mode(args.mode)
+    """``check_oca`` keyword arguments from the mode flags; the defaults of
+    ``--mode`` and ``--caps`` apply here, after any job file has filled them."""
+    mode, supplied = _parse_mode("empirical" if args.mode is None else args.mode)
     return {
-        "mode": mode, "supplied": supplied, "caps": _parse_caps(args.caps),
+        "mode": mode, "supplied": supplied,
+        "caps": _parse_caps("60,200" if args.caps is None else args.caps),
         "b_override": args.b, "node_budget": args.budget, "mine_v_cap": args.mine_v_cap,
     }
 
@@ -170,7 +171,7 @@ def _apply_job_file(args) -> None:
         if not isinstance(value, kind) or isinstance(value, bool):
             noun = "a string" if kind is str else "an integer"
             raise OcaSyntaxError(f"job key {key!r} must be {noun}, got {json.dumps(value)}")
-        if getattr(args, attr, None) in (None, _unset_defaults.get(attr)):
+        if getattr(args, attr) is None:
             setattr(args, attr, value)
 
 
@@ -179,7 +180,6 @@ _job_keys = {
     "mode": ("mode", str), "caps": ("caps", str), "b": ("b", int),
     "budget": ("budget", int), "mineVCap": ("mine_v_cap", int),
 }
-_unset_defaults = {"mode": "empirical", "caps": "60,200"}
 
 
 def _cmd_check(args) -> int:
@@ -356,9 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--init", required=required,
                            help="initial configuration state,counter")
         if mode:
-            p.add_argument("--mode", default="empirical",
-                           help="paper | supplied:t,p | empirical")
-            p.add_argument("--caps", default="60,200", help="counterCap,levelCap")
+            p.add_argument("--mode", help="paper | supplied:t,p | empirical (default)")
+            p.add_argument("--caps", help="counterCap,levelCap (default 60,200)")
             p.add_argument("--b", type=int, default=None,
                            help="override the path-scheme bound for paper constants")
             p.add_argument("--budget", type=int, default=None,

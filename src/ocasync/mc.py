@@ -475,9 +475,19 @@ def _mined_pairs(
     return pairs, caveats
 
 
-def node_budget_default() -> int:
-    env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_NODE_BUDGET
+def check_budget(
+    what: str, required: bignum.Number, unit: str, budget: int | None = None
+) -> None:
+    """Raise ``BudgetExceededError`` before ``required`` units go over ``budget``
+    (default ``OCASYNC_BUDGET``, else 10^6); a symbolic ``required`` always does."""
+    if budget is None:
+        budget = int(os.environ.get(BUDGET_ENV_VAR) or DEFAULT_NODE_BUDGET)
+    if bignum.is_symbolic(required) or required > budget:
+        needed = bignum.to_jsonable(required)
+        raise BudgetExceededError(
+            f"{what} {needed} {unit}, over the budget of {budget}",
+            required=needed, budget=budget,
+        )
 
 
 def check_oca(
@@ -526,14 +536,7 @@ def check_oca(
     # the residue window sits strictly inside the periodic region
     t_uniform, p_uniform = uniform_pair(pairs.values())
     t_eff = t_uniform + 2
-    budget = node_budget if node_budget is not None else node_budget_default()
-    required = oca.n_states * (t_eff + p_uniform)
-    if bignum.is_symbolic(required) or required > budget:
-        needed = bignum.to_jsonable(required)
-        raise BudgetExceededError(
-            f"unfolding needs {needed} nodes, over the budget of {budget}",
-            required=needed, budget=budget,
-        )
+    check_budget("unfolding needs", oca.n_states * (t_eff + p_uniform), "nodes", node_budget)
 
     kripke = unfold_kripke(oca, t_eff, p_uniform)
     width = t_eff + p_uniform

@@ -5,7 +5,8 @@ transitions guarded on whether the counter is zero (``=0``) or positive
 (``>0``) with effects in {-1, 0, +1}.  Zero-guarded transitions may not
 decrement.  The transition relation is required to be total: every state
 needs at least one outgoing transition under each guard, so no configuration
-deadlocks.
+deadlocks.  Configuration sets are counter bitsets stepped forward and
+backward (``step_rows``, ``pre_rows``), both pinned against ``successors``.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ class Oca:
     @cached_property
     def row_steps(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Per state, the destination states of its transitions grouped as
-        (``=0`` effect 0, ``=0`` effect +1, ``>0`` effect -1, ``>0``
-        effect 0, ``>0`` effect +1): the step table of ``step_rows``."""
+        (``=0`` effect 0, ``=0`` effect +1, ``>0`` effect -1, ``>0`` effect 0,
+        ``>0`` effect +1): the table ``step_rows`` and ``pre_rows`` read."""
         slot = {(ZERO, 0): 0, (ZERO, 1): 1, (POS, -1): 2, (POS, 0): 3, (POS, 1): 4}
         table = [[[] for _ in slot] for _ in range(self.n_states)]
         for t in self.transitions:
@@ -129,7 +130,7 @@ def successors(oca: Oca, c: Configuration) -> set[Configuration]:
 # Configuration sets as counter bitsets
 #
 # A set of configurations is one tuple of ``n_states`` non-negative ints, its
-# rows: bit v of row s means configuration (s, v).  One level step is one
+# rows: bit v of row s means configuration (s, v).  A step either way is one
 # mask-and-shift per transition: ``=0`` reads bit 0, ``>0`` clears it, and
 # the effect shifts the row.
 
@@ -176,6 +177,26 @@ def step_rows(oca: Oca, rows: Rows) -> list[int]:
             for d in inc:
                 nxt[d] |= up
     return nxt
+
+
+def pre_rows(oca: Oca, rows: Rows, mask: int) -> Rows:
+    """The configurations under ``mask`` (the same bits in every row) with a
+    successor in ``rows``; ``mask=-1`` admits every counter."""
+    out = []
+    for zero_stay, zero_inc, dec, stay, inc in oca.row_steps:
+        zero = pos = 0
+        for d in zero_stay:
+            zero |= rows[d]
+        for d in zero_inc:
+            zero |= rows[d] >> 1
+        for d in stay:
+            pos |= rows[d]
+        for d in dec:
+            pos |= rows[d] << 1
+        for d in inc:
+            pos |= rows[d] >> 1
+        out.append(((zero & 1) | (pos & -2)) & mask)
+    return tuple(out)
 
 
 def iter_level_rows(
@@ -320,10 +341,8 @@ def parse_oca_text(text: str) -> Oca:
             names = line[len("states:"):].replace(",", " ").split()
             if not names:
                 raise OcaSyntaxError("empty states declaration", lineno, 1)
-            for n in names:
-                if n in state_names:
-                    raise OcaSyntaxError(f"duplicate state {n!r}", lineno, 1)
-                state_names.append(n)
+            state_names += names
+            _index_states(state_names, lineno)
             continue
         if line.startswith("atoms:"):
             atoms.update(line[len("atoms:"):].replace(",", " ").split())
@@ -341,19 +360,34 @@ def parse_oca_text(text: str) -> Oca:
             continue
         raise OcaSyntaxError(f"unrecognized line {line!r}", lineno, 1)
 
-    if not state_names:
-        raise OcaSyntaxError("no states declared", 1, 1)
-    index = {n: i for i, n in enumerate(state_names)}
-    for name in list(labels) + [t[0] for t in transitions] + [t[3] for t in transitions]:
+    return _named_oca(state_names, atoms, labels, transitions, 1)
+
+
+def _index_states(names: list[str], lineno: int = 0) -> dict[str, int]:
+    """Each state's index; a state declared twice is an ``OcaSyntaxError``
+    at ``lineno``."""
+    index: dict[str, int] = {}
+    for name in names:
+        if name in index:
+            raise OcaSyntaxError(f"duplicate state {name!r}", lineno, 1)
+        index[name] = len(index)
+    return index
+
+
+def _named_oca(names, atoms, labels, transitions, lineno: int = 0) -> Oca:
+    """Both readers' automaton, from states, atoms, labels and (src, guard,
+    effect, dst) transitions by state name; no states, a state declared twice,
+    or one used but not declared is an ``OcaSyntaxError`` at ``lineno``."""
+    if not names:
+        raise OcaSyntaxError("no states declared", lineno, 1)
+    index = _index_states(names, lineno)
+    for name in [*labels, *(t[0] for t in transitions), *(t[3] for t in transitions)]:
         if name not in index:
-            raise OcaSyntaxError(f"undeclared state {name!r}", 1, 1)
+            raise OcaSyntaxError(f"undeclared state {name!r}", lineno, 1)
     return Oca(
-        state_names=tuple(state_names),
-        atoms=frozenset(atoms),
-        labels=tuple(frozenset(labels.get(n, ())) for n in state_names),
-        transitions=tuple(
-            Transition(index[s], g, e, index[d]) for (s, g, e, d) in transitions
-        ),
+        tuple(names), frozenset(atoms),
+        tuple(frozenset(labels.get(n, ())) for n in names),
+        tuple(Transition(index[s], g, e, index[d]) for s, g, e, d in transitions),
     )
 
 
@@ -371,19 +405,29 @@ def oca_to_json(oca: Oca) -> dict:
     }
 
 
+def _strings(value: object, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise TypeError(f"{what} must be a list of strings, got {json.dumps(value)}")
+    return value
+
+
 def parse_oca_json(doc: dict) -> Oca:
+    """Parse the JSON mirror of the text format, with the same state checks."""
     try:
-        state_names = list(doc["states"])
-        atoms = set(doc.get("atoms", []))
-        index = {n: i for i, n in enumerate(state_names)}
-        labels = [frozenset(doc.get("label", {}).get(n, ())) for n in state_names]
+        state_names = _strings(doc["states"], "states")
+        atoms = _strings(doc.get("atoms", []), "atoms")
+        labels = {n: _strings(a, f"label of {n!r}") for n, a in doc.get("label", {}).items()}
         transitions = [
-            Transition(index[t["src"]], t["guard"], int(t["effect"]), index[t["dst"]])
-            for t in doc["transitions"]
+            (t["src"], t["guard"], t["effect"], t["dst"]) for t in doc["transitions"]
         ]
-    except (KeyError, TypeError, AttributeError) as exc:
+        for _, guard, effect, _ in transitions:
+            if guard not in (ZERO, POS):
+                raise ValueError(f"unknown guard {json.dumps(guard)}")
+            if type(effect) is not int:
+                raise TypeError(f"effect must be an integer, got {json.dumps(effect)}")
+        return _named_oca(state_names, atoms, labels, transitions)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise OcaSyntaxError(f"malformed automaton JSON: {exc}") from exc
-    return Oca(tuple(state_names), frozenset(atoms), tuple(labels), tuple(transitions))
 
 
 def oca_to_text(oca: Oca) -> str:

@@ -7,15 +7,15 @@ answer.  Every configuration set is kept in ``oca``'s counter-bitset layout:
 one Python int per state, its row, whose bit v is the configuration
 (state, v).  Over the capped region a formula's verdicts are one pair of row
 tuples, (TRUE, FALSE), with UNKNOWN everywhere else; the plain-until
-fixpoints iterate an in-region pre-image of rows, and the synchronized scans
+fixpoints iterate ``oca.pre_rows`` in the region, and the synchronized scans
 test the levels of ``oca.iter_level_rows`` against these rows with a few
 ANDs per level.  A synchronized UE formula is decided by one witness scan
 over a per-formula exact-distance index, which can answer TRUE only, plus a
 FALSE repeat rule for scans that found no witness on a cap-closed component.
 Uses: differential testing of the finite-structure checker, mining empirical
 threshold/period pairs, and auditing the segment/shift periodicity of level
-sets at scaled-down constant bundles.  The region counts against the same
-node budget as the checker's unfolding.
+sets at scaled-down constant bundles.  The region, the mining samples and
+the audit traces go through ``mc.check_budget``, as the unfolding does.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .errors import BudgetExceededError
 from .formula import Formula, Kind, pretty
 from .lps import analyze_cycle_repetitions, compress_path_with_exponents
 from .oca import (
-    Configuration, Oca, OracleTrace, Rows, iter_level_rows, level_sets, row_bits,
-    step_rows, successors, witness_path,
+    Configuration, Oca, OracleTrace, Rows, iter_level_rows, level_sets, pre_rows,
+    row_bits, step_rows, successors, witness_path,
 )
 from .periodicity import ConstantBundle, TpPair, core_levels, segment_start, shift_map
 
@@ -66,17 +66,6 @@ def _and(a: Verdict, b: Verdict) -> Verdict:
 Split = tuple[Rows, Rows]
 
 
-def _check_budget(what: str, required: int, unit: str) -> None:
-    """Raise ``BudgetExceededError`` before allocating ``required`` units
-    over the node budget."""
-    budget = mc.node_budget_default()
-    if required > budget:
-        raise BudgetExceededError(
-            f"{what} {required} {unit}, over the budget of {budget}",
-            required=required, budget=budget,
-        )
-
-
 def _meets(a: Rows, b: Rows) -> bool:
     """True iff the two row tuples share a configuration."""
     return any(map(int.__and__, a, b))
@@ -108,12 +97,11 @@ class BoundedEvaluator:
     def __init__(self, oca: Oca, counter_cap: int, level_cap: int):
         if counter_cap < 0 or level_cap < 0:
             raise ValueError("caps must be non-negative")
-        _check_budget("oracle region needs", oca.n_states * (counter_cap + 1), "configurations")
+        mc.check_budget("oracle region needs", oca.n_states * (counter_cap + 1), "configurations")
         self.oca = oca
         self.counter_cap = counter_cap
         self.level_cap = level_cap
         self._full = (1 << (counter_cap + 1)) - 1
-        self._succ: dict[Configuration, tuple[Configuration, ...]] = {}
         self._splits: dict[Formula, Split] = {}
         self._distance_index: dict[Formula, _Distances] = {}
         self._sync_memo: dict[tuple[Formula, Configuration], Verdict] = {}
@@ -121,46 +109,15 @@ class BoundedEvaluator:
 
     # -- configuration graph -------------------------------------------------
 
-    def succ(self, c: Configuration) -> tuple[Configuration, ...]:
-        cached = self._succ.get(c)
-        if cached is None:
-            cached = tuple(sorted(successors(self.oca, c)))
-            self._succ[c] = cached
-        return cached
-
     def _levels(self, c: Configuration):
         return iter_level_rows(self.oca, c, self.level_cap, self.counter_cap)
 
-    def _pre(self, rows: Rows) -> Rows:
-        """The in-region configurations with a successor in ``rows``, which
-        must lie inside the region."""
-        full = self._full
-        out = []
-        for zero_stay, zero_inc, dec, stay, inc in self.oca.row_steps:
-            zero = pos = 0
-            for d in zero_stay:
-                zero |= rows[d]
-            for d in zero_inc:
-                zero |= rows[d] >> 1
-            for d in stay:
-                pos |= rows[d]
-            for d in dec:
-                pos |= rows[d] << 1
-            for d in inc:
-                pos |= rows[d] >> 1
-            out.append((zero & 1) | (pos & full & -2))
-        return tuple(out)
-
     @cached_property
     def _boundary(self) -> Rows:
-        """The region configurations with a successor above the counter cap:
-        a ``>0`` increment at the cap, or a ``=0`` increment when the cap
-        is 0."""
-        cap = self.counter_cap
-        return tuple(
-            (1 << cap) if (inc if cap else zero_inc) else 0
-            for _, zero_inc, _, _, inc in self.oca.row_steps
-        )
+        """The region configurations with a successor above the counter cap,
+        which can only be one just above it."""
+        above = (2 << self.counter_cap,) * self.oca.n_states
+        return pre_rows(self.oca, above, self._full)
 
     @cached_property
     def escaping(self) -> Rows:
@@ -172,8 +129,8 @@ class BoundedEvaluator:
     @cached_property
     def _state_step(self) -> dict[int, set[int]]:
         """The states one transition away from each state, under either guard."""
-        return {s: {t.dst for t in self.oca.transitions if t.src == s}
-                for s in range(self.oca.n_states)}
+        return {s: {d for dsts in steps for d in dsts}
+                for s, steps in enumerate(self.oca.row_steps)}
 
     def may_must_states(self, f: Formula) -> tuple[frozenset[int], frozenset[int]]:
         """(may, must): states where f could hold for some counter, and states
@@ -234,7 +191,7 @@ class BoundedEvaluator:
             return _and(self.verdict(f.children[0], c), self.verdict(f.children[1], c))
         if kind is Kind.EX:
             best = Verdict.FALSE
-            for d in self.succ(c):
+            for d in successors(self.oca, c):
                 v = self.verdict(f.children[0], d)
                 if v is Verdict.TRUE:
                     return Verdict.TRUE
@@ -306,9 +263,8 @@ class BoundedEvaluator:
         the least R with R = seed | (pre(R) & allowed)."""
         reached = frontier = seed
         while any(frontier):
-            frontier = tuple(
-                p & a & ~r for p, a, r in zip(self._pre(frontier), allowed, reached)
-            )
+            pre = pre_rows(self.oca, frontier, self._full)
+            frontier = tuple(p & a & ~r for p, a, r in zip(pre, allowed, reached))
             reached = tuple(map(int.__or__, reached, frontier))
         return reached
 
@@ -344,7 +300,7 @@ class BoundedEvaluator:
         ok = tuple(t1 & ~e for t1, e in zip(true1, self._boundary))
         sure = true2
         while True:
-            blocked = self._pre(tuple(full ^ r for r in sure))
+            blocked = pre_rows(self.oca, tuple(full ^ r for r in sure), full)
             new = tuple(o & ~b & ~r for o, b, r in zip(ok, blocked, sure))
             if not any(new):
                 break
@@ -352,7 +308,7 @@ class BoundedEvaluator:
         # an infinite all-not-goal path inside the region refutes universally
         lasso = false2
         while True:
-            kept = tuple(map(int.__and__, lasso, self._pre(lasso)))
+            kept = tuple(map(int.__and__, lasso, pre_rows(self.oca, lasso, full)))
             if kept == lasso:
                 break
             lasso = kept
@@ -461,7 +417,7 @@ class BoundedEvaluator:
                     mask_s[v] |= bit
             if m == cap:
                 break
-            layer = self._pre(layer)
+            layer = pre_rows(self.oca, layer, self._full)
             if layer in first:
                 start = first[layer]
                 period = m + 1 - start
@@ -577,7 +533,7 @@ def mine_period(
     """
     if v_cap < 2:
         raise ValueError("need at least counters 0..2 to mine a period")
-    _check_budget("period mining samples", v_cap + 1, "counters")
+    mc.check_budget("period mining samples", v_cap + 1, "counters")
     ev = evaluator or BoundedEvaluator(oca, *caps)
     row = [ev.verdict(f, Configuration(state, v)) for v in range(v_cap + 1)]
     for t in range(v_cap - 1):
@@ -755,8 +711,7 @@ def _slope_diagnostics(
     path = witness_path(oca, trace, target, level)
     if path is None:
         return None
-    index = {t: i for i, t in enumerate(oca.transitions)}
-    idx_path = tuple(index[t] for t in path)
+    idx_path = tuple(map(oca.transitions.index, path))
     scheme, exponents = compress_path_with_exponents(
         oca, trace.origin.state, idx_path
     )
@@ -837,7 +792,7 @@ def check_shift_periodicity(
         )
     if counter_cap is None:
         counter_cap = max(vs) + period + level_cap + 1
-    _check_budget(
+    mc.check_budget(
         "level-set audit traces", (level_cap + 1) * oca.n_states * (counter_cap + 1),
         "configurations",
     )

@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from ocasync import corpus, mc
 from ocasync.cli import _dumps, main
+from ocasync.errors import OcaSyntaxError
 from ocasync.formula import parse_formula
 from ocasync.oca import Configuration, loads, oca_to_json, validate
 
@@ -77,6 +78,30 @@ class TestCheck:
         check_schema(schema, doc)
         code, doc, _ = run(capsys, "check", "--job", str(job), "--init", "s,0")
         assert code == 0 and doc["data"]["witnessK"] == 1
+
+    def test_explicit_mode_flag_overrides_the_job_file(self, capsys, schema, tmp_path):
+        # an explicit flag wins even when it spells the default
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "oca": "countdown", "formula": "FA p", "init": "s,2", "mode": "supplied:3,1",
+        }))
+        code, doc, _ = run(capsys, "check", "--job", str(job))
+        assert code == 0 and doc["data"]["caveats"][0].startswith("threshold/period pair supplied")
+        code, doc, _ = run(capsys, "check", "--job", str(job), "--mode", "empirical")
+        assert code == 0 and doc["data"]["caveats"][0].startswith("constants mined empirically")
+        check_schema(schema, doc)
+
+    def test_explicit_caps_flag_overrides_the_job_file(self, capsys, schema, tmp_path):
+        # caps 1,1 leave mining no counters 0..2, so the job alone is refused
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "oca": "countdown", "formula": "FA p", "init": "s,2", "caps": "1,1",
+        }))
+        code, doc, _ = run(capsys, "check", "--job", str(job))
+        assert code == 1 and doc["error"]["kind"] == "input"
+        code, doc, _ = run(capsys, "check", "--job", str(job), "--caps", "60,200")
+        assert code == 0 and doc["data"]["witnessK"] == 3
+        check_schema(schema, doc)
 
     def test_job_file_unknown_keys_rejected(self, capsys, schema, tmp_path):
         job = tmp_path / "job.json"
@@ -209,6 +234,55 @@ class TestInvalidAutomata:
         assert code == 1 and doc["error"]["message"] == "automaton invalid"
         assert doc["error"]["diagnostics"] == validate(loads(self.AUTOMATA[name]))
         check_schema(schema, doc)
+
+
+def _countdown_json(**changes):
+    """Countdown's JSON form with top-level keys replaced and the first
+    transition's effect set by ``effect``."""
+    doc = oca_to_json(corpus.load("countdown"))
+    if "effect" in changes:
+        doc["transitions"][0]["effect"] = changes.pop("effect")
+    doc.update(changes)
+    return doc
+
+
+class TestMalformedJsonAutomata:
+    """A JSON automaton is read as strictly as the text format: each of
+    these is refused at load as malformed input."""
+
+    CASES = {
+        "states-string": (_countdown_json(states="st"),
+                          'states must be a list of strings, got "st"'),
+        "effect-fraction": (_countdown_json(effect=0.9), "effect must be an integer, got 0.9"),
+        "effect-negative-fraction": (_countdown_json(effect=-1.5),
+                                     "effect must be an integer, got -1.5"),
+        "effect-bool": (_countdown_json(effect=True), "effect must be an integer, got true"),
+        "effect-string": (_countdown_json(effect="1"), 'effect must be an integer, got "1"'),
+        "duplicate-state": (_countdown_json(states=["s", "t", "t"]), "duplicate state 't'"),
+        "no-states": (_countdown_json(states=[], label={}, transitions=[]),
+                      "no states declared"),
+        "undeclared-label": (_countdown_json(label={"s": [], "t": ["p"], "u": ["p"]}),
+                             "undeclared state 'u'"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_refused_at_load(self, capsys, schema, tmp_path, name):
+        doc, message = self.CASES[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "check", "--oca", str(path), "--formula", "FA p",
+                           "--init", "s,2")
+        assert code == 1 and out["error"] == {
+            "kind": "input", "message": f"malformed automaton JSON: {message}"}
+        check_schema(schema, out)
+
+    def test_text_format_messages_are_unchanged(self):
+        with pytest.raises(OcaSyntaxError, match=r"^2:1: duplicate state 's'$"):
+            loads("states: s t\nstates: s\n")
+        with pytest.raises(OcaSyntaxError, match=r"^1:1: undeclared state 'u'$"):
+            loads("states: s\nlabel u = {p}\n")
+        with pytest.raises(OcaSyntaxError, match=r"^1:1: no states declared$"):
+            loads("atoms: p\n")
 
 
 class TestArgumentErrors:

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from ocasync import corpus
+from ocasync import bignum, corpus
 from ocasync.errors import BudgetExceededError, StepCapExceededError
 from ocasync.formula import TRUE, atom, au, eu, parse_formula, ua, ue
 from ocasync.mc import (
-    Kripke, KripkeBuilder, check_oca, check_ua_on_kripke, check_ue_on_kripke,
-    counter_class, label_ctl, mask_of, nodes_of, unfold_kripke,
+    Kripke, KripkeBuilder, check_budget, check_oca, check_ua_on_kripke,
+    check_ue_on_kripke, counter_class, label_ctl, mask_of, nodes_of, unfold_kripke,
 )
+from ocasync.oracle import BoundedEvaluator
 from ocasync.oca import Configuration, successors
 from ocasync.periodicity import TpPair
 from conftest import random_total_oca
@@ -468,6 +469,47 @@ class TestCheckOca:
         for v in range(10):
             again = check_oca(fork, f, Configuration(0, v))
             assert again.holds == res.per_state["s"].member(v)
+
+
+class TestCheckBudget:
+    def test_default_budget_comes_from_the_environment(self, monkeypatch):
+        monkeypatch.delenv("OCASYNC_BUDGET", raising=False)
+        check_budget("x needs", 10**6, "units")
+        with pytest.raises(BudgetExceededError) as exc:
+            check_budget("x needs", 10**6 + 1, "units")
+        assert (exc.value.required, exc.value.budget) == (10**6 + 1, 10**6)
+        monkeypatch.setenv("OCASYNC_BUDGET", "10")
+        check_budget("x needs", 10, "units")
+        with pytest.raises(BudgetExceededError) as exc:
+            check_budget("x needs", 11, "units")
+        assert str(exc.value) == "x needs 11 units, over the budget of 10"
+        assert (exc.value.required, exc.value.budget) == (11, 10)
+
+    def test_explicit_budget_overrides_the_environment(self, monkeypatch):
+        monkeypatch.setenv("OCASYNC_BUDGET", "5")
+        check_budget("x needs", 8, "units", 8)
+        with pytest.raises(BudgetExceededError) as exc:
+            check_budget("x needs", 8, "units", 7)
+        assert (exc.value.required, exc.value.budget) == (8, 7)
+
+    def test_symbolic_requirement_is_always_over(self):
+        huge = bignum.lcm_range(bignum.MATERIALIZE_LIMIT + 1)
+        assert bignum.is_symbolic(huge)
+        with pytest.raises(BudgetExceededError) as exc:
+            check_budget("unfolding needs", huge, "nodes", 10**9)
+        assert exc.value.required == huge.to_json()
+
+    def test_oracle_region_over_256_bits_reports_a_bigint_summary(self, monkeypatch):
+        # two states at counter cap 2^256: 2^257 + 2 configurations
+        monkeypatch.delenv("OCASYNC_BUDGET", raising=False)
+        with pytest.raises(BudgetExceededError) as exc:
+            BoundedEvaluator(COUNTDOWN, 2**256, 1)
+        required = 2**257 + 2
+        summary = {"kind": "bigint", "bits": 258, "decimal_prefix": str(required)[:24]}
+        assert exc.value.required == summary
+        assert str(exc.value) == (
+            f"oracle region needs {summary} configurations, over the budget of 1000000"
+        )
 
 
 class TestWitnessReporting:

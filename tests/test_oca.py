@@ -8,8 +8,8 @@ from ocasync import oca as oca_module
 from ocasync.oca import (
     Configuration, Oca, Transition, POS, ZERO,
     iter_level_rows, level_sets, loads, oca_to_json, oca_to_text, parse_configuration,
-    parse_oca_json, parse_oca_text, rows_to_set, step_rows, successors, validate,
-    witness_path,
+    parse_oca_json, parse_oca_text, pre_rows, rows_to_set, step_rows, successors,
+    validate, witness_path,
 )
 from ocasync.errors import OcaSyntaxError
 from ocasync import corpus
@@ -192,7 +192,7 @@ def reference_witness_path(oca, trace, target, level):
 
 
 class TestIterLevels:
-    """The row stepper, pinned against naive ``successors``."""
+    """The row steppers, pinned against naive ``successors``."""
 
     def test_step_rows_matches_successors(self, rng):
         for _ in range(40):
@@ -204,6 +204,25 @@ class TestIterLevels:
                 want |= successors(oca, c)
             got = step_rows(oca, rows_of(configs, oca.n_states))
             assert rows_to_set(got) == want, (configs, oca)
+
+    def test_pre_rows_matches_successors(self, rng):
+        # the region mask of caps 0..5, and mask -1 with targets above any cap
+        for _ in range(40):
+            oca = random_total_oca(rng, n_states=rng.randint(1, 4))
+            cap = rng.randint(0, 5)
+            targets = {Configuration(rng.randrange(oca.n_states), rng.randint(0, cap + 1))
+                       for _ in range(rng.randint(0, 8))}
+            region = [Configuration(s, v) for s in range(oca.n_states)
+                      for v in range(cap + 1)]
+            got = pre_rows(oca, rows_of(targets, oca.n_states), (2 << cap) - 1)
+            assert rows_to_set(got) == {
+                c for c in region if successors(oca, c) & targets}, (targets, oca)
+            high = {Configuration(s, v + 70) for s, v in targets}
+            sources = [Configuration(s, v) for s in range(oca.n_states)
+                       for v in range(cap + 73)]
+            got = pre_rows(oca, rows_of(high, oca.n_states), -1)
+            assert rows_to_set(got) == {
+                c for c in sources if successors(oca, c) & high}, (high, oca)
 
     def test_matches_level_sets_and_path_enumeration(self, rng):
         # caps 0..3 with origins below, at and above the cap; the truncation

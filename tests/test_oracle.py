@@ -9,7 +9,7 @@ from ocasync.formula import (
     TRUE, atom, au, eu, ex, land, lnot, parse_formula, pretty, subformulas, ua, ue,
 )
 from ocasync.mc import SyncCheck
-from ocasync.oca import Configuration, parse_oca_text, rows_to_set, successors
+from ocasync.oca import Configuration, parse_oca_text, pre_rows, rows_to_set, successors
 from ocasync.oracle import (
     AGREE, CHECKER_UNKNOWN, DISAGREE, ORACLE_UNKNOWN,
     BoundedEvaluator, Verdict, check_shift_periodicity, cross_check,
@@ -330,11 +330,13 @@ class TestSynchronizedScan:
                 region = [Configuration(s, v) for s in range(oca.n_states)
                           for v in range(counter_cap + 1)]
                 for d in region:
-                    assert rows_to_set(ev._pre(rows_of([d], oca.n_states))) == {
+                    pre = pre_rows(oca, rows_of([d], oca.n_states), ev._full)
+                    assert rows_to_set(pre) == {
                         c for c in region if d in successors(oca, c)}
                 for _ in range(20):
                     target = {c for c in region if rng.random() < 0.3}
-                    assert rows_to_set(ev._pre(rows_of(target, oca.n_states))) == {
+                    pre = pre_rows(oca, rows_of(target, oca.n_states), ev._full)
+                    assert rows_to_set(pre) == {
                         c for c in region if successors(oca, c) & target}
                 assert rows_to_set(ev._boundary) == {
                     c for c in region
@@ -347,6 +349,17 @@ class TestSynchronizedScan:
                            for level in levels for d in level for e in succ(d)):
                         leaves.add(c)
                 assert rows_to_set(ev.escaping) == leaves
+
+    def test_boundary_matches_step_slots(self):
+        # the boundary read straight off ``row_steps``: a ``>0`` increment at
+        # the cap, or a ``=0`` increment when the cap is 0
+        for oca in self._automata():
+            for counter_cap in (0, 1, 2, 7):
+                ev = BoundedEvaluator(oca, counter_cap, 3)
+                assert ev._boundary == tuple(
+                    (1 << counter_cap) if (inc if counter_cap else zero_inc) else 0
+                    for _, zero_inc, _, _, inc in oca.row_steps
+                ), (oca, counter_cap)
 
     def test_false_rule_matches_exact_reference(self):
         # every cap-closed configuration with definite operands; states that
