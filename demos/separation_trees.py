@@ -7,32 +7,8 @@ the gap between the plain and the per-level existential until.
 """
 
 from ocasync import corpus
-from ocasync.formula import Kind, parse_formula, subformulas
-from ocasync.mc import check_ua_on_kripke, check_ue_on_kripke, label_ctl
-
-
-def satisfaction(kripke, formula):
-    sat = {}
-    for g in subformulas(formula):
-        if g.kind in (Kind.UA, Kind.UE):
-            fn = check_ua_on_kripke if g.kind is Kind.UA else check_ue_on_kripke
-            nodes = set()
-            witness = {}
-            for node in range(kripke.n):
-                res = fn(
-                    kripke, node,
-                    sum(1 << i for i in sat[g.children[0]]),
-                    sum(1 << i for i in sat[g.children[1]]),
-                    500,
-                )
-                if res.holds:
-                    nodes.add(node)
-                    witness[node] = res.witness_k
-            sat[g] = frozenset(nodes)
-            sat[("witness", g)] = witness
-        else:
-            sat[g] = label_ctl(kripke, g, sat)
-    return sat
+from ocasync.formula import Kind, parse_formula
+from ocasync.mc import label_kripke
 
 
 def main():
@@ -49,11 +25,11 @@ def main():
             "white UE stripes",
         ]:
             f = parse_formula(text)
-            sat = satisfaction(kripke, f)
-            holds = root in sat[f]
+            sat, witness = label_kripke(kripke, f, root, 500)
+            holds = bool(sat[f] >> root & 1)
             extra = ""
             if f.kind in (Kind.UA, Kind.UE) and holds:
-                extra = f"  (shared bound k = {sat[('witness', f)][root]})"
+                extra = f"  (shared bound k = {witness})"
             print(f"  {text:<22} -> {holds}{extra}")
         print()
 

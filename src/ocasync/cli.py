@@ -3,8 +3,8 @@
 Every subcommand reads an automaton (a file path, or a built-in corpus name),
 dispatches to the library, and writes exactly one JSON document to stdout.
 Exit codes: 0 completed (including negative verdicts), 1 malformed input
-(argument errors included), 2 resource budget exceeded, 3 internal invariant
-failure.
+(``InputError`` and argument errors), 2 resource budget exceeded, 3 internal
+invariant failure (any other exception, a plain ``ValueError`` included).
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import bignum, corpus, lps, mc, oracle, periodicity
-from .errors import (
-    BudgetExceededError, FormulaSyntaxError, OcaSyntaxError, UncoveredOperatorError,
-)
-from .formula import parse_formula, pretty
+from .errors import BudgetExceededError, InputError, OcaSyntaxError, UncoveredOperatorError
+from .formula import Formula, parse_formula, pretty
 from .oca import (
     Configuration, Oca, loads, oca_to_json, parse_configuration, require_valid, validate,
 )
@@ -51,6 +49,13 @@ def _read_oca(spec: str) -> Oca:
     if spec in corpus.names():
         return corpus.load(spec)
     raise OcaSyntaxError(f"no such file or corpus automaton: {spec}")
+
+
+def _formula(oca: Oca, text: str) -> Formula:
+    """The formula ``text``, which may use only atoms ``oca`` declares."""
+    f = parse_formula(text)
+    mc.require_atoms(oca, f)
+    return f
 
 
 def _parse_mode(text: str):
@@ -160,7 +165,10 @@ def _apply_job_file(args) -> None:
         text = Path(args.job).read_text()
     except OSError as exc:
         raise OcaSyntaxError(f"cannot read job file: {exc}") from None
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     if not isinstance(doc, dict):
         raise OcaSyntaxError("job file must hold a JSON object")
     unknown = set(doc) - set(_job_keys)
@@ -189,7 +197,7 @@ def _cmd_check(args) -> int:
         raise OcaSyntaxError("check needs an automaton, a formula, and an init "
                              "(from flags or a job file)")
     oca = _load_oca(args.oca)
-    f = parse_formula(args.formula)
+    f = _formula(oca, args.formula)
     init = parse_configuration(oca, args.init)
     result = mc.check_oca(oca, f, init, **_check_args(args))
     return _ok("check", result.to_json())
@@ -197,7 +205,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_sat_sets(args) -> int:
     oca = _load_oca(args.oca)
-    f = parse_formula(args.formula)
+    f = _formula(oca, args.formula)
     result = mc.check_oca(oca, f, Configuration(0, 0), **_check_args(args))
     return _ok("sat-sets", {
         "formula": pretty(f),
@@ -209,7 +217,7 @@ def _cmd_sat_sets(args) -> int:
 
 def _cmd_constants(args) -> int:
     oca = _load_oca(args.oca)
-    f = parse_formula(args.formula)
+    f = _formula(oca, args.formula)
     try:
         pairs, bundle = mc.paper_pairs(oca, f, args.b)
     except UncoveredOperatorError:
@@ -226,7 +234,7 @@ def _cmd_constants(args) -> int:
 
 def _cmd_oracle(args) -> int:
     oca = _load_oca(args.oca)
-    f = parse_formula(args.formula)
+    f = _formula(oca, args.formula)
     init = parse_configuration(oca, args.init)
     verdict = oracle.eval_bounded(oca, init, f, args.counter_cap, args.level_cap)
     return _ok("oracle", {
@@ -240,7 +248,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_mine_period(args) -> int:
     oca = _load_oca(args.oca)
-    f = parse_formula(args.formula)
+    f = _formula(oca, args.formula)
     state = oca.state_index(args.state)
     pair, row = oracle.mine_period(
         oca, f, state, args.v_cap, (args.counter_cap, args.level_cap)
@@ -255,7 +263,7 @@ def _cmd_mine_period(args) -> int:
 
 def _cmd_cross_check(args) -> int:
     oca = _load_oca(args.oca)
-    f = parse_formula(args.formula)
+    f = _formula(oca, args.formula)
     inits = [parse_configuration(oca, s) for s in args.init]
     report = oracle.cross_check(oca, f, inits, **_check_args(args))
     return _ok("cross-check", report.to_json(oca))
@@ -276,11 +284,13 @@ def _cmd_check_lemma11(args) -> int:
 
 
 def _cmd_lps(args) -> int:
+    if (args.start is None) != (args.target_length is None):
+        raise InputError("--start and --target-length must be given together")
     oca = _load_oca(args.oca)
     src = oca.state_index(args.src)
     dst = oca.state_index(args.dst)
     schemes = []
-    start = parse_configuration(oca, args.start) if args.start else None
+    start = parse_configuration(oca, args.start) if args.start is not None else None
     for scheme in lps.enumerate_lps(oca, src, dst, args.flat, args.size):
         if len(schemes) >= args.max_schemes:
             break
@@ -292,7 +302,7 @@ def _cmd_lps(args) -> int:
             "flatLength": scheme.flat_length,
             "size": scheme.size,
         }
-        if start is not None and args.target_length is not None:
+        if start is not None:
             reach = lps.shaped_reach(oca, scheme, start, args.target_length, args.exp_cap)
             reached = []
             for cfg in sorted(reach):
@@ -446,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"ocasync: error: {exc}", file=sys.stderr)
             return EXIT_INPUT
         return _fail(exc.command, "input", str(exc))
-    except (OcaSyntaxError, FormulaSyntaxError, ValueError) as exc:
+    except InputError as exc:
         return _fail(command, "input", str(exc))
     except BudgetExceededError as exc:
         return _fail(command, "budget", str(exc), {

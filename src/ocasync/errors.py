@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 
-class OcaSyntaxError(ValueError):
+class InputError(ValueError):
+    """Malformed or out-of-range input: the command line reports it with
+    exit code 1.  A plain ``ValueError`` is a bug inside the library."""
+
+
+class OcaSyntaxError(InputError):
     """Malformed automaton description; carries the offending position."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
@@ -13,7 +18,7 @@ class OcaSyntaxError(ValueError):
         self.column = column
 
 
-class FormulaSyntaxError(ValueError):
+class FormulaSyntaxError(InputError):
     """Malformed formula text; carries position and the expected token set."""
 
     def __init__(self, message: str, line: int, column: int, expected: frozenset[str] = frozenset()):
@@ -27,15 +32,15 @@ class FormulaSyntaxError(ValueError):
         self.expected = expected
 
 
-class UnknownNameError(KeyError, ValueError):
+class UnknownNameError(KeyError, InputError):
     """A state or corpus automaton named in the input does not exist.
 
-    A ``KeyError`` for lookups, and a ``ValueError`` so the command line
+    A ``KeyError`` for lookups, and an ``InputError`` so the command line
     reports it as malformed input.
     """
 
 
-class UncoveredOperatorError(ValueError):
+class UncoveredOperatorError(InputError):
     """The constant recursion has no case for the operator (UE)."""
 
 

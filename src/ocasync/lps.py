@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
+from .errors import InputError
 from .oca import Configuration, Oca, ZERO
 
 
@@ -283,7 +284,7 @@ def shaped_reach(
     """End configurations of valid shaped paths of exactly ``target_length``,
     with every star instantiated at most ``exp_cap`` times."""
     if target_length < 0:
-        raise ValueError("target length must be non-negative")
+        raise InputError("target length must be non-negative")
     return {end for end, _ in _shaped_paths(oca, scheme, start, target_length, exp_cap)}
 
 

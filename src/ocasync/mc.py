@@ -7,11 +7,11 @@ wraps high ones onto residue classes, label plain operators by fixpoints,
 decide the synchronized operators by level-set iteration, and read the
 per-state satisfaction sets back as ultimately periodic sets.
 
-The synchronized checks run once per start node but share their level-set
-work across an unfolding: a UA answer depends on the level set alone, so each
-UA operator keeps one memo of answers per level set, and every UE operator
-reads one cache of level-set images plus its own distance sequence.  None
-of it outlives ``check_oca``.
+``label_kripke`` labels unfoldings and hand-built structures alike.  Its
+synchronized checks run once per start node but share their level-set work: a
+UA answer depends on the level set alone, so each UA operator keeps one memo
+of answers per level set, and every UE operator reads one cache of level-set
+images plus its own distance sequence.  None of it outlives the call.
 
 Every ``Kripke`` structure, unfolded or hand-built, is one layout: rows of
 ``width`` counter classes, with a row's edges given by ``Move``s that act on
@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import bignum, upset
-from .errors import BudgetExceededError, StepCapExceededError, UncoveredOperatorError
+from .errors import BudgetExceededError, InputError, StepCapExceededError, UncoveredOperatorError
 from .formula import Formula, Kind, formula_atoms, pretty, subformulas
 from .oca import Configuration, Oca, ZERO, require_valid
 from .periodicity import ConstantBundle, TpPair, ctl_constants, ua_constants, uniform_pair
@@ -165,22 +165,11 @@ class Kripke:
         return out
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def mask_of(nodes) -> int:
     m = 0
     for i in nodes:
         m |= 1 << i
     return m
-
-
-def nodes_of(mask: int) -> frozenset[int]:
-    return frozenset(_bits(mask))
 
 
 class KripkeBuilder:
@@ -265,13 +254,6 @@ def _label_mask(k: Kripke, f: Formula, sub: dict[Formula, int]) -> int:
                 return x
             x = nxt
     raise ValueError(f"{f.kind} is not labeled by fixpoints")
-
-
-def label_ctl(k: Kripke, f: Formula, sub_sat: dict[Formula, frozenset[int]]) -> frozenset[int]:
-    """Fixpoint labeling of one non-synchronized operator given its children's
-    satisfaction sets."""
-    sub = {g: mask_of(nodes) for g, nodes in sub_sat.items()}
-    return nodes_of(_label_mask(k, f, sub))
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +381,38 @@ def check_ue_on_kripke(
                 seen[key] = k_step
 
 
+def label_kripke(
+    k: Kripke, f: Formula, root: int, step_cap: int
+) -> tuple[dict[Formula, int], int | None]:
+    """The satisfaction mask of every subformula of ``f``, and the shared
+    bound of ``f`` at node ``root`` (None unless ``f`` is synchronized and
+    holds there); each synchronized check is capped at ``step_cap`` steps."""
+    sat: dict[Formula, int] = {}
+    witness_k = None
+    images: dict[int, int] = {}  # level images depend on the structure alone
+    for g in subformulas(f):
+        if g.kind in (Kind.UA, Kind.UE):
+            sat1, sat2 = sat[g.children[0]], sat[g.children[1]]
+            # UA's answers per level set and UE's distance sequence are the
+            # same for every start node of this operator
+            memo: dict[int, SyncCheck] = {}
+            dist = [sat2]
+            mask = 0
+            for node in range(k.n):
+                if g.kind is Kind.UA:
+                    res = check_ua_on_kripke(k, node, sat1, sat2, step_cap, memo)
+                else:
+                    res = check_ue_on_kripke(k, node, sat1, sat2, step_cap, dist, images)
+                if res.holds:
+                    mask |= 1 << node
+                if node == root and g == f:
+                    witness_k = res.witness_k
+            sat[g] = mask
+        else:
+            sat[g] = _label_mask(k, g, sat)
+    return sat, witness_k
+
+
 # ---------------------------------------------------------------------------
 # End-to-end check
 
@@ -490,6 +504,13 @@ def check_budget(
         )
 
 
+def require_atoms(oca: Oca, f: Formula) -> None:
+    """Raise ``InputError`` if ``f`` uses an atom ``oca`` does not declare."""
+    unbound = formula_atoms(f) - oca.atoms
+    if unbound:
+        raise InputError(f"formula uses undeclared atoms {sorted(unbound)}")
+
+
 def check_oca(
     oca: Oca,
     f: Formula,
@@ -514,17 +535,15 @@ def check_oca(
     was built for this automaton at these caps.
     """
     require_valid(oca)
-    unbound = formula_atoms(f) - oca.atoms
-    if unbound:
-        raise ValueError(f"formula uses undeclared atoms {sorted(unbound)}")
+    require_atoms(oca, f)
     caveats: list[str] = []
     if mode == "paper":
         pairs, _ = paper_pairs(oca, f, b_override)
     elif mode == "supplied":
         if supplied is None:
-            raise ValueError("supplied mode needs a threshold/period pair")
+            raise InputError("supplied mode needs a threshold/period pair")
         if supplied.p < 1 or supplied.t < 0:
-            raise ValueError("supplied pair must have t >= 0 and p >= 1")
+            raise InputError("supplied pair must have t >= 0 and p >= 1")
         pairs = {g: supplied for g in subformulas(f)}
         caveats.append("threshold/period pair supplied by caller; not validated here")
     elif mode == "empirical":
@@ -540,33 +559,8 @@ def check_oca(
 
     kripke = unfold_kripke(oca, t_eff, p_uniform)
     width = t_eff + p_uniform
-    step_cap = 4 * kripke.n * kripke.n + 64
     init_node = init.state * width + counter_class(init.counter, t_eff, p_uniform)
-    sat: dict[Formula, int] = {}
-    witness_k = None
-    images: dict[int, int] = {}  # level images depend on the structure alone
-    for g in subformulas(f):
-        if g.kind in (Kind.UA, Kind.UE):
-            sat1, sat2 = sat[g.children[0]], sat[g.children[1]]
-            # UA's answers per level set and UE's distance sequence are the
-            # same for every start node of this operator
-            memo: dict[int, SyncCheck] = {}
-            dist = [sat2]
-            mask = 0
-            for node in range(kripke.n):
-                if g.kind is Kind.UA:
-                    res = check_ua_on_kripke(kripke, node, sat1, sat2, step_cap, memo)
-                else:
-                    res = check_ue_on_kripke(
-                        kripke, node, sat1, sat2, step_cap, dist, images
-                    )
-                if res.holds:
-                    mask |= 1 << node
-                if node == init_node and g == f:
-                    witness_k = res.witness_k
-            sat[g] = mask
-        else:
-            sat[g] = _label_mask(kripke, g, sat)
+    sat, witness_k = label_kripke(kripke, f, init_node, 4 * kripke.n * kripke.n + 64)
 
     per_state: dict[str, UpSet] = {}
     top = sat[f]

@@ -15,10 +15,9 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from collections.abc import Sequence
 from typing import Iterator, NamedTuple
 
-from .errors import OcaSyntaxError, UnknownNameError
+from .errors import InputError, OcaSyntaxError, UnknownNameError
 
 ZERO = "=0"
 POS = ">0"
@@ -112,10 +111,10 @@ def validate(oca: Oca) -> list[str]:
 
 
 def require_valid(oca: Oca) -> None:
-    """Raise ``ValueError`` naming every violated invariant, if any."""
+    """Raise ``InputError`` naming every violated invariant, if any."""
     diags = validate(oca)
     if diags:
-        raise ValueError("invalid automaton: " + "; ".join(diags))
+        raise InputError("invalid automaton: " + "; ".join(diags))
 
 
 def successors(oca: Oca, c: Configuration) -> set[Configuration]:
@@ -143,13 +142,6 @@ def row_bits(row: int) -> Iterator[int]:
         low = row & -row
         yield low.bit_length() - 1
         row ^= low
-
-
-def rows_to_set(rows: Rows) -> frozenset[Configuration]:
-    """The configurations of a row tuple."""
-    return frozenset(
-        Configuration(s, v) for s, row in enumerate(rows) for v in row_bits(row)
-    )
 
 
 def step_rows(oca: Oca, rows: Rows) -> list[int]:
@@ -227,50 +219,28 @@ def iter_level_rows(
         yield rows, dropped
 
 
-class LevelView(Sequence):
-    """Read-only sequence of a trace's levels that builds the frozenset of
-    one level only when it is indexed; ``len`` converts nothing."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: tuple[Rows, ...]):
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, k: int) -> frozenset[Configuration]:
-        return rows_to_set(self._rows[k])
-
-
 @dataclass(frozen=True)
 class OracleTrace:
     """Level-by-level reachability from an origin configuration.
 
-    ``rows[k]`` holds, as counter bitsets, every configuration reachable by
-    a valid path of length exactly ``k``, except those whose counter
-    exceeded ``counter_cap``; once anything is dropped the level (and all
-    later ones) is flagged truncated, marking the set as a known
-    under-approximation.  ``levels[k]`` is the same level as a frozenset.
+    ``levels[k]`` holds, as one row tuple (bit v of row s is configuration
+    (s, v)), every configuration reachable by a valid path of length exactly
+    ``k``, except those whose counter exceeded the counter cap;
+    ``truncated[k]`` is set once anything has been dropped at level ``k`` or
+    before, marking the level as a known under-approximation.
     """
 
     origin: Configuration
-    rows: tuple[Rows, ...]
-    counter_cap: int
-    level_cap: int
+    levels: tuple[Rows, ...]
     truncated: tuple[bool, ...]
-
-    @property
-    def levels(self) -> LevelView:
-        return LevelView(self.rows)
 
 
 def level_sets(oca: Oca, origin: Configuration, level_cap: int, counter_cap: int) -> OracleTrace:
     """Explore levels 0..level_cap, dropping configurations above counter_cap."""
     if level_cap < 0 or counter_cap < 0:
-        raise ValueError("caps must be non-negative")
-    rows, trunc = zip(*iter_level_rows(oca, origin, level_cap, counter_cap))
-    return OracleTrace(origin, rows, counter_cap, level_cap, trunc)
+        raise InputError("caps must be non-negative")
+    levels, truncated = zip(*iter_level_rows(oca, origin, level_cap, counter_cap))
+    return OracleTrace(origin, levels, truncated)
 
 
 def _predecessor(
@@ -296,15 +266,15 @@ def witness_path(
     """Reconstruct one path from the trace origin to ``target`` at ``level``
     by walking predecessors back through the levels; None if the target is
     not there.  Deterministic: the smallest predecessor wins."""
-    rows = trace.rows
-    if level >= len(rows) or target.counter < 0 or not (
-        rows[level][target.state] >> target.counter
+    levels = trace.levels
+    if level >= len(levels) or target.counter < 0 or not (
+        levels[level][target.state] >> target.counter
     ) & 1:
         return None
     path: list[Transition] = []
     cur = target
     for lv in range(level, 0, -1):
-        hit = _predecessor(oca, rows[lv - 1], cur)
+        hit = _predecessor(oca, levels[lv - 1], cur)
         if hit is None:
             return None
         cur, t = hit
@@ -445,7 +415,11 @@ def loads(text: str) -> Oca:
     """Parse either format: JSON if the text looks like a JSON object."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return parse_oca_json(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
+        return parse_oca_json(doc)
     return parse_oca_text(text)
 
 
@@ -454,7 +428,10 @@ def parse_configuration(oca: Oca, text: str) -> Configuration:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise OcaSyntaxError(f"expected 'state,counter', got {text!r}")
-    value = int(parts[1])
+    try:
+        value = int(parts[1])
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     if value < 0:
         raise OcaSyntaxError("counter must be non-negative")
     return Configuration(oca.state_index(parts[0]), value)

@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import mc
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InputError
 from .formula import Formula, Kind, pretty
 from .lps import analyze_cycle_repetitions, compress_path_with_exponents
 from .oca import (
@@ -96,7 +96,7 @@ class BoundedEvaluator:
 
     def __init__(self, oca: Oca, counter_cap: int, level_cap: int):
         if counter_cap < 0 or level_cap < 0:
-            raise ValueError("caps must be non-negative")
+            raise InputError("caps must be non-negative")
         mc.check_budget("oracle region needs", oca.n_states * (counter_cap + 1), "configurations")
         self.oca = oca
         self.counter_cap = counter_cap
@@ -532,7 +532,7 @@ def mine_period(
     node budget before any is taken.
     """
     if v_cap < 2:
-        raise ValueError("need at least counters 0..2 to mine a period")
+        raise InputError("need at least counters 0..2 to mine a period")
     mc.check_budget("period mining samples", v_cap + 1, "counters")
     ev = evaluator or BoundedEvaluator(oca, *caps)
     row = [ev.verdict(f, Configuration(state, v)) for v in range(v_cap + 1)]
@@ -780,11 +780,11 @@ def check_shift_periodicity(
     """
     period = bundle.period
     if not isinstance(period, int):
-        raise ValueError("audit needs a materialized (scaled-down) bundle")
+        raise InputError("audit needs a materialized (scaled-down) bundle")
     vs = counters if counters is not None else default_audit_counters(bundle)
     for v in vs:
         if not v > bundle.counter_threshold:
-            raise ValueError("audited counters must exceed the counter threshold")
+            raise InputError("audited counters must exceed the counter threshold")
     if level_cap is None:
         level_cap = max(
             max(vs) + 2 * period + 4,
@@ -833,7 +833,7 @@ def check_shift_periodicity(
                                                "truncated levels"))
                         continue
                     missing = _match(
-                        src_trace.rows[src_lv], dst_trace.rows[dst_lv],
+                        src_trace.levels[src_lv], dst_trace.levels[dst_lv],
                         bundle.prev_t, bundle.prev_p,
                     )
                     if missing is None:

@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple
 
 from . import bignum
 from .bignum import Number
+from .errors import InputError
 from .formula import Kind
 from .lps import negative_basic_slopes
 
@@ -143,12 +144,12 @@ def ua_constants(
     overrides are accepted for scaled-down experiments and flagged.
     """
     if b_override is None and n < 3:
-        raise ValueError("default scheme bound needs at least 3 states; pass an override")
+        raise InputError("default scheme bound needs at least 3 states; pass an override")
     if (isinstance(prev_p, int) and prev_p < 1) or (isinstance(prev_t, int) and prev_t < 0):
-        raise ValueError("previous period must be positive and threshold non-negative")
+        raise InputError("previous period must be positive and threshold non-negative")
     b = b_override if b_override is not None else default_scheme_bound(n)
     if b < 1:
-        raise ValueError("scheme bound must be positive")
+        raise InputError("scheme bound must be positive")
     B = bignum.lcm_range(2 * b**3)
     period = B * prev_p
     seg_threshold = b**9 * period
@@ -156,7 +157,7 @@ def ua_constants(
     m = _totient_sum(b)
     below = b < 3
     if not (period > prev_t):
-        raise ValueError(
+        raise InputError(
             "period does not dominate the inherited threshold; "
             "the scheme-bound override is too small for these subformulas"
         )

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ocasync.oca import Oca, Transition, validate, POS, ZERO
+from ocasync.oca import Configuration, Oca, Transition, row_bits, validate, POS, ZERO
 
 
 def random_total_oca(rng: random.Random, n_states: int = 3,
@@ -29,6 +29,13 @@ def rows_of(configs, n_states: int) -> tuple[int, ...]:
     for s, v in configs:
         rows[s] |= 1 << v
     return tuple(rows)
+
+
+def rows_to_set(rows) -> frozenset[Configuration]:
+    """The configurations of a row tuple."""
+    return frozenset(
+        Configuration(s, v) for s, row in enumerate(rows) for v in row_bits(row)
+    )
 
 
 @pytest.fixture

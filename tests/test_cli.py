@@ -9,7 +9,9 @@ from hypothesis import example, given, strategies as st
 
 from ocasync import corpus, mc
 from ocasync.cli import _dumps, main
-from ocasync.errors import OcaSyntaxError
+from ocasync.errors import (
+    FormulaSyntaxError, InputError, OcaSyntaxError, UncoveredOperatorError, UnknownNameError,
+)
 from ocasync.formula import parse_formula
 from ocasync.oca import Configuration, loads, oca_to_json, validate
 
@@ -557,6 +559,111 @@ class TestErrorsAndDeterminism:
         for u in doc["data"]["perState"].values():
             assert u["base"] == sorted(u["base"])
             assert u["residues"] == sorted(u["residues"])
+
+
+class TestUndeclaredAtoms:
+    """Every command that reads a formula refuses atoms the automaton does
+    not declare, with the message ``check_oca`` gives."""
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--init", "s,0"),
+        ("sat-sets",),
+        ("cross-check", "--init", "s,0"),
+        ("oracle", "--init", "s,0"),
+        ("mine-period", "--state", "s"),
+        ("constants",),
+    ], ids=lambda argv: argv[0])
+    def test_refused(self, capsys, argv):
+        command, *rest = argv
+        code, _, out = run(capsys, command, "--oca", "countdown", "--formula", "p & r", *rest)
+        assert code == 1
+        assert out == error_bytes(command, "formula uses undeclared atoms ['r']")
+
+
+class TestExitCodes:
+    """Input errors exit 1 with their message; any other ``ValueError``
+    is a library bug and exits 3."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("check", "--oca", "countdown", "--formula", "p", "--init", "s,x"),
+         "invalid literal for int() with base 10: 'x'"),
+        (("check", "--oca", "countdown", "--formula", "p", "--init", "s,0",
+          "--mode", "supplied:0,0"), "supplied pair must have t >= 0 and p >= 1"),
+        (("oracle", "--oca", "countdown", "--formula", "p", "--init", "s,0",
+          "--counter-cap", "-1"), "caps must be non-negative"),
+        (("mine-period", "--oca", "countdown", "--formula", "p", "--state", "s",
+          "--v-cap", "1"), "need at least counters 0..2 to mine a period"),
+        (("check-lemma11", "--oca", "countdown", "--b", "1", "--level-cap", "-1"),
+         "caps must be non-negative"),
+        (("check-lemma11", "--oca", "countdown", "--b", "30"),
+         "audit needs a materialized (scaled-down) bundle"),
+        (("check-lemma11", "--oca", "countdown", "--b", "1", "--counter", "0"),
+         "audited counters must exceed the counter threshold"),
+        (("check-lemma11", "--oca", "countdown", "--b", "1", "--prev-p", "0"),
+         "previous period must be positive and threshold non-negative"),
+        (("check-lemma11", "--oca", "countdown", "--b", "1", "--prev-t", "100"),
+         "period does not dominate the inherited threshold; "
+         "the scheme-bound override is too small for these subformulas"),
+        (("constants", "--oca", "countdown", "--formula", "FA p", "--b", "0"),
+         "scheme bound must be positive"),
+        (("check", "--oca", "countdown", "--formula", "FA p", "--init", "s,0",
+          "--mode", "paper"), "default scheme bound needs at least 3 states; pass an override"),
+        (("lps", "--oca", "countdown", "--src", "s", "--dst", "s", "--start", "s,5",
+          "--target-length", "-1"), "target length must be non-negative"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_input_errors_exit_one(self, capsys, argv, message):
+        code, _, out = run(capsys, *argv)
+        assert code == 1 and out == error_bytes(argv[0], message)
+
+    def test_invalid_automaton_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "blocking.oca"
+        path.write_text("states: s\natoms: p\ns -[=0,0]-> s\n")
+        code, _, out = run(capsys, "check", "--oca", str(path), "--formula", "p",
+                           "--init", "s,0")
+        assert code == 1
+        assert out == error_bytes("check", "invalid automaton: missing >0-successor at state s")
+
+    def test_malformed_json_exits_one(self, capsys, tmp_path):
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads("{\"states\": ")
+        path = tmp_path / "broken.json"
+        path.write_text("{\"states\": ")
+        code, _, out = run(capsys, "validate", "--oca", str(path))
+        assert code == 1 and out == error_bytes("validate", str(exc.value))
+        code, _, out = run(capsys, "check", "--job", str(path))
+        assert code == 1 and out == error_bytes("check", str(exc.value))
+
+    def test_input_error_types(self):
+        for cls in (OcaSyntaxError, FormulaSyntaxError, UnknownNameError,
+                    UncoveredOperatorError):
+            assert issubclass(cls, InputError)
+        assert issubclass(UnknownNameError, KeyError)
+        with pytest.raises(InputError, match="^supplied mode needs a threshold/period pair$"):
+            mc.check_oca(corpus.load("countdown"), parse_formula("p"), Configuration(0, 0),
+                         "supplied")
+
+    @pytest.mark.parametrize("target", ["unfold_kripke", "_label_mask"])
+    def test_value_error_inside_the_library_is_internal(
+        self, capsys, schema, monkeypatch, target
+    ):
+        def broken(*args):
+            raise ValueError("lost node")
+
+        monkeypatch.setattr(mc, target, broken)
+        code, doc, _ = run(
+            capsys, "check", "--oca", "countdown", "--formula", "FA p", "--init", "s,2",
+        )
+        assert code == 3 and doc["error"] == {
+            "kind": "internal", "message": "ValueError: lost node"}
+        check_schema(schema, doc)
+
+    @pytest.mark.parametrize("flag", [("--start", "s,5"), ("--target-length", "3")],
+                             ids=lambda flag: flag[0])
+    def test_lps_reach_flags_come_together(self, capsys, flag):
+        code, _, out = run(capsys, "lps", "--oca", "countdown", "--src", "s", "--dst", "s",
+                           "--flat", "1", "--size", "1", *flag)
+        assert code == 1
+        assert out == error_bytes("lps", "--start and --target-length must be given together")
 
 
 class _Level(IntEnum):

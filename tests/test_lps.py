@@ -13,7 +13,7 @@ from ocasync.lps import (
 from ocasync.oca import (
     Configuration, Oca, POS, Transition, ZERO, level_sets, witness_path,
 )
-from conftest import random_total_oca
+from conftest import random_total_oca, rows_to_set
 
 COUNTDOWN = corpus.load("countdown")
 FORK = corpus.load("fork")
@@ -312,7 +312,7 @@ class TestShapedReach:
                 for length in (4, 7):
                     got = shaped_reach(oca, scheme, Configuration(0, 2), length, length)
                     trace = level_sets(oca, Configuration(0, 2), length, 10**9)
-                    assert got <= set(trace.levels[length])
+                    assert got <= rows_to_set(trace.levels[length])
 
     def test_witness_exponents_replay(self):
         scheme = countdown_loop_scheme()
@@ -635,7 +635,7 @@ class TestPathCompression:
             origin = Configuration(0, 3)
             trace = level_sets(oca, origin, 10, 10**9)
             index = {t: i for i, t in enumerate(oca.transitions)}
-            for target in sorted(trace.levels[10])[:4]:
+            for target in sorted(rows_to_set(trace.levels[10]))[:4]:
                 path = witness_path(oca, trace, target, 10)
                 idx_path = tuple(index[t] for t in path)
                 scheme, exps = compress_path_with_exponents(oca, 0, idx_path)

@@ -4,13 +4,15 @@ import pytest
 
 from ocasync import bignum, corpus
 from ocasync.errors import BudgetExceededError, StepCapExceededError
-from ocasync.formula import TRUE, atom, au, eu, parse_formula, ua, ue
+from ocasync.formula import (
+    TRUE, Kind, atom, au, eu, ex, land, lnot, parse_formula, subformulas, ua, ue,
+)
 from ocasync.mc import (
-    Kripke, KripkeBuilder, check_budget, check_oca, check_ua_on_kripke,
-    check_ue_on_kripke, counter_class, label_ctl, mask_of, nodes_of, unfold_kripke,
+    Kripke, KripkeBuilder, _label_mask, check_budget, check_oca, check_ua_on_kripke,
+    check_ue_on_kripke, counter_class, label_kripke, mask_of, unfold_kripke,
 )
 from ocasync.oracle import BoundedEvaluator
-from ocasync.oca import Configuration, successors
+from ocasync.oca import Configuration, row_bits, successors
 from ocasync.periodicity import TpPair
 from conftest import random_total_oca
 
@@ -18,22 +20,9 @@ COUNTDOWN = corpus.load("countdown")
 
 
 def label_tree(kripke, f):
-    """Bottom-up labeling helper over frozenset node sets."""
-    from ocasync.formula import Kind, subformulas
-
-    sat = {}
-    for g in subformulas(f):
-        if g.kind in (Kind.UA, Kind.UE):
-            fn = check_ua_on_kripke if g.kind is Kind.UA else check_ue_on_kripke
-            s1 = mask_of(sat[g.children[0]])
-            s2 = mask_of(sat[g.children[1]])
-            sat[g] = frozenset(
-                node for node in range(kripke.n)
-                if fn(kripke, node, s1, s2, 500).holds
-            )
-        else:
-            sat[g] = label_ctl(kripke, g, sat)
-    return sat
+    """Every subformula's satisfaction set, as a frozenset of nodes."""
+    sat, _ = label_kripke(kripke, f, 0, 500)
+    return {g: frozenset(row_bits(m)) for g, m in sat.items()}
 
 
 class TestUnfold:
@@ -194,7 +183,7 @@ def au_reference(k, sat1, sat2):
     x = sat2
     while True:
         grow = 0
-        for i in nodes_of(sat1 & ~x):
+        for i in row_bits(sat1 & ~x):
             if k.image(1 << i) & ~x == 0:
                 grow |= 1 << i
         if not grow:
@@ -224,7 +213,7 @@ class TestUnfoldingKernels:
                 masks += [rng.getrandbits(k.n) for _ in range(20)]
                 for m in masks:
                     image = 0
-                    for i in nodes_of(m):
+                    for i in row_bits(m):
                         image |= succ[i]
                     preimage = mask_of(i for i in range(k.n) if succ[i] & m)
                     assert k.image(m) == image, (oca, t, p, m)
@@ -286,8 +275,63 @@ class TestUnfoldingKernels:
         for k in structures:
             for _ in range(10):
                 sat1, sat2 = rng.getrandbits(k.n), rng.getrandbits(k.n)
-                sub = {atom("a"): nodes_of(sat1), atom("b"): nodes_of(sat2)}
-                assert label_ctl(k, f, sub) == nodes_of(au_reference(k, sat1, sat2))
+                sub = {atom("a"): sat1, atom("b"): sat2}
+                assert _label_mask(k, f, sub) == au_reference(k, sat1, sat2)
+
+
+def label_reference(k, f, root, step_cap):
+    """``label_kripke`` with every synchronized check made alone: no memo,
+    distance sequence or image cache is shared between start nodes."""
+    sat, witness_k = {}, None
+    for g in subformulas(f):
+        if g.kind in (Kind.UA, Kind.UE):
+            check = check_ua_on_kripke if g.kind is Kind.UA else check_ue_on_kripke
+            res = [check(k, node, sat[g.children[0]], sat[g.children[1]], step_cap)
+                   for node in range(k.n)]
+            sat[g] = mask_of(node for node, r in enumerate(res) if r.holds)
+            if g == f:
+                witness_k = res[root].witness_k
+        else:
+            sat[g] = _label_mask(k, g, sat)
+    return sat, witness_k
+
+
+def random_sync_formula(rng, atoms, depth):
+    """A random formula over ``atoms`` whose top operator is synchronized."""
+    def sub(d):
+        if d == 0 or rng.random() < 0.25:
+            return rng.choice((TRUE, *map(atom, atoms)))
+        op = rng.choice((lnot, ex, land, eu, au, ua, ue))
+        if op in (lnot, ex):
+            return op(sub(d - 1))
+        return op(sub(d - 1), sub(d - 1))
+
+    return rng.choice((ua, ue))(sub(depth - 1), sub(depth - 1))
+
+
+class TestLabelKripke:
+    def test_matches_unshared_per_node_checks(self, rng):
+        structures = [corpus.tree_synchronized(), corpus.tree_staggered()]
+        for oca in kernel_automata(rng):
+            for t, p in [(0, 1), (2, 3), (4, 2)]:
+                k = unfold_kripke(oca, t, p)
+                structures.append((k, rng.randrange(k.n)))
+        decided = set()
+        for k, root in structures:
+            atoms = sorted(set().union(*k.labels))
+            step_cap = 4 * k.n * k.n + 64
+            for _ in range(6):
+                f = random_sync_formula(rng, atoms, 3)
+                got = label_kripke(k, f, root, step_cap)
+                assert got == label_reference(k, f, root, step_cap), (k, f, root)
+                decided.add((f.kind, got[1] is not None))
+        assert decided == {(Kind.UA, True), (Kind.UA, False), (Kind.UE, True), (Kind.UE, False)}
+
+    def test_witness_only_for_a_synchronized_top(self):
+        k, root = corpus.tree_synchronized()
+        sat, witness_k = label_kripke(k, parse_formula("A true U black"), root, 500)
+        assert sat[parse_formula("A true U black")] >> root & 1
+        assert witness_k is None
 
 
 class TestLabelCtl:

@@ -8,12 +8,12 @@ from ocasync import oca as oca_module
 from ocasync.oca import (
     Configuration, Oca, Transition, POS, ZERO,
     iter_level_rows, level_sets, loads, oca_to_json, oca_to_text, parse_configuration,
-    parse_oca_json, parse_oca_text, pre_rows, rows_to_set, step_rows, successors,
+    parse_oca_json, parse_oca_text, pre_rows, step_rows, successors,
     validate, witness_path,
 )
 from ocasync.errors import OcaSyntaxError
 from ocasync import corpus
-from conftest import random_total_oca, rows_of
+from conftest import random_total_oca, rows_of, rows_to_set
 
 
 def one_state(transitions):
@@ -81,13 +81,13 @@ class TestLevelSets:
             {Configuration(0, 2)}, {Configuration(0, 1)}, {Configuration(0, 0)},
             {Configuration(1, 0)}, {Configuration(1, 0)}, {Configuration(1, 0)},
         ]
-        assert [set(lv) for lv in trace.levels] == expected
+        assert [rows_to_set(lv) for lv in trace.levels] == expected
         assert not any(trace.truncated)
 
     def test_increment_loop_truncates_at_cap(self):
         inc = corpus.load("increment-loop")
         trace = level_sets(inc, Configuration(0, 0), 4, 2)
-        assert [set(lv) for lv in trace.levels] == [
+        assert [rows_to_set(lv) for lv in trace.levels] == [
             {Configuration(0, 0)}, {Configuration(0, 1)}, {Configuration(0, 2)},
             set(), set(),
         ]
@@ -95,11 +95,11 @@ class TestLevelSets:
 
     def test_fork_levels_are_successor_closures(self):
         trace = level_sets(FORK, Configuration(0, 1), 2, 10)
-        assert set(trace.levels[1]) == successors(FORK, Configuration(0, 1))
+        assert rows_to_set(trace.levels[1]) == successors(FORK, Configuration(0, 1))
         expected2 = set()
-        for c in trace.levels[1]:
+        for c in rows_to_set(trace.levels[1]):
             expected2 |= successors(FORK, c)
-        assert set(trace.levels[2]) == expected2
+        assert rows_to_set(trace.levels[2]) == expected2
 
     def _enumerate_endpoints(self, oca, c, depth):
         # independent recursive path enumerator: walks each transition sequence
@@ -120,7 +120,8 @@ class TestLevelSets:
             trace = level_sets(oca, origin, 8, 10**9)
             assert not any(trace.truncated)
             for depth in range(9):
-                assert set(trace.levels[depth]) == self._enumerate_endpoints(oca, origin, depth)
+                assert rows_to_set(trace.levels[depth]) == \
+                    self._enumerate_endpoints(oca, origin, depth)
 
     def test_raising_caps_never_removes_from_exact_levels(self, rng):
         for _ in range(10):
@@ -129,7 +130,7 @@ class TestLevelSets:
             small = level_sets(oca, origin, 6, 4)
             big = level_sets(oca, origin, 9, 12)
             for lv in range(7):
-                assert small.levels[lv] <= big.levels[lv]
+                assert rows_to_set(small.levels[lv]) <= rows_to_set(big.levels[lv])
                 if not small.truncated[lv]:
                     assert small.levels[lv] == big.levels[lv]
 
@@ -139,7 +140,7 @@ class TestLevelSets:
             origin = Configuration(0, 1)
             trace = level_sets(oca, origin, 6, 50)
             for depth in (3, 6):
-                for target in trace.levels[depth]:
+                for target in rows_to_set(trace.levels[depth]):
                     path = witness_path(oca, trace, target, depth)
                     assert path is not None and len(path) == depth
                     cur = origin
@@ -169,12 +170,12 @@ def reference_witness_path(oca, trace, target, level):
     """``witness_path`` over frozenset levels: walk back through each
     level's configurations in sorted order, taking the first one with a
     transition to the current configuration."""
-    if level >= len(trace.levels) or target not in trace.levels[level]:
+    if level >= len(trace.levels) or target not in rows_to_set(trace.levels[level]):
         return None
     path = []
     cur = target
     for lv in range(level, 0, -1):
-        for cand in sorted(trace.levels[lv - 1]):
+        for cand in sorted(rows_to_set(trace.levels[lv - 1])):
             guard = ZERO if cand.counter == 0 else POS
             hit = next(
                 (t for t in oca.outgoing(cand.state, guard)
@@ -237,7 +238,8 @@ class TestIterLevels:
                         lazy = [(rows_to_set(rows), truncated) for rows, truncated
                                 in iter_level_rows(oca, origin, level_cap, counter_cap)]
                         trace = level_sets(oca, origin, level_cap, counter_cap)
-                        assert lazy == list(zip(trace.levels, trace.truncated))
+                        assert lazy == [(rows_to_set(lv), truncated) for lv, truncated
+                                        in zip(trace.levels, trace.truncated)]
                         assert lazy == reference_levels(oca, origin, level_cap, counter_cap)
                         flagged.update(truncated for _, truncated in lazy)
         assert flagged == {False, True}
@@ -266,20 +268,6 @@ class TestIterLevels:
         assert not any(trace.truncated)
         assert peak < 1 << 20, peak
 
-    def test_levels_view_converts_only_what_is_indexed(self, monkeypatch):
-        trace = level_sets(FORK, Configuration(0, 1), 30, 10**9)
-        converted = []
-
-        def counting(rows):
-            converted.append(rows)
-            return rows_to_set(rows)
-
-        monkeypatch.setattr(oca_module, "rows_to_set", counting)
-        assert len(trace.levels) == 31
-        assert converted == []
-        assert trace.levels[1] == successors(FORK, Configuration(0, 1))
-        assert converted == [trace.rows[1]]
-
     def test_witness_path_matches_frozenset_version(self, rng):
         for _ in range(30):
             oca = random_total_oca(rng, n_states=rng.randint(1, 4))
@@ -287,7 +275,7 @@ class TestIterLevels:
             counter_cap = rng.choice((3, 6, 50))
             trace = level_sets(oca, origin, 7, counter_cap)
             for depth in (0, 1, 4, 7):
-                targets = sorted(trace.levels[depth])
+                targets = sorted(rows_to_set(trace.levels[depth]))
                 targets += [Configuration(s, v) for s in range(oca.n_states)
                             for v in (0, 5, counter_cap + 1)]
                 for target in targets:

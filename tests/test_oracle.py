@@ -9,14 +9,14 @@ from ocasync.formula import (
     TRUE, atom, au, eu, ex, land, lnot, parse_formula, pretty, subformulas, ua, ue,
 )
 from ocasync.mc import SyncCheck
-from ocasync.oca import Configuration, parse_oca_text, pre_rows, rows_to_set, successors
+from ocasync.oca import Configuration, parse_oca_text, pre_rows, successors
 from ocasync.oracle import (
     AGREE, CHECKER_UNKNOWN, DISAGREE, ORACLE_UNKNOWN,
     BoundedEvaluator, Verdict, check_shift_periodicity, cross_check,
     _match, default_audit_counters, eval_bounded, mine_period,
 )
 from ocasync.periodicity import TpPair, ua_constants
-from conftest import random_total_oca, rows_of
+from conftest import random_total_oca, rows_of, rows_to_set
 
 COUNTDOWN = corpus.load("countdown")
 FORK = corpus.load("fork")
