@@ -44,6 +44,9 @@ class Formula:
     def __post_init__(self):
         # the generated hash's value, once: the oracle's memos are keyed by formula
         object.__setattr__(self, "_hash", hash((self.kind, self.children, self.name)))
+        # operators on the longest path down to a leaf, which the parser bounds
+        object.__setattr__(
+            self, "depth", 1 + max(c.depth for c in self.children) if self.children else 0)
 
     def __hash__(self) -> int:
         return self._hash
@@ -97,16 +100,15 @@ def ue(a: Formula, b: Formula) -> Formula:
 def subformulas(f: Formula) -> list[Formula]:
     """Each distinct subtree exactly once, children before parents."""
     seen: dict[Formula, None] = {}
-
-    def walk(g: Formula):
-        if g in seen:
-            return
-        for c in g.children:
-            walk(c)
-        seen[g] = None
-
-    walk(f)
+    _collect(f, seen)
     return list(seen)
+
+
+def _collect(g: Formula, seen: dict[Formula, None]) -> None:
+    if g not in seen:
+        for c in g.children:
+            _collect(c, seen)
+        seen[g] = None
 
 
 def formula_atoms(f: Formula) -> frozenset[str]:
@@ -154,10 +156,19 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent.  Open parentheses and prefix operators (``nesting``)
+    and the depth of every node built are bounded by ``MAX_DEPTH``, so a
+    deeply nested formula is rejected as input before the parser or the
+    recursive evaluators run out of stack."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -177,53 +188,75 @@ class _Parser:
         tok = self.peek()
         raise FormulaSyntaxError(message, tok.line, tok.column, frozenset(expected))
 
+    def enter(self) -> None:
+        """Take a ``(`` or a prefix operator, one nesting level deeper."""
+        tok = self.take()
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise FormulaSyntaxError(
+                f"more than {MAX_DEPTH} nested parentheses and prefix operators",
+                tok.line, tok.column)
+
+    def leave(self, f: Formula, tok: _Token) -> Formula:
+        """Close the level ``tok`` opened on the node ``f`` built there."""
+        self.nesting -= 1
+        return self.node(f, tok)
+
+    @staticmethod
+    def node(f: Formula, tok: _Token) -> Formula:
+        """``f``, built at operator ``tok``, if it is at most ``MAX_DEPTH`` deep."""
+        if f.depth > MAX_DEPTH:
+            raise FormulaSyntaxError(
+                f"formula more than {MAX_DEPTH} operators deep", tok.line, tok.column)
+        return f
+
     # until-family level (loosest)
     def parse_formula(self) -> Formula:
         left = self.parse_or()
         while self.peek().kind in ("UA", "UE"):
-            op = self.take().kind
+            tok = self.take()
             right = self.parse_or()
-            left = ua(left, right) if op == "UA" else ue(left, right)
+            left = self.node(ua(left, right) if tok.kind == "UA" else ue(left, right), tok)
         return left
 
     def parse_or(self) -> Formula:
         left = self.parse_and()
         while self.peek().kind == "|":
-            self.take()
-            left = lor(left, self.parse_and())
+            tok = self.take()
+            left = self.node(lor(left, self.parse_and()), tok)
         return left
 
     def parse_and(self) -> Formula:
         left = self.parse_unary()
         while self.peek().kind == "&":
-            self.take()
-            left = land(left, self.parse_unary())
+            tok = self.take()
+            left = self.node(land(left, self.parse_unary()), tok)
         return left
 
     def parse_unary(self) -> Formula:
         tok = self.peek()
         if tok.kind == "!":
-            self.take()
-            return lnot(self.parse_unary())
+            self.enter()
+            return self.leave(lnot(self.parse_unary()), tok)
         if tok.kind == "EX":
-            self.take()
-            return ex(self.parse_unary())
+            self.enter()
+            return self.leave(ex(self.parse_unary()), tok)
         if tok.kind in ("EF", "AF", "FA", "FE"):
-            self.take()
+            self.enter()
             arg = self.parse_unary()
-            return {"EF": eu, "AF": au, "FA": ua, "FE": ue}[tok.kind](TRUE, arg)
+            return self.leave({"EF": eu, "AF": au, "FA": ua, "FE": ue}[tok.kind](TRUE, arg), tok)
         if tok.kind in ("EG", "AG", "GA", "GE"):
-            self.take()
+            self.enter()
             arg = self.parse_unary()
             # each G-form is the negated dual F-form applied to the negation
             dual = {"EG": au, "AG": eu, "GA": ue, "GE": ua}[tok.kind]
-            return lnot(dual(TRUE, lnot(arg)))
+            return self.leave(lnot(dual(TRUE, lnot(arg))), tok)
         if tok.kind in ("E", "A"):
-            self.take()
+            self.enter()
             first = self.parse_or()
             self.expect("U")
             second = self.parse_formula()
-            return eu(first, second) if tok.kind == "E" else au(first, second)
+            return self.leave(eu(first, second) if tok.kind == "E" else au(first, second), tok)
         return self.parse_atom()
 
     def parse_atom(self) -> Formula:
@@ -238,9 +271,10 @@ class _Parser:
             self.take()
             return atom(tok.text)
         if tok.kind == "(":
-            self.take()
+            self.enter()
             inner = self.parse_formula()
             self.expect(")")
+            self.nesting -= 1
             return inner
         self.fail(
             f"unexpected {tok.text or 'end of input'!r}",

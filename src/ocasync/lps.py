@@ -5,18 +5,22 @@ automaton, where the ``a`` pieces are plain transition sequences and each
 ``b`` piece is a cycle.  A concrete path is shaped by the scheme if it
 instantiates every star with a concrete repetition count.  Each piece is
 read once, as counter arithmetic (``Piece``: its effect, and the counters its
-guards allow it to start from); the shaped search steps plain int counters.
+guards allow it to start from): ``enumerate_lps`` reads a scheme while it
+builds it, one step per transition.  The shaped search steps plain int
+counters and solves for the last star's exponent.  No search is a closure
+that refers to itself, so a finished or dropped search leaves no cyclic
+garbage.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .errors import InputError
-from .oca import Configuration, Oca, ZERO
+from .oca import Configuration, Oca, Transition, ZERO
 
 
 @dataclass(frozen=True)
@@ -66,13 +70,36 @@ def _piece(oca: Oca, state: int, seq: tuple[int, ...]) -> Piece:
     return Piece(len(seq), state, o, lo, hi)
 
 
+def _empty_piece(state: int) -> Piece:
+    return Piece(0, state, 0, 0, math.inf)
+
+
+def _extend(piece: Piece, t: Transition) -> Piece:
+    """``piece`` followed by ``t``, which leaves ``piece.dst``: one step of
+    ``_piece``'s loop, for the enumeration, which grows a piece one
+    transition at a time."""
+    o = piece.delta
+    if t.guard == ZERO:
+        return Piece(piece.length + 1, t.dst, o + t.effect, max(piece.lo, -o), min(piece.hi, -o))
+    return Piece(piece.length + 1, t.dst, o + t.effect, max(piece.lo, 1 - o), piece.hi)
+
+
+SegmentPieces = tuple[tuple[Piece, Piece], ...]
+
+
 @dataclass(frozen=True)
 class Lps:
-    """``alpha0`` then ``segments`` of (cycle, following path), all state-chained."""
+    """``alpha0`` then ``segments`` of (cycle, following path), all state-chained.
+
+    ``built`` is ``(oca, alpha0 piece, segment pieces)`` when
+    ``enumerate_lps`` read the scheme while building it; it takes no part in
+    equality, hashing or repr."""
 
     start_state: int
     alpha0: tuple[int, ...]
     segments: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    built: tuple[Oca, Piece, SegmentPieces] | None = field(
+        default=None, compare=False, repr=False)
 
     @property
     def flat_length(self) -> int:
@@ -82,9 +109,12 @@ class Lps:
     def size(self) -> int:
         return len(self.segments)
 
-    def pieces(self, oca: Oca) -> tuple[Piece, list[tuple[Piece, Piece]]]:
+    def pieces(self, oca: Oca) -> tuple[Piece, SegmentPieces]:
         """The ``alpha0`` piece and one (cycle, tail) pair per segment; raises
-        ``ValueError`` on a broken state chain, an empty or an open cycle."""
+        ``ValueError`` on a broken state chain, an empty or an open cycle.
+        Pieces built by ``enumerate_lps`` for this same ``oca`` are reused."""
+        if self.built is not None and self.built[0] is oca:
+            return self.built[1], self.built[2]
         first = _piece(oca, self.start_state, self.alpha0)
         state = first.dst
         segments = []
@@ -95,7 +125,7 @@ class Lps:
             tail = _piece(oca, state, alpha)
             segments.append((cycle, tail))
             state = tail.dst
-        return first, segments
+        return first, tuple(segments)
 
     def cycle_stats(self, oca: Oca) -> list[CycleStats]:
         return [CycleStats(c.delta, c.length) for c, _ in self.pieces(oca)[1]]
@@ -162,28 +192,92 @@ def adjust_length(
     return (k1, k2)
 
 
-def _simple_cycles(
-    oca: Oca, by_src: dict[int, list[int]], state: int, max_len: int,
-) -> Iterator[tuple[int, ...]]:
-    """Simple cycles at ``state`` (no repeated intermediate state) of at most
-    ``max_len`` transitions, depth first over transition indices; ``by_src``
-    lists the transition indices leaving each state.  The DFS stops at depth
-    ``max_len``, so a smaller bound yields the same cycles, in the same order,
-    as a larger bound filtered by length."""
+class _SchemeSearch:
+    """One ``enumerate_lps`` search.  The depth-first walk keeps the scheme
+    on two stacks: ``words`` holds ``alpha0``, then the cycle and the path of
+    each segment, and ``pieces`` holds each word read as a ``Piece``.  The
+    last entry of both is the path being extended, one ``_extend`` per
+    appended transition."""
 
-    def dfs(current: int, path: list[int], visited: set[int]) -> Iterator[tuple[int, ...]]:
-        if len(path) >= max_len:
+    def __init__(self, oca: Oca, start_state: int, end_state: int, flat_len_bound: int):
+        self.oca = oca
+        self.start_state = start_state
+        self.end_state = end_state
+        self.flat_len_bound = flat_len_bound
+        self.by_src: dict[int, list[int]] = {}
+        for i, t in enumerate(oca.transitions):
+            self.by_src.setdefault(t.src, []).append(i)
+        # fewest transitions from each state to ``end_state``: a node with
+        # less flat length left than that yields no scheme
+        self.steps_to_end = [math.inf] * oca.n_states
+        self.steps_to_end[end_state] = 0
+        for k in range(1, oca.n_states):
+            for t in oca.transitions:
+                if self.steps_to_end[t.dst] == k - 1 and self.steps_to_end[t.src] > k:
+                    self.steps_to_end[t.src] = k
+        self.cycles: dict[int, list[tuple[tuple[int, ...], Piece]]] = {}
+        self.words: list = [[]]
+        self.pieces: list[Piece] = [_empty_piece(start_state)]
+
+    def schemes(self, state: int, flat_left: int, size_left: int) -> Iterator[Lps]:
+        """The schemes that extend the stacks from ``state``, in the order
+        ``enumerate_lps`` promises; a child whose state cannot reach
+        ``end_state`` within the flat length it would have is skipped."""
+        words, pieces, steps_to_end = self.words, self.pieces, self.steps_to_end
+        if state == self.end_state:
+            yield Lps(
+                self.start_state,
+                tuple(words[0]),
+                tuple(zip(words[1::2], map(tuple, words[2::2]))),
+                (self.oca, pieces[0], tuple(zip(pieces[1::2], pieces[2::2]))),
+            )
+        if flat_left > 0:
+            tail, piece = words[-1], pieces[-1]
+            transitions = self.oca.transitions
+            for idx in self.by_src.get(state, ()):
+                t = transitions[idx]
+                if steps_to_end[t.dst] < flat_left:
+                    tail.append(idx)
+                    pieces[-1] = _extend(piece, t)
+                    yield from self.schemes(t.dst, flat_left - 1, size_left)
+                    tail.pop()
+            pieces[-1] = piece
+        if size_left > 0:
+            for beta, cycle in self.cycles_at(state):
+                left = flat_left - len(beta)
+                if steps_to_end[state] <= left:
+                    words += (beta, [])
+                    pieces += (cycle, _empty_piece(state))
+                    yield from self.schemes(state, left, size_left - 1)
+                    del words[-2:], pieces[-2:]
+
+    def cycles_at(self, state: int) -> list[tuple[tuple[int, ...], Piece]]:
+        """Each simple cycle at ``state`` (no repeated intermediate state) of
+        at most ``flat_len_bound`` transitions with its piece, depth first
+        over transition indices, searched once per state.  The search stops
+        at depth ``flat_len_bound``, so a node with less flat length left
+        skipping the longer cycles sees the cycles, in the same order, that
+        a search bounded there would find."""
+        if state not in self.cycles:
+            self.cycles[state] = [
+                (beta, _piece(self.oca, state, beta))
+                for beta in self._cycle_words(state, state, [], {state})
+            ]
+        return self.cycles[state]
+
+    def _cycle_words(
+        self, home: int, current: int, path: list[int], visited: set[int],
+    ) -> Iterator[tuple[int, ...]]:
+        if len(path) >= self.flat_len_bound:
             return
-        for idx in by_src.get(current, ()):
-            dst = oca.transitions[idx].dst
-            if dst == state:
+        for idx in self.by_src.get(current, ()):
+            dst = self.oca.transitions[idx].dst
+            if dst == home:
                 yield tuple(path + [idx])
             elif dst not in visited:
                 visited.add(dst)
-                yield from dfs(dst, path + [idx], visited)
+                yield from self._cycle_words(home, dst, path + [idx], visited)
                 visited.remove(dst)
-
-    yield from dfs(state, [], {state})
 
 
 def enumerate_lps(
@@ -194,42 +288,11 @@ def enumerate_lps(
     size_bound: int,
 ) -> Iterator[Lps]:
     """Every scheme from start to end within both bounds, exactly once,
-    in a deterministic depth-first order over transition indices."""
-    by_src: dict[int, list[int]] = {}
-    for i, t in enumerate(oca.transitions):
-        by_src.setdefault(t.src, []).append(i)
-    # each state's cycles at the full bound, once; a node with less flat
-    # length left skips the longer ones (see ``_simple_cycles``)
-    cycles: dict[int, list[tuple[int, ...]]] = {}
-
-    def rec(
-        state: int, alpha0: list[int],
-        segments: list[tuple[tuple[int, ...], list[int]]],
-        flat_left: int, size_left: int,
-    ) -> Iterator[Lps]:
-        if state == end_state:
-            yield Lps(
-                start_state,
-                tuple(alpha0),
-                tuple((beta, tuple(alpha)) for beta, alpha in segments),
-            )
-        tail = alpha0 if not segments else segments[-1][1]
-        if flat_left > 0:
-            for idx in by_src.get(state, ()):
-                tail.append(idx)
-                yield from rec(oca.transitions[idx].dst, alpha0, segments, flat_left - 1, size_left)
-                tail.pop()
-        if size_left > 0:
-            if state not in cycles:
-                cycles[state] = list(_simple_cycles(oca, by_src, state, flat_len_bound))
-            for beta in cycles[state]:
-                if len(beta) > flat_left:
-                    continue
-                segments.append((beta, []))
-                yield from rec(state, alpha0, segments, flat_left - len(beta), size_left - 1)
-                segments.pop()
-
-    yield from rec(start_state, [], [], flat_len_bound, size_bound)
+    in a deterministic depth-first order over transition indices.  Each
+    scheme carries its pieces, so ``Lps.pieces(oca)`` reads it for free."""
+    search = _SchemeSearch(oca, start_state, end_state, flat_len_bound)
+    if search.steps_to_end[start_state] <= flat_len_bound:
+        yield from search.schemes(start_state, flat_len_bound, size_bound)
 
 
 def _shaped_paths(
@@ -247,31 +310,76 @@ def _shaped_paths(
     if (scheme.start_state != start.state or first.length > target_length
             or not first.lo <= start.counter <= first.hi):
         return
-    end_state = segments[-1][1].dst if segments else first.dst
-    last = len(segments) - 1
-    exps: list[int] = []
+    v, remaining = start.counter + first.delta, target_length - first.length
+    if len(segments) > 1:
+        yield from _StarSearch(segments, exp_cap).paths(0, v, remaining)
+    elif segments:
+        hit = _last_star(*segments[0], v, remaining, exp_cap)
+        if hit is not None:
+            yield Configuration(segments[0][1].dst, hit[1]), (hit[0],)
+    elif remaining == 0:
+        yield Configuration(first.dst, v), ()
 
-    def rec(j: int, v: int, remaining: int):
-        if j > last:
-            if remaining == 0:
-                yield Configuration(end_state, v), tuple(exps)
+
+def _last_star(
+    cycle: Piece, tail: Piece, v: int, remaining: int, exp_cap: int,
+) -> tuple[int, int] | None:
+    """(e, end counter) for the one exponent e with which the last star and
+    its tail, entered at counter v, use up ``remaining`` exactly; None if e
+    is not an integer in [0, exp_cap] or the path is not walkable.  The
+    cycle starts from the counters v, v + delta, ..., v + (e - 1) * delta,
+    so it is walkable e times iff it is from both ends of that run."""
+    e, rest = divmod(remaining - tail.length, cycle.length)
+    if rest or not 0 <= e <= exp_cap:
+        return None
+    if e and not (cycle.lo <= v <= cycle.hi
+                  and cycle.lo <= v + (e - 1) * cycle.delta <= cycle.hi):
+        return None
+    v += e * cycle.delta
+    if not tail.lo <= v <= tail.hi:
+        return None
+    return e, v + tail.delta
+
+
+class _StarSearch:
+    """The exponent search of ``_shaped_paths`` over two or more stars: one
+    loop per star but the last, whose exponent ``_last_star`` solves for."""
+
+    def __init__(self, segments: SegmentPieces, exp_cap: int):
+        self.segments = segments
+        self.exp_cap = exp_cap
+        self.end_state = segments[-1][1].dst
+        # need[j]: the flat length that the tails of segments j.. take up
+        self.need = need = [0] * (len(segments) + 1)
+        for j in range(len(segments) - 1, -1, -1):
+            need[j] = need[j + 1] + segments[j][1].length
+        self.exps: list[int] = []
+
+    def paths(self, j: int, v: int, remaining: int) -> Iterator[tuple[Configuration, tuple[int, ...]]]:
+        """The paths through stars j.., for j before the last star."""
+        cycle, tail = self.segments[j]
+        # the length the stars j.. may take; past it the tails to come cannot fit
+        room = remaining - self.need[j]
+        if room < 0:
             return
-        cycle, tail = segments[j]
+        exps, exp_cap = self.exps, self.exp_cap
+        next_is_last = j + 2 == len(self.segments)
         e = 0
         while True:
-            left = remaining - e * cycle.length - tail.length
-            # after the last segment the length must be used up exactly
-            if (left == 0 or (left > 0 and j < last)) and tail.lo <= v <= tail.hi:
-                exps.append(e)
-                yield from rec(j + 1, v + tail.delta, left)
-                exps.pop()
-            if (e >= exp_cap or (e + 1) * cycle.length > remaining
-                    or not cycle.lo <= v <= cycle.hi):
+            if tail.lo <= v <= tail.hi:
+                left = remaining - e * cycle.length - tail.length
+                if next_is_last:
+                    hit = _last_star(*self.segments[j + 1], v + tail.delta, left, exp_cap)
+                    if hit is not None:
+                        yield Configuration(self.end_state, hit[1]), (*exps, e, hit[0])
+                else:
+                    exps.append(e)
+                    yield from self.paths(j + 1, v + tail.delta, left)
+                    exps.pop()
+            if e >= exp_cap or (e + 1) * cycle.length > room or not cycle.lo <= v <= cycle.hi:
                 return
             v += cycle.delta
             e += 1
-
-    yield from rec(0, start.counter + first.delta, target_length - first.length)
 
 
 def shaped_reach(

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -36,6 +37,31 @@ def rows_to_set(rows) -> frozenset[Configuration]:
     return frozenset(
         Configuration(s, v) for s, row in enumerate(rows) for v in row_bits(row)
     )
+
+
+def nested(shape: str, depth: int) -> str:
+    """A formula ``depth`` levels deep: nested parentheses or prefix
+    operators, or a left-associated chain of ``depth`` binary operators."""
+    if shape == "(":
+        return "(" * depth + "p" + ")" * depth
+    if shape in ("!", "EX "):
+        return shape * depth + "p"
+    return f" {shape} ".join(["p"] * (depth + 1))
+
+
+NESTED_SHAPES = ["(", "!", "EX ", "UA", "&"]
+
+
+def cyclic_garbage(fn) -> int:
+    """Objects that ``fn()`` leaves for the cyclic collector: everything it
+    made and dropped that reference counting could not free."""
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 @pytest.fixture

@@ -12,8 +12,9 @@ from ocasync.cli import _dumps, main
 from ocasync.errors import (
     FormulaSyntaxError, InputError, OcaSyntaxError, UncoveredOperatorError, UnknownNameError,
 )
-from ocasync.formula import parse_formula
+from ocasync.formula import MAX_DEPTH, parse_formula
 from ocasync.oca import Configuration, loads, oca_to_json, validate
+from conftest import NESTED_SHAPES, cyclic_garbage, nested
 
 
 @pytest.fixture(scope="module")
@@ -664,6 +665,50 @@ class TestExitCodes:
                            "--flat", "1", "--size", "1", *flag)
         assert code == 1
         assert out == error_bytes("lps", "--start and --target-length must be given together")
+
+
+class TestDeeplyNestedFormulas:
+    """Nesting up to ``MAX_DEPTH`` is checked as before; one level more is
+    malformed input (exit 1), never a ``RecursionError`` (exit 3)."""
+
+    @pytest.mark.parametrize("command", ["check", "oracle", "cross-check", "sat-sets"])
+    @pytest.mark.parametrize("shape", NESTED_SHAPES)
+    def test_one_level_past_the_limit_is_input(self, capsys, schema, command, shape):
+        argv = [command, "--oca", "countdown"]
+        if command != "sat-sets":
+            argv += ["--init", "s,3"]
+        if command != "oracle":
+            argv += ["--mode", "supplied:1,1"]
+        code, doc, _ = run(capsys, *argv, "--formula", nested(shape, MAX_DEPTH))
+        assert code == 0, doc
+        code, doc, _ = run(capsys, *argv, "--formula", nested(shape, MAX_DEPTH + 1))
+        assert code == 1 and doc["error"]["kind"] == "input"
+        check_schema(schema, doc)
+
+
+class TestNoCyclicGarbage:
+    """A successful job leaves nothing for the cyclic collector: every
+    search and cache it builds is freed by reference counting.  The first
+    run of a job may build process-wide state (the argument parser), so the
+    second is the one measured."""
+
+    @pytest.mark.parametrize("argv", [
+        ("lps", "--oca", "random-a", "--src", "x", "--dst", "x", "--flat", "5", "--size", "3",
+         "--start", "x,3", "--target-length", "16", "--max-schemes", "100000"),
+        ("check", "--oca", "countdown", "--formula", "p UA p", "--init", "s,3"),
+        ("sat-sets", "--oca", "countdown", "--formula", "EX p", "--mode", "supplied:1,1"),
+        ("cross-check", "--oca", "countdown", "--formula", "p UE p", "--init", "s,3"),
+        ("constants", "--oca", "countdown", "--formula", "EX (FA (EX p))", "--b", "2"),
+        ("check-lemma11", "--oca", "countdown", "--b", "1", "--counter", "40"),
+        ("oracle", "--oca", "countdown", "--formula", "p UA p", "--init", "s,3"),
+        ("mine-period", "--oca", "countdown", "--formula", "p UA p", "--state", "s"),
+    ], ids=lambda argv: argv[0])
+    def test_one_job(self, capsys, argv):
+        assert main(list(argv)) == 0
+        codes = []
+        assert cyclic_garbage(lambda: codes.append(main(list(argv)))) == 0
+        assert codes == [0]
+        capsys.readouterr()
 
 
 class _Level(IntEnum):

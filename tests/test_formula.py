@@ -3,9 +3,10 @@ from hypothesis import given, strategies as st
 
 from ocasync.errors import FormulaSyntaxError
 from ocasync.formula import (
-    FALSE, TRUE, Formula, Kind, atom, au, eu, ex, formula_atoms, land, lnot,
+    FALSE, MAX_DEPTH, TRUE, Formula, Kind, atom, au, eu, ex, formula_atoms, land, lnot,
     lor, parse_formula, pretty, subformulas, ua, ue,
 )
+from conftest import NESTED_SHAPES, nested
 
 
 class TestParsing:
@@ -68,6 +69,43 @@ class TestParsing:
             parse_formula("p @ q")
 
 
+class TestDepthLimit:
+    """Nesting past ``MAX_DEPTH`` is malformed input, reported at the token
+    that goes one level too deep, not a ``RecursionError``."""
+
+    @pytest.mark.parametrize("shape", NESTED_SHAPES)
+    def test_limit_is_inclusive(self, shape):
+        f = parse_formula(nested(shape, MAX_DEPTH))
+        assert f.depth == (0 if shape == "(" else MAX_DEPTH)
+        assert subformulas(f)[-1] == f
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(nested(shape, MAX_DEPTH + 1))
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("text, column, message", [
+        (nested("(", 200), 101, "more than 100 nested parentheses and prefix operators"),
+        (nested("!", 5000), 101, "more than 100 nested parentheses and prefix operators"),
+        (nested("EX ", 600), 301, "more than 100 nested parentheses and prefix operators"),
+        (nested("UA", 300), 503, "formula more than 100 operators deep"),
+        (nested("&", 1000), 403, "formula more than 100 operators deep"),
+        ("!(" * 51 + "p" + ")" * 51, 101, "more than 100 nested parentheses and prefix operators"),
+        (nested("|", 34), 135, "formula more than 100 operators deep"),
+        # a prefix node is built after its operand, so the outermost EG,
+        # at depth 102, is the first node too deep
+        ("EG " * 34 + "p", 1, "formula more than 100 operators deep"),
+    ], ids=["parens", "not", "EX", "UA", "and", "not-parens", "or", "EG"])
+    def test_position_of_the_first_level_too_deep(self, text, column, message):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(text)
+        assert (exc.value.line, exc.value.column, exc.value.message) == (1, column, message)
+
+    def test_depth_counts_operators_down_to_a_leaf(self):
+        assert atom("p").depth == TRUE.depth == 0
+        assert parse_formula("p | q").depth == 3  # !(!p & !q)
+        assert parse_formula("EG p").depth == 3  # !(A true U !p)
+        assert parse_formula("(p & q) UA EX r").depth == 2
+
+
 class TestStructure:
     def test_subformulas_children_before_parents(self):
         f = au(atom("p"), ua(TRUE, atom("q")))
@@ -82,6 +120,11 @@ class TestStructure:
         p = atom("p")
         f = land(eu(p, p), eu(p, p))
         assert len(subformulas(f)) == 3  # p, EU(p,p), the conjunction
+
+    def test_subformulas_of_a_deep_formula(self):
+        f = parse_formula(nested("&", MAX_DEPTH))
+        subs = subformulas(f)
+        assert len(subs) == MAX_DEPTH + 1 and subs[0] == atom("p") and subs[-1] == f
 
     def test_formula_atoms(self):
         assert formula_atoms(parse_formula("p UA (q & !r)")) == {"p", "q", "r"}

@@ -13,7 +13,7 @@ from ocasync.lps import (
 from ocasync.oca import (
     Configuration, Oca, POS, Transition, ZERO, level_sets, witness_path,
 )
-from conftest import random_total_oca, rows_to_set
+from conftest import cyclic_garbage, random_total_oca, rows_to_set
 
 COUNTDOWN = corpus.load("countdown")
 FORK = corpus.load("fork")
@@ -641,3 +641,166 @@ class TestPathCompression:
                 scheme, exps = compress_path_with_exponents(oca, 0, idx_path)
                 cap = max(exps, default=0) + 10
                 assert target in shaped_reach(oca, scheme, origin, 10, cap)
+
+
+class TestLastStarClosedForm:
+    """The last star's exponent is solved for, not searched: each case is
+    pinned by hand and against the step-by-step walk."""
+
+    @staticmethod
+    def paths(oca, scheme, counter, length, cap):
+        start = Configuration(scheme.start_state, counter)
+        got = list(_shaped_paths(oca, scheme, start, length, cap))
+        assert got == list(shaped_paths_reference(oca, scheme, start, length, cap))
+        return [(end.counter, exps) for end, exps in got]
+
+    def test_exponent_above_the_cap(self):
+        oca, t = zero_test_oca()
+        dec, up_down = (t["a>0-1a"],), (t["a=0+1b"], t["b>0-1a"])
+        scheme = Lps(0, (), ((dec, ()), (up_down, ()), (dec, ())))
+        # from 5 the middle star cannot run, so the last needs 5 - e1 >= 3
+        assert self.paths(oca, scheme, 5, 5, 2) == []
+        assert self.paths(oca, scheme, 5, 5, 3) == [(0, (2, 0, 3)), (0, (3, 0, 2))]
+        assert self.paths(oca, scheme, 5, 5, 5) == [(0, (e, 0, 5 - e)) for e in range(6)]
+
+    def test_exponent_not_an_integer(self):
+        oca, t = zero_test_oca()
+        dec, up_down = (t["a>0-1a"],), (t["a=0+1b"], t["b>0-1a"])
+        scheme = Lps(0, (), ((dec, ()), (dec, ()), (up_down, ())))
+        # the two-step last cycle is walkable from 0 only: from 2 it takes
+        # e1 + e2 = 2 decrements, so the length must be even
+        assert self.paths(oca, scheme, 2, 3, 9) == []
+        assert self.paths(oca, scheme, 2, 4, 9) == [(0, (0, 2, 1)), (0, (1, 1, 1)), (0, (2, 0, 1))]
+        assert self.paths(oca, scheme, 2, 5, 9) == []
+
+    def test_zero_tested_last_cycle(self):
+        oca, t = zero_test_oca()
+        inc, flat = (t["b=0+1b"],), (t["b>0-1a"], t["a=0+1b"])
+        # b=0+1b is walkable from 0 only, so it repeats once: the run's first
+        # counter passes the zero test, the second does not
+        scheme = Lps(1, (), ((inc, ()), (flat, ()), (inc, ())))
+        assert self.paths(oca, scheme, 0, 1, 9) == [(1, (0, 0, 1)), (1, (1, 0, 0))]
+        assert self.paths(oca, scheme, 0, 2, 9) == []
+        assert self.paths(oca, scheme, 0, 3, 9) == [(1, (1, 1, 0))]
+        # the flat cycle tests b for 1 and a for 0, and repeats from 1 at will
+        scheme = Lps(1, (), ((inc, ()), (inc, ()), (flat, ())))
+        assert self.paths(oca, scheme, 0, 2, 9) == []
+        assert self.paths(oca, scheme, 0, 9, 9) == [(1, (0, 1, 4)), (1, (1, 0, 4))]
+        assert self.paths(oca, scheme, 0, 9, 3) == []
+
+
+def same_shape(rng, oca):
+    """``oca`` with its effects redrawn, keeping each transition index's
+    source, guard and destination, so every scheme of one is a scheme of
+    the other.  ``Oca`` sorts its transitions, so draw until the order holds."""
+    shape = [(t.src, t.guard, t.dst) for t in oca.transitions]
+    while True:
+        other = Oca(oca.state_names, oca.atoms, oca.labels, tuple(
+            t._replace(effect=rng.choice([0, 1] if t.guard == ZERO else [-1, 0, 1]))
+            for t in oca.transitions))
+        if [(t.src, t.guard, t.dst) for t in other.transitions] == shape:
+            return other
+
+
+def hand_built(scheme):
+    return Lps(scheme.start_state, scheme.alpha0, scheme.segments)
+
+
+class TestCarriedPieces:
+    """``enumerate_lps`` reads each scheme while building it; the pieces it
+    carries are the ones ``_piece`` reads, and are used for their own
+    automaton only."""
+
+    @staticmethod
+    def assert_pieces_read_by_piece(oca, scheme):
+        first, segments = scheme.pieces(oca)
+        assert scheme.built is not None and scheme.built[0] is oca
+        assert first == _piece(oca, scheme.start_state, scheme.alpha0)
+        state = first.dst
+        assert len(segments) == scheme.size
+        for (cycle, tail), (beta, alpha) in zip(segments, scheme.segments):
+            assert cycle == _piece(oca, state, beta) and cycle.dst == state
+            assert tail == _piece(oca, state, alpha)
+            state = tail.dst
+        assert scheme.pieces(oca) == hand_built(scheme).pieces(oca)
+
+    def test_corpus(self):
+        for name in corpus.names():
+            oca = corpus.load(name)
+            for src, dst in itertools.product(range(oca.n_states), repeat=2):
+                for scheme in enumerate_lps(oca, src, dst, 4, 2):
+                    self.assert_pieces_read_by_piece(oca, scheme)
+
+    def test_random_automata(self, rng):
+        count = 0
+        for _ in range(60):
+            oca = random_total_oca(rng, n_states=rng.randint(1, 3))
+            src, dst = rng.randrange(oca.n_states), rng.randrange(oca.n_states)
+            for scheme in enumerate_lps(oca, src, dst, rng.randint(0, 5), rng.randint(0, 3)):
+                self.assert_pieces_read_by_piece(oca, scheme)
+                count += 1
+        assert count > 1000
+
+    def test_left_out_of_equality_hash_and_repr(self):
+        for scheme in enumerate_lps(FORK, 0, 1, 3, 1):
+            copy = hand_built(scheme)
+            assert copy.built is None
+            assert scheme == copy and hash(scheme) == hash(copy)
+            assert repr(scheme) == repr(copy)
+
+    def test_another_automaton_of_the_same_shape(self, rng):
+        compared = differ = 0
+        for _ in range(20):
+            oca = random_total_oca(rng, n_states=rng.randint(1, 3))
+            other = same_shape(rng, oca)
+            for end_state in range(oca.n_states):
+                for scheme in itertools.islice(enumerate_lps(oca, 0, end_state, 4, 2), 20):
+                    copy = hand_built(scheme)
+                    differ += scheme.pieces(oca) != copy.pieces(other)
+                    assert scheme.pieces(other) == copy.pieces(other)
+                    assert scheme.cycle_stats(other) == copy.cycle_stats(other)
+                    for counter, length in itertools.product((0, 2), (3, 6)):
+                        start = Configuration(0, counter)
+                        reach = shaped_reach(other, scheme, start, length, 4)
+                        assert reach == shaped_reach(other, copy, start, length, 4)
+                        for end in reach:
+                            exps = shaped_witness_exponents(other, scheme, start, end, length, 4)
+                            assert exps == shaped_witness_exponents(
+                                other, copy, start, end, length, 4)
+                            assert analyze_cycle_repetitions(other, scheme, list(exps)) == (
+                                analyze_cycle_repetitions(other, copy, list(exps)))
+                            compared += 1
+        assert compared > 100 and differ > 50
+
+    def test_an_equal_automaton_is_read_afresh(self):
+        oca, again = corpus.load("countdown"), corpus.load("countdown")
+        assert oca == again and oca is not again
+        for scheme in enumerate_lps(oca, 0, 1, 4, 2):
+            assert scheme.pieces(again) == scheme.pieces(oca)
+            assert shaped_reach(again, scheme, Configuration(0, 3), 6, 4) == shaped_reach(
+                oca, scheme, Configuration(0, 3), 6, 4)
+
+
+class TestNoCyclicGarbage:
+    """A search that is dropped, finished or not, is freed by reference
+    counting alone."""
+
+    def test_abandoned_enumeration(self):
+        oca = corpus.load("random-a")
+        schemes = enumerate_lps(oca, 0, 0, 5, 3)
+
+        def abandon():
+            nonlocal schemes
+            next(itertools.islice(schemes, 500, None))
+            schemes = None
+
+        assert cyclic_garbage(abandon) == 0
+
+    def test_early_exit_witness_search(self):
+        scheme = Lps(0, (), (((1,), ()), ((1,), ()), ((1,), ())))
+        start = Configuration(0, 9)
+        # the least vector is found first, with the search still open
+        assert cyclic_garbage(lambda: shaped_witness_exponents(
+            COUNTDOWN, scheme, start, Configuration(0, 3), 6, 9)) == 0
+        assert shaped_witness_exponents(
+            COUNTDOWN, scheme, start, Configuration(0, 3), 6, 9) == (0, 0, 6)
