@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -131,7 +132,15 @@ def _dumps(o, ind: str = "") -> str:
 
 
 def _emit(doc: dict) -> None:
-    print(_dumps(doc))
+    """Print one document.  If the reader has closed stdout, point stdout at
+    ``os.devnull``: the run keeps its exit code and prints nothing more."""
+    try:
+        print(_dumps(doc))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _ok(command: str, data: dict) -> int:

@@ -11,16 +11,24 @@ per-state satisfaction sets back as ultimately periodic sets.
 synchronized checks run once per start node but share their level-set work: a
 UA answer depends on the level set alone, so each UA operator keeps one memo
 of answers per level set, and every UE operator reads one cache of level-set
-images plus its own distance sequence.  None of it outlives the call.
+images plus its own distance sequence and that sequence's index of first
+positions.  None of it outlives the call.  A UE level step does constant
+work unless its bound passes the start-level test, which UE makes before
+testing any other level; and UE finds where the (level, distance) pair
+repeats from the two sequences' own repeats (base = max of the bases,
+period = lcm of the periods) instead of keying a table by pairs.
 
 Every ``Kripke`` structure, unfolded or hand-built, is one layout: rows of
 ``width`` counter classes, with a row's edges given by ``Move``s that act on
-the whole row at once.  Node sets are bitmasks over that layout throughout
+the whole row at once.  ``image`` reads the moves grouped by source row,
+built once per structure on its first call, so each non-empty row of a level
+set is extracted once.  Node sets are bitmasks over that layout throughout
 this module.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -120,28 +128,49 @@ class Kripke:
                 m |= row_mask << r * width
         return m
 
+    @cached_property
+    def _image_table(self) -> tuple[int, int, tuple[tuple[int, tuple], ...]]:
+        """What ``image`` reads, built on its first call: the bit one past a
+        row, the wrap target, and the moves grouped by source row as
+        ``(source shift, ((target shift, guard, effect), ...))``, with the
+        guards of a row's moves to the same row by the same effect ORed."""
+        width = self.width
+        by_row: dict[int, dict[tuple[int, int], int]] = {}
+        for src, dst, guard, effect in self.moves:
+            row = by_row.setdefault(src, {})
+            row[dst, effect] = row.get((dst, effect), 0) | guard
+        return 1 << width, 1 << self.t, tuple(
+            (src * width, tuple((dst * width, guard, effect)
+                                for (dst, effect), guard in row.items()))
+            for src, row in by_row.items()
+        )
+
     def image(self, mask: int) -> int:
         """Nodes with a predecessor in ``mask``.
 
-        Each move takes its source row of ``mask``, keeps the classes its
-        guard admits and shifts the row by its effect; a +1 step from the top
-        class ``width - 1`` lands on bit ``width``, which wraps back to class
-        ``t``.
+        Each non-empty source row of ``mask`` is extracted once; each of its
+        moves keeps the classes its guard admits and shifts them by its
+        effect.  A +1 step from the top class ``width - 1`` lands on bit
+        ``width``, which wraps back to class ``t``.
         """
-        width, top, wrap = self.width, 1 << self.width, 1 << self.t
+        top, wrap, rows = self._image_table
+        row_mask = top - 1
         out = 0
-        for src, dst, guard, effect in self.moves:
-            row = (mask >> src * width) & guard
+        for shift, moves in rows:
+            row = mask >> shift & row_mask
             if not row:
                 continue  # level sets are mostly sparse
-            if effect == 1:
-                row <<= 1
-                if row & top:
-                    row ^= top
-                    row |= wrap
-            elif effect == -1:
-                row >>= 1
-            out |= row << dst * width
+            for dst_shift, guard, effect in moves:
+                r = row & guard
+                if not r:
+                    continue
+                if effect == 1:
+                    r <<= 1
+                    if r & top:
+                        r = r ^ top | wrap
+                elif effect == -1:
+                    r >>= 1
+                out |= r << dst_shift
         return out
 
     def preimage(self, mask: int) -> int:
@@ -291,15 +320,16 @@ def check_ua_on_kripke(
         memo = {}
     path: list[int] = []  # walked levels without an answer yet, in orbit order
     on_path: dict[int, int] = {}
+    not_sat1, not_sat2 = ~sat1, ~sat2
     level = 1 << init
     while True:
         res = memo.get(level)
         if res is not None:
             break
-        if level & ~sat2 == 0:
+        if not level & not_sat2:
             res = memo[level] = SyncCheck(True, 0, 1)
             break
-        if level & ~sat1:
+        if level & not_sat1:
             res = memo[level] = SyncCheck(False, None, 1)
             break
         first = on_path.get(level)
@@ -329,56 +359,92 @@ def check_ua_on_kripke(
 def check_ue_on_kripke(
     k: Kripke, init: int, sat1: int, sat2: int, step_cap: int,
     dist: list[int] | None = None, images: dict[int, int] | None = None,
+    dist_index: dict[int, int] | None = None,
 ) -> SyncCheck:
     """Does some single bound admit, for every earlier level, a sat1 node of
     that level from which sat2 is reachable in exactly the remaining steps?
 
-    Levels and exact-distance predecessor sets both evolve deterministically,
-    so once the pair revisits an earlier value the predicate is determined by
-    the cycle; scanning to twice the transient plus one period is sufficient.
+    Bound K holds iff level K meets sat2 and every level j < K meets
+    ``sat1 & dist[K - j]``.  The start level (j = 0) is tested first, and
+    the other levels only for a bound that passes it.
 
-    ``dist[d]`` holds the nodes reaching sat2 in exactly d steps.  It does not
-    depend on ``init``, so callers checking many start nodes pass one list,
-    starting ``[sat2]``, to every call; each call extends it in place as far
-    as it scans.  ``images`` maps a level mask to ``k.image`` of it; it
-    depends on the structure alone, so callers share one dict per structure.
+    The levels and the exact-distance sets are orbits of deterministic maps
+    (``k.image`` and ``k.preimage``): each runs through a transient into a
+    cycle.  The pair of them first repeats at base = max(level base,
+    distance base) with period = lcm(level period, distance period), since
+    both must be on their cycles and a shift must be a multiple of both
+    periods.  From the repeat on the predicate is determined by the cycle,
+    so the scan stops at twice the base plus one period less one, or at the
+    repeat if that is later.
+
+    ``dist[d]`` holds the nodes reaching sat2 in exactly d steps, and
+    ``dist_index`` maps each distinct mask of ``dist`` to its first
+    position.  Neither depends on ``init``: callers checking many start
+    nodes pass one pair, starting ``[sat2]`` and ``{sat2: 0}``, to every
+    call, and each call extends both in place as far as it scans.  Once
+    ``dist`` is longer than ``dist_index``, the sequence has repeated at
+    position ``len(dist_index)``; its base and period are then known, and
+    later positions are copied rather than computed.  ``images`` maps a
+    level mask to ``k.image`` of it; it depends on the structure alone, so
+    callers share one dict per structure.
     """
     if step_cap < 1:
         raise ValueError("step cap must be at least 1")
     if images is None:
         images = {}
     if dist is None:
-        dist = [sat2]
+        dist, dist_index = [sat2], {sat2: 0}
     elif not dist or dist[0] != sat2:
         raise ValueError("a shared distance sequence must start at sat2")
-    levels = [1 << init]
-    seen: dict[tuple[int, int], int] = {(levels[0], dist[0]): 0}
-    scan_until: int | None = None
+    elif dist_index is None:
+        raise ValueError("a shared distance sequence needs its index")
+    level = 1 << init
+    if level & sat2:
+        return SyncCheck(True, 0, 1)
+    start = level & sat1  # bound K >= 1 needs start & dist[K]
+    levels = [level]
+    first = {level: 0}  # each level's first position, until the levels repeat
+    level_base = level_period = 0
+    stop = None
     k_step = 0
     while True:
-        if levels[k_step] & sat2:
-            if all(levels[j] & sat1 & dist[k_step - j] for j in range(k_step)):
-                return SyncCheck(True, k_step, k_step + 1)
-        if scan_until is not None and k_step >= scan_until:
+        if stop is not None and k_step >= stop:
             return SyncCheck(False, None, k_step + 1)
-        if k_step + 1 > step_cap:
+        if k_step >= step_cap:
             raise _step_cap_exceeded(step_cap)
-        level = levels[k_step]
-        nxt = images.get(level)
-        if nxt is None:
-            nxt = images[level] = k.image(level)
-        levels.append(nxt)
-        if len(dist) == k_step + 1:
-            dist.append(k.preimage(dist[k_step]))
+        if level_period:
+            level = levels[k_step + 1 - level_period]
+        else:
+            nxt = images.get(level)
+            if nxt is None:
+                nxt = images[level] = k.image(level)
+            level = nxt
         k_step += 1
-        key = (levels[k_step], dist[k_step])
-        if scan_until is None:
-            if key in seen:
-                base = seen[key]
-                period = k_step - base
-                scan_until = 2 * base + period - 1
+        levels.append(level)
+        if len(dist) == k_step:
+            rep = len(dist_index)
+            if rep < len(dist):  # dist repeats from position rep on
+                dist.append(dist[k_step - rep + dist_index[dist[rep]]])
             else:
-                seen[key] = k_step
+                d = k.preimage(dist[-1])
+                dist.append(d)
+                dist_index.setdefault(d, k_step)
+        if not level_period:
+            level_base = first.setdefault(level, k_step)
+            if level_base < k_step:
+                level_period = k_step - level_base
+        if stop is None and level_period and len(dist_index) < len(dist):
+            rep = len(dist_index)
+            dist_base = dist_index[dist[rep]]
+            base = max(level_base, dist_base)
+            period = math.lcm(level_period, rep - dist_base)
+            stop = max(base + period, 2 * base + period - 1)
+        if start & dist[k_step] and level & sat2:
+            for j in range(1, k_step):
+                if not levels[j] & sat1 & dist[k_step - j]:
+                    break
+            else:
+                return SyncCheck(True, k_step, k_step + 1)
 
 
 def label_kripke(
@@ -396,13 +462,14 @@ def label_kripke(
             # UA's answers per level set and UE's distance sequence are the
             # same for every start node of this operator
             memo: dict[int, SyncCheck] = {}
-            dist = [sat2]
+            dist, dist_index = [sat2], {sat2: 0}
             mask = 0
             for node in range(k.n):
                 if g.kind is Kind.UA:
                     res = check_ua_on_kripke(k, node, sat1, sat2, step_cap, memo)
                 else:
-                    res = check_ue_on_kripke(k, node, sat1, sat2, step_cap, dist, images)
+                    res = check_ue_on_kripke(
+                        k, node, sat1, sat2, step_cap, dist, images, dist_index)
                 if res.holds:
                     mask |= 1 << node
                 if node == root and g == f:
@@ -489,13 +556,28 @@ def _mined_pairs(
     return pairs, caveats
 
 
+def _environment_budget() -> int:
+    """``OCASYNC_BUDGET``, or 10^6 when it is unset or empty; any value but a
+    non-negative integer is an ``InputError``."""
+    text = os.environ.get(BUDGET_ENV_VAR)
+    if not text:
+        return DEFAULT_NODE_BUDGET
+    try:
+        budget = int(text)
+        if budget >= 0:
+            return budget
+    except ValueError:
+        pass
+    raise InputError(f"{BUDGET_ENV_VAR} must be a non-negative integer, not {text!r}")
+
+
 def check_budget(
     what: str, required: bignum.Number, unit: str, budget: int | None = None
 ) -> None:
     """Raise ``BudgetExceededError`` before ``required`` units go over ``budget``
     (default ``OCASYNC_BUDGET``, else 10^6); a symbolic ``required`` always does."""
     if budget is None:
-        budget = int(os.environ.get(BUDGET_ENV_VAR) or DEFAULT_NODE_BUDGET)
+        budget = _environment_budget()
     if bignum.is_symbolic(required) or required > budget:
         needed = bignum.to_jsonable(required)
         raise BudgetExceededError(

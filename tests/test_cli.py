@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from enum import IntEnum
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -15,6 +19,8 @@ from ocasync.errors import (
 from ocasync.formula import MAX_DEPTH, parse_formula
 from ocasync.oca import Configuration, loads, oca_to_json, validate
 from conftest import NESTED_SHAPES, cyclic_garbage, nested
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -657,6 +663,32 @@ class TestExitCodes:
         assert code == 3 and doc["error"] == {
             "kind": "internal", "message": "ValueError: lost node"}
         check_schema(schema, doc)
+
+    def test_malformed_budget_variable_exits_one(self, capsys, schema, monkeypatch):
+        monkeypatch.setenv("OCASYNC_BUDGET", "abc")
+        code, doc, out = run(capsys, "check", "--oca", "countdown", "--formula", "FA p",
+                             "--mode", "supplied:2,2", "--init", "s,0")
+        assert code == 1
+        assert out == error_bytes(
+            "check", "OCASYNC_BUDGET must be a non-negative integer, not 'abc'")
+        check_schema(schema, doc)
+
+    def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(self):
+        # the document is about 2 MB, far more than a pipe buffers, so the
+        # write fails once the reader has gone
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ocasync", "lps", "--oca", "random-a", "--src", "x",
+             "--dst", "x", "--flat", "5", "--size", "3", "--max-schemes", "100000",
+             "--start", "x,3", "--target-length", "16"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+        assert stderr == b""
 
     @pytest.mark.parametrize("flag", [("--start", "s,5"), ("--target-length", "3")],
                              ids=lambda flag: flag[0])

@@ -1,14 +1,15 @@
+import math
 import random
 
 import pytest
 
-from ocasync import bignum, corpus
-from ocasync.errors import BudgetExceededError, StepCapExceededError
+from ocasync import bignum, corpus, mc
+from ocasync.errors import BudgetExceededError, InputError, StepCapExceededError
 from ocasync.formula import (
     TRUE, Kind, atom, au, eu, ex, land, lnot, parse_formula, subformulas, ua, ue,
 )
 from ocasync.mc import (
-    Kripke, KripkeBuilder, _label_mask, check_budget, check_oca, check_ua_on_kripke,
+    Kripke, KripkeBuilder, Move, _label_mask, check_budget, check_oca, check_ua_on_kripke,
     check_ue_on_kripke, counter_class, label_kripke, mask_of, unfold_kripke,
 )
 from ocasync.oracle import BoundedEvaluator
@@ -124,9 +125,17 @@ def kernel_automata(rng):
     return autos
 
 
+def step_cap_error(step_cap):
+    return StepCapExceededError(
+        "level iteration exceeded its step cap undecided",
+        partial_horizon=step_cap, budget=step_cap)
+
+
 def ue_reference(k, init, sat1, sat2, step_cap):
     """Synchronized UE as it was decided before the distance sequence was
-    shared: every call rebuilds its own sequence."""
+    shared: every call rebuilds its own level and distance sequences, finds
+    their first repeated pair in a dict of pairs, and re-tests every earlier
+    level at each sat2 hit."""
     levels = [1 << init]
     dist = [sat2]
     seen = {(levels[0], dist[0]): 0}
@@ -138,8 +147,9 @@ def ue_reference(k, init, sat1, sat2, step_cap):
                 return (True, k_step, k_step + 1)
         if scan_until is not None and k_step >= scan_until:
             return (False, None, k_step + 1)
-        assert k_step + 1 <= step_cap
-        levels.append(k.image(levels[k_step]))
+        if k_step + 1 > step_cap:
+            raise step_cap_error(step_cap)
+        levels.append(image_per_move(k, levels[k_step]))
         dist.append(k.preimage(dist[k_step]))
         k_step += 1
         key = (levels[k_step], dist[k_step])
@@ -151,27 +161,100 @@ def ue_reference(k, init, sat1, sat2, step_cap):
                 seen[key] = k_step
 
 
-def ua_reference(k, init, sat1, sat2):
+def ua_reference(k, init, sat1, sat2, step_cap=None):
     """Synchronized UA as it was decided before answers were shared: one
-    orbit walk per start node, failing on the first revisited level set."""
+    orbit walk per start node, failing on the first revisited level set.
+    An answer that needs more than ``step_cap + 1`` iterations raises."""
     level = 1 << init
     seen = set()
     k_step = 0
     while True:
         if level & ~sat2 == 0:
-            return (True, k_step, k_step + 1)
+            res = (True, k_step, k_step + 1)
+            break
         if level & ~sat1 or level in seen:
-            return (False, None, k_step + 1)
+            res = (False, None, k_step + 1)
+            break
         seen.add(level)
-        level = k.image(level)
+        level = image_per_move(k, level)
         k_step += 1
+    if step_cap is not None and res[2] > step_cap + 1:
+        raise step_cap_error(step_cap)
+    return res
 
 
-def random_kripke(rng, n):
+def image_per_move(k, mask):
+    """``Kripke.image`` as it was before the moves were grouped by source
+    row: every move extracts its own source row from the whole mask."""
+    width, top, wrap = k.width, 1 << k.width, 1 << k.t
+    out = 0
+    for src, dst, guard, effect in k.moves:
+        row = (mask >> src * width) & guard
+        if not row:
+            continue
+        if effect == 1:
+            row <<= 1
+            if row & top:
+                row ^= top
+                row |= wrap
+        elif effect == -1:
+            row >>= 1
+        out |= row << dst * width
+    return out
+
+
+def scan_outcome(check, *args):
+    """A synchronized check's whole answer, or its step-cap error's fields."""
+    try:
+        return tuple(check(*args))
+    except StepCapExceededError as exc:
+        return ("step cap", str(exc), exc.partial_horizon, exc.budget)
+
+
+def orbit_shape(x, step):
+    """(base, period) of the orbit of ``x`` under ``step``."""
+    first = {}
+    while x not in first:
+        first[x] = len(first)
+        x = step(x)
+    return first[x], len(first) - first[x]
+
+
+def two_cycles(level_tail, dist_tail):
+    """Two structures, all nodes labelled ``p``: a chain of ``level_tail``
+    nodes into a 2-cycle with one ``mark`` node, and a chain of
+    ``dist_tail`` nodes into a 3-cycle with one ``goal`` node.  From the
+    head of the first chain the levels have base ``level_tail`` and period
+    2; the distance sets of the goal have base ``dist_tail - 2`` (at least
+    0) and period 3.  The second structure adds an edge from the 2-cycle
+    into the 3-cycle's chain."""
+    def build(link):
+        b = KripkeBuilder()
+        chains = (("u", level_tail, "a", 2, "mark"), ("t", dist_tail, "b", 3, "goal"))
+        for tail, length, cycle, period, mark in chains:
+            for i in range(length):
+                b.node(f"{tail}{i}", "p")
+            for i in range(period):
+                b.node(f"{cycle}{i}", "p", *([mark] if i == 0 else []))
+        for tail, length, cycle, period, _ in chains:
+            path = [f"{tail}{i}" for i in range(length)] + [f"{cycle}0"]
+            for src, dst in zip(path, path[1:]):
+                b.edge(src, dst)
+            for i in range(period):
+                b.edge(f"{cycle}{i}", f"{cycle}{(i + 1) % period}")
+        if link:
+            b.edge("a1", f"t{dist_tail - 1}" if dist_tail else "b0")
+        return b.build()
+    return build(False), build(True)
+
+
+def random_kripke(rng, n, parallel=False):
     """A total structure of n nodes with one to three successors each and
-    atom ``p`` on about 40% of them."""
+    atom ``p`` on about 40% of them; with ``parallel`` a successor may be
+    listed twice, which gives parallel edges."""
+    pick = rng.choices if parallel else rng.sample
     succ = tuple(
-        tuple(sorted(rng.sample(range(n), rng.randint(1, min(3, n)))))
+        tuple(sorted(pick(range(n), k=rng.randint(1, min(3, n)))))
         for _ in range(n)
     )
     labels = tuple(frozenset(a for a in ("p",) if rng.random() < 0.4) for _ in range(n))
@@ -202,6 +285,42 @@ def naive_successor_masks(oca, t, p):
     ]
 
 
+def late_witness():
+    """A structure, found by random search, where ``p UE goal`` holds at
+    nodes 5 and 6 only after their levels have repeated: level bases 3 and
+    4 with period 2, distance base 5 with period 2, witnesses 6 and 7."""
+    succ = ((2,), (3, 6), (3, 4), (1,), (1, 5), (0, 6), (5,), (6,), (0,))
+    p, goal = {0, 1, 4, 5, 6, 8}, {1, 7, 8}
+    labels = tuple(frozenset(name for name, nodes in (("p", p), ("goal", goal)) if i in nodes)
+                   for i in range(len(succ)))
+    return Kripke.from_successors(succ, labels)
+
+
+def scan_structures(rng):
+    """Structures for the synchronized scans: the two trees,
+    ``late_witness``, unfoldings, random hand-built structures and
+    ``two_cycles`` in both transient orders."""
+    structures = [corpus.tree_synchronized()[0], corpus.tree_staggered()[0], late_witness()]
+    structures += [unfold_kripke(oca, t, p) for oca in kernel_automata(rng)
+                   for t, p in [(0, 1), (2, 3), (4, 2)]]
+    structures += [random_kripke(rng, rng.randint(1, 10)) for _ in range(30)]
+    for tails in [(0, 0), (4, 1), (1, 4), (3, 3), (0, 5), (5, 0)]:
+        structures += two_cycles(*tails)
+    return structures
+
+
+def scan_operands(rng, k):
+    """(sat1, sat2) pairs: a random goal under true and under a random
+    sat1, and the goal atom under true and under ``p`` where the structure
+    has one."""
+    pairs = [(sat1, rng.getrandbits(k.n) & rng.getrandbits(k.n))
+             for sat1 in (k.full_mask, rng.getrandbits(k.n) | rng.getrandbits(k.n))]
+    goal = k.atom_mask("goal")
+    if goal:
+        pairs += [(k.full_mask, goal), (k.atom_mask("p"), goal)]
+    return pairs
+
+
 class TestUnfoldingKernels:
     def test_kernels_match_successor_lists(self, rng):
         for oca in kernel_automata(rng):
@@ -219,40 +338,77 @@ class TestUnfoldingKernels:
                     assert k.image(m) == image, (oca, t, p, m)
                     assert k.preimage(m) == preimage, (oca, t, p, m)
 
+    def test_grouped_image_matches_the_per_move_loop(self, rng):
+        structures = [unfold_kripke(oca, t, p) for oca in kernel_automata(rng)
+                      for t, p in KERNEL_PAIRS]
+        structures += [random_kripke(rng, rng.randint(1, 12), parallel=True) for _ in range(20)]
+        # width 1 with parallel edges, and edges that never fire (guard 0)
+        structures.append(Kripke(1, 0, (
+            Move(0, 1, 1, 0), Move(0, 1, 1, 0), Move(0, 2, 0, 0), Move(1, 1, 1, 0),
+            Move(1, 0, 0, 0), Move(2, 0, 1, 0), Move(2, 0, 1, 0), Move(2, 2, 1, 0),
+        ), (frozenset(),) * 3))
+        for k in structures:
+            rows, width = len(k.labels), k.width
+            full_row = (1 << width) - 1
+            masks = [0, k.full_mask] + [1 << i for i in range(k.n)]
+            for _ in range(20):  # each row empty, full or random
+                masks.append(sum(
+                    rng.choice((0, full_row, rng.getrandbits(width))) << r * width
+                    for r in range(rows)))
+            assert "_image_table" not in k.__dict__  # built by the first image only
+            for m in masks:
+                assert k.image(m) == image_per_move(k, m), (k, m)
+
     def test_shared_distance_sequence_matches_reference(self, rng):
-        for oca in kernel_automata(rng):
-            for t, p in [(0, 1), (2, 3), (4, 2)]:
-                k = unfold_kripke(oca, t, p)
-                step_cap = 4 * k.n * k.n + 64
-                for _ in range(3):
-                    sat1, sat2 = rng.getrandbits(k.n), rng.getrandbits(k.n)
-                    dist, images = [sat2], {}
-                    order = list(range(k.n))
-                    rng.shuffle(order)
-                    for node in order:
-                        expect = ue_reference(k, node, sat1, sat2, step_cap)
-                        shared = check_ue_on_kripke(
-                            k, node, sat1, sat2, step_cap, dist, images)
-                        alone = check_ue_on_kripke(k, node, sat1, sat2, step_cap)
-                        assert tuple(shared) == tuple(alone) == expect, (oca, t, p, node)
+        # whole answers or step-cap errors, start nodes in shuffled order, one
+        # distance sequence, distance index and image cache per operator
+        shapes = set()
+        for k in scan_structures(rng):
+            full_cap = 4 * k.n * k.n + 64
+            for sat1, sat2 in scan_operands(rng, k):
+                dist_shape = orbit_shape(sat2, k.preimage)
+                expect = [ue_reference(k, node, sat1, sat2, full_cap) for node in range(k.n)]
+                dist, dist_index, images = [sat2], {sat2: 0}, {}
+                order = list(range(k.n))
+                rng.shuffle(order)
+                for node in order:
+                    # a cap below the answer's last bound raises, one at it does not
+                    last = expect[node][2] - 1
+                    for step_cap in (full_cap, max(1, last), max(1, last - 1)):
+                        got = scan_outcome(check_ue_on_kripke, k, node, sat1, sat2, step_cap,
+                                           dist, images, dist_index)
+                        assert got == scan_outcome(
+                            ue_reference, k, node, sat1, sat2, step_cap), (k, node, step_cap)
+                    alone = check_ue_on_kripke(k, node, sat1, sat2, full_cap)
+                    assert tuple(alone) == expect[node], (k, node)
+                    if not expect[node][0]:  # the scan ran to its repeat rule
+                        level_shape = orbit_shape(1 << node, k.image)
+                        shapes.add((
+                            (level_shape[0] > dist_shape[0]) - (level_shape[0] < dist_shape[0]),
+                            math.lcm(level_shape[1], dist_shape[1]) > max(
+                                level_shape[1], dist_shape[1]),
+                        ))
+        # level transient longer, distance transient longer, equal; and
+        # periods whose lcm is more than their max
+        assert {base for base, _ in shapes} == {1, -1, 0}
+        assert (1, True) in shapes and (-1, True) in shapes
 
     def test_shared_ua_memo_matches_reference(self, rng):
-        structures = [corpus.tree_synchronized()[0], corpus.tree_staggered()[0]]
-        structures += [random_kripke(rng, rng.randint(1, 10)) for _ in range(40)]
-        structures += [unfold_kripke(oca, t, p) for oca in kernel_automata(rng)
-                       for t, p in [(0, 1), (2, 3), (4, 2)]]
         revisits = 0
-        for k in structures:
-            step_cap = 4 * k.n * k.n + 64
-            for sat1 in (k.full_mask, rng.getrandbits(k.n) | rng.getrandbits(k.n)):
-                sat2 = rng.getrandbits(k.n) & rng.getrandbits(k.n)
+        for k in scan_structures(rng):
+            full_cap = 4 * k.n * k.n + 64
+            for sat1, sat2 in scan_operands(rng, k):
                 expect = [ua_reference(k, node, sat1, sat2) for node in range(k.n)]
                 order = list(range(k.n))
                 rng.shuffle(order)
                 memo = {}
                 for node in order:
-                    shared = check_ua_on_kripke(k, node, sat1, sat2, step_cap, memo)
-                    assert tuple(shared) == expect[node], (k, node)
+                    # a cap below the answer's iterations less one raises
+                    it = expect[node][2]
+                    for step_cap in (full_cap, it - 1, max(0, it - 2)):
+                        got = scan_outcome(check_ua_on_kripke, k, node, sat1, sat2, step_cap, memo)
+                        assert got == scan_outcome(
+                            ua_reference, k, node, sat1, sat2, step_cap), (k, node, step_cap)
                     assert tuple(check_ua_on_kripke(k, node, sat1, sat2)) == expect[node]
                 for node, (holds, _, it) in enumerate(expect):
                     # a failure whose last level lies inside sat1 is a revisit
@@ -265,7 +421,10 @@ class TestUnfoldingKernels:
     def test_shared_distance_sequence_must_start_at_goal(self):
         k, root = corpus.tree_staggered()
         with pytest.raises(ValueError):
-            check_ue_on_kripke(k, root, k.full_mask, k.atom_mask("stripes"), 50, [0])
+            check_ue_on_kripke(k, root, k.full_mask, k.atom_mask("stripes"), 50, [0], {}, {0: 0})
+        stripes = k.atom_mask("stripes")
+        with pytest.raises(ValueError, match="index"):
+            check_ue_on_kripke(k, root, k.full_mask, stripes, 50, [stripes], {})
 
     def test_au_labeling_matches_reference(self, rng):
         structures = [corpus.tree_synchronized()[0], corpus.tree_staggered()[0]]
@@ -326,6 +485,26 @@ class TestLabelKripke:
                 assert got == label_reference(k, f, root, step_cap), (k, f, root)
                 decided.add((f.kind, got[1] is not None))
         assert decided == {(Kind.UA, True), (Kind.UA, False), (Kind.UE, True), (Kind.UE, False)}
+
+    def test_each_ue_operator_keeps_its_own_distance_sequence(self, monkeypatch):
+        # two UE operators on one structure whose distance sequences have
+        # periods 3 and 2; every start node's whole answer, iterations
+        # included, is what a call that shares nothing returns
+        answers = []
+
+        def recorded(k, init, sat1, sat2, step_cap, *shared):
+            res = check_ue_on_kripke(k, init, sat1, sat2, step_cap, *shared)
+            answers.append((k, init, sat1, sat2, step_cap, tuple(res)))
+            return res
+
+        monkeypatch.setattr(mc, "check_ue_on_kripke", recorded)
+        f = land(ue(TRUE, atom("goal")), ue(TRUE, atom("mark")))
+        structures = two_cycles(4, 1) + two_cycles(1, 4)
+        for k in structures:
+            label_kripke(k, f, 0, 4 * k.n * k.n + 64)
+        assert len(answers) == 2 * sum(k.n for k in structures)
+        for k, init, sat1, sat2, step_cap, got in answers:
+            assert got == ue_reference(k, init, sat1, sat2, step_cap), (k, init, sat2)
 
     def test_witness_only_for_a_synchronized_top(self):
         k, root = corpus.tree_synchronized()
@@ -528,6 +707,14 @@ class TestCheckBudget:
             check_budget("x needs", 11, "units")
         assert str(exc.value) == "x needs 11 units, over the budget of 10"
         assert (exc.value.required, exc.value.budget) == (11, 10)
+
+    @pytest.mark.parametrize("value", ["abc", "1e6", "10.5", "-5"])
+    def test_malformed_environment_budget_is_an_input_error(self, monkeypatch, value):
+        monkeypatch.setenv("OCASYNC_BUDGET", value)
+        with pytest.raises(InputError) as exc:
+            check_budget("x needs", 1, "units")
+        assert str(exc.value) == f"OCASYNC_BUDGET must be a non-negative integer, not {value!r}"
+        check_budget("x needs", 1, "units", 1)  # an explicit budget never reads it
 
     def test_explicit_budget_overrides_the_environment(self, monkeypatch):
         monkeypatch.setenv("OCASYNC_BUDGET", "5")
