@@ -12,6 +12,12 @@ outside the supported regime (it never does for realistic inputs).
 
 ``lcm_range(n)`` returns a plain int when that is cheap and an ``LcmPoly``
 otherwise, and the rest of the package treats the two interchangeably.
+
+One base invariant: the constant recursion calls ``lcm_range`` once, at
+``2 * b**3``, and every other symbolic value is a sum, product or lcm of that
+one, so all the ``LcmPoly`` operands of an operation share one ``n``.
+``LcmPoly._terms`` is the one place that reads another operand, and the one
+place that checks the invariant.
 """
 
 from __future__ import annotations
@@ -35,17 +41,17 @@ def _primes(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if sieve[p]]
 
 
+def _log_floor(n: int, p: int) -> int:
+    """The largest k with p**k <= n: the exponent of prime p in lcm(1..n)."""
+    k, pk = 0, p
+    while pk <= n:
+        k, pk = k + 1, pk * p
+    return k
+
+
 @lru_cache(maxsize=None)
 def _exact_lcm_range(n: int) -> int:
-    if n < 1:
-        raise ValueError("range must reach at least 1")
-    factors = []
-    for p in _primes(n):
-        pk = p
-        while pk * p <= n:
-            pk *= p
-        factors.append(pk)
-    return math.prod(factors)
+    return math.prod(p ** _log_floor(n, p) for p in _primes(n))
 
 
 @lru_cache(maxsize=None)
@@ -73,13 +79,11 @@ def _factorize_small(x: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _log2_lcm_estimate(n: int) -> float:
-    """First-order prime-counting estimate of log2(lcm(1..n)).
-
-    Exact below the materialization limit; above it the leading term uses
-    theta(n) ~ n, so treat results as estimates good to well under a percent.
+    """First-order prime-counting estimate of log2(lcm(1..n)) for an ``n``
+    above the materialization limit, the only ``n`` an ``LcmPoly`` has: the
+    leading term uses theta(n) ~ n, so treat results as estimates good to
+    well under a percent.
     """
-    if n <= MATERIALIZE_LIMIT:
-        return float(_exact_lcm_range(n).bit_length())
     correction = 0.0
     for p in _primes(int(n**0.5) + 1):
         correction += (int(math.log(n, p)) - 1) * math.log2(p)
@@ -94,70 +98,47 @@ class LcmPoly:
     coeffs: tuple[tuple[int, int], ...]  # (power, coefficient), powers ascending
 
     @staticmethod
-    def make(n: int, coeffs: dict[int, int]) -> "LcmPoly | int":
-        clean = {k: c for k, c in coeffs.items() if c}
-        if any(c < 0 for c in clean.values()):
-            raise ValueError("coefficients must stay positive")
-        if not clean:
-            return 0
-        if set(clean) == {0}:
-            return clean[0]
-        return LcmPoly(n, tuple(sorted(clean.items())))
+    def make(n: int, coeffs: dict[int, int]) -> LcmPoly:
+        """The terms as given: sums, products and lcms of positive values
+        never cancel a term or leave only the constant one."""
+        return LcmPoly(n, tuple(sorted(coeffs.items())))
 
-    def _dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
+    def _terms(self, other: Number) -> tuple[tuple[int, int], ...]:
+        """``other``'s (power, coefficient) terms in this base: an int is one
+        constant term.  Raises ``ValueError`` if the base invariant breaks."""
+        if isinstance(other, int):
+            return ((0, other),)
+        if other.n != self.n:
+            raise ValueError("mixed lcm bases")
+        return other.coeffs
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other < 0:
-                raise ValueError("negative factors unsupported")
-            return LcmPoly.make(self.n, {k: c * other for k, c in self.coeffs})
-        if isinstance(other, LcmPoly):
-            if other.n != self.n:
-                raise ValueError("mixed lcm bases")
-            acc: dict[int, int] = {}
-            for k1, c1 in self.coeffs:
-                for k2, c2 in other.coeffs:
-                    acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
-            return LcmPoly.make(self.n, acc)
-        return NotImplemented
+    def __mul__(self, other: Number) -> LcmPoly:
+        acc: dict[int, int] = {}
+        for k1, c1 in self.coeffs:
+            for k2, c2 in self._terms(other):
+                acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+        return LcmPoly.make(self.n, acc)
 
     __rmul__ = __mul__
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            if other < 0:
-                raise ValueError("negative terms unsupported")
-            acc = self._dict()
-            acc[0] = acc.get(0, 0) + other
-            return LcmPoly.make(self.n, acc)
-        if isinstance(other, LcmPoly):
-            if other.n != self.n:
-                raise ValueError("mixed lcm bases")
-            acc = self._dict()
-            for k, c in other.coeffs:
-                acc[k] = acc.get(k, 0) + c
-            return LcmPoly.make(self.n, acc)
-        return NotImplemented
+    def __add__(self, other: Number) -> LcmPoly:
+        acc = dict(self.coeffs)
+        for k, c in self._terms(other):
+            acc[k] = acc.get(k, 0) + c
+        return LcmPoly.make(self.n, acc)
 
     __radd__ = __add__
 
     # -- comparisons --------------------------------------------------------
+    # Equality and hashing are the dataclass's: (n, coeffs) is a canonical
+    # form wherever ``_cmp`` answers.
 
-    def _cmp(self, other) -> int:
-        if isinstance(other, LcmPoly):
-            if other.n != self.n:
-                raise ValueError("mixed lcm bases")
-            diff = self._dict()
-            for k, c in other.coeffs:
-                diff[k] = diff.get(k, 0) - c
-        elif isinstance(other, int):
-            diff = self._dict()
-            diff[0] = diff.get(0, 0) - other
-        else:
-            return NotImplemented  # type: ignore[return-value]
+    def _cmp(self, other: Number) -> int:
+        diff = dict(self.coeffs)
+        for k, c in self._terms(other):
+            diff[k] = diff.get(k, 0) - c
         diff = {k: c for k, c in diff.items() if c}
         if not diff:
             return 0
@@ -181,17 +162,6 @@ class LcmPoly:
     def __ge__(self, other):
         return self._cmp(other) >= 0
 
-    def __eq__(self, other):
-        if isinstance(other, (int, LcmPoly)):
-            try:
-                return self._cmp(other) == 0
-            except ValueError:
-                return False
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.coeffs))
-
     # -- inspection ---------------------------------------------------------
 
     def approx_bit_length(self) -> int:
@@ -206,12 +176,6 @@ class LcmPoly:
             "terms": [{"power": k, "coefficient": c} for k, c in self.coeffs],
             "approx_bits": self.approx_bit_length(),
         }
-
-    def __repr__(self):
-        terms = " + ".join(
-            f"{c}*lcm(1..{self.n})^{k}" if k else str(c) for k, c in reversed(self.coeffs)
-        )
-        return f"<{terms}>"
 
 
 Number = int | LcmPoly
@@ -237,26 +201,15 @@ def maximum(a: Number, b: Number) -> Number:
     return a if a >= b else b
 
 
-def _pure_term(x: Number) -> tuple[int, int, int]:
-    """(n, power, coefficient) view of a value that is a single lcm term."""
-    if isinstance(x, int):
-        return (0, 0, x)
-    if len(x.coeffs) != 1:
-        raise ValueError("value is not a single lcm power")
-    (k, c), = x.coeffs
-    return (x.n, k, c)
-
-
 def lcm(a: Number, b: Number) -> Number:
     """Least common multiple; symbolic operands must be single lcm terms
     (periods always are; thresholds never reach an lcm)."""
     if isinstance(a, int) and isinstance(b, int):
         return math.lcm(a, b)
-    na, ka, ca = _pure_term(a)
-    nb, kb, cb = _pure_term(b)
-    if na and nb and na != nb:
-        raise ValueError("mixed lcm bases")
-    n = na or nb
+    poly = a if isinstance(a, LcmPoly) else b
+    n = poly.n
+    (ka, ca), = poly._terms(a)  # a ValueError here: not a single lcm term
+    (kb, cb), = poly._terms(b)
     if ka == kb:
         return LcmPoly.make(n, {ka: math.lcm(ca, cb)})
     if ka < kb:
@@ -265,7 +218,7 @@ def lcm(a: Number, b: Number) -> Number:
     d = ka - kb
     g = 1
     for p, e in _factorize_small(cb).items():
-        cap = d * int(math.log(n, p)) + _valuation(ca, p)
+        cap = d * _log_floor(n, p) + _valuation(ca, p)
         g *= p ** min(e, cap)
     extra = cb // g
     return LcmPoly.make(n, {ka: ca * extra})

@@ -298,11 +298,17 @@ def _cmd_lps(args) -> int:
     oca = _load_oca(args.oca)
     src = oca.state_index(args.src)
     dst = oca.state_index(args.dst)
+    budget = mc.environment_budget()
     schemes = []
+    entries = 0  # rows, transition indices and reached configurations kept
     start = parse_configuration(oca, args.start) if args.start is not None else None
     for scheme in lps.enumerate_lps(oca, src, dst, args.flat, args.size):
         if len(schemes) >= args.max_schemes:
             break
+        reach = [] if start is None else sorted(
+            lps.shaped_reach(oca, scheme, start, args.target_length, args.exp_cap))
+        entries += 1 + scheme.flat_length + len(reach)
+        mc.check_budget("lps report needs", entries, "entries", budget)
         row = {
             "alpha0": list(scheme.alpha0),
             "segments": [
@@ -312,9 +318,8 @@ def _cmd_lps(args) -> int:
             "size": scheme.size,
         }
         if start is not None:
-            reach = lps.shaped_reach(oca, scheme, start, args.target_length, args.exp_cap)
             reached = []
-            for cfg in sorted(reach):
+            for cfg in reach:
                 exps = lps.shaped_witness_exponents(
                     oca, scheme, start, cfg, args.target_length, args.exp_cap
                 )
@@ -478,7 +483,3 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

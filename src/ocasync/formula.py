@@ -51,9 +51,6 @@ class Formula:
     def __hash__(self) -> int:
         return self._hash
 
-    def __str__(self) -> str:
-        return pretty(self)
-
 
 TRUE = Formula(Kind.TRUE)
 

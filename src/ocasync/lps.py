@@ -52,36 +52,30 @@ class Piece(NamedTuple):
     hi: float
 
 
-def _piece(oca: Oca, state: int, seq: tuple[int, ...]) -> Piece:
-    """``seq`` read from ``state``.  With o the offset before a step, ``=0``
-    needs v + o == 0 and ``>0`` needs v + o >= 1; no decrement is zero-guarded
-    on a valid automaton, so ``lo >= 0`` keeps every counter non-negative."""
-    o, lo, hi = 0, 0, math.inf
-    for idx in seq:
-        t = oca.transitions[idx]
-        if t.src != state:
-            raise ValueError(f"transition {idx} breaks the state chain")
-        if t.guard == ZERO:
-            lo, hi = max(lo, -o), min(hi, -o)
-        else:
-            lo = max(lo, 1 - o)
-        o += t.effect
-        state = t.dst
-    return Piece(len(seq), state, o, lo, hi)
-
-
 def _empty_piece(state: int) -> Piece:
     return Piece(0, state, 0, 0, math.inf)
 
 
 def _extend(piece: Piece, t: Transition) -> Piece:
-    """``piece`` followed by ``t``, which leaves ``piece.dst``: one step of
-    ``_piece``'s loop, for the enumeration, which grows a piece one
-    transition at a time."""
+    """``piece`` followed by ``t``, which leaves ``piece.dst``.  With o the
+    offset before the step, ``=0`` needs v + o == 0 and ``>0`` needs
+    v + o >= 1; no decrement is zero-guarded on a valid automaton, so
+    ``lo >= 0`` keeps every counter non-negative."""
     o = piece.delta
     if t.guard == ZERO:
         return Piece(piece.length + 1, t.dst, o + t.effect, max(piece.lo, -o), min(piece.hi, -o))
     return Piece(piece.length + 1, t.dst, o + t.effect, max(piece.lo, 1 - o), piece.hi)
+
+
+def _piece(oca: Oca, state: int, seq: tuple[int, ...]) -> Piece:
+    """``seq`` read from ``state``: ``_extend`` folded over the empty piece."""
+    piece = _empty_piece(state)
+    for idx in seq:
+        t = oca.transitions[idx]
+        if t.src != piece.dst:
+            raise ValueError(f"transition {idx} breaks the state chain")
+        piece = _extend(piece, t)
+    return piece
 
 
 SegmentPieces = tuple[tuple[Piece, Piece], ...]

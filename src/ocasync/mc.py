@@ -20,10 +20,11 @@ period = lcm of the periods) instead of keying a table by pairs.
 
 Every ``Kripke`` structure, unfolded or hand-built, is one layout: rows of
 ``width`` counter classes, with a row's edges given by ``Move``s that act on
-the whole row at once.  ``image`` reads the moves grouped by source row,
-built once per structure on its first call, so each non-empty row of a level
-set is extracted once.  Node sets are bitmasks over that layout throughout
-this module.
+the whole row at once.  ``image`` and ``preimage`` read one move table, the
+moves grouped by source row, built once per structure on the first call of
+either: ``image`` extracts each non-empty source row of a set once, and
+``preimage`` builds each source row from its moves' target rows.  Node sets
+are bitmasks over that layout throughout this module.
 """
 
 from __future__ import annotations
@@ -129,11 +130,12 @@ class Kripke:
         return m
 
     @cached_property
-    def _image_table(self) -> tuple[int, int, tuple[tuple[int, tuple], ...]]:
-        """What ``image`` reads, built on its first call: the bit one past a
-        row, the wrap target, and the moves grouped by source row as
-        ``(source shift, ((target shift, guard, effect), ...))``, with the
-        guards of a row's moves to the same row by the same effect ORed."""
+    def _move_table(self) -> tuple[int, int, tuple[tuple[int, tuple], ...]]:
+        """What ``image`` and ``preimage`` read, built on the first call of
+        either: the bit one past a row, the wrap target, and the moves
+        grouped by source row as ``(source shift, ((target shift, guard,
+        effect), ...))``, with the guards of a row's moves to the same row by
+        the same effect ORed."""
         width = self.width
         by_row: dict[int, dict[tuple[int, int], int]] = {}
         for src, dst, guard, effect in self.moves:
@@ -153,7 +155,7 @@ class Kripke:
         effect.  A +1 step from the top class ``width - 1`` lands on bit
         ``width``, which wraps back to class ``t``.
         """
-        top, wrap, rows = self._image_table
+        top, wrap, rows = self._move_table
         row_mask = top - 1
         out = 0
         for shift, moves in rows:
@@ -176,29 +178,27 @@ class Kripke:
     def preimage(self, mask: int) -> int:
         """Nodes with a successor in ``mask``.
 
-        Each move inverts its shift on its target row ``d`` and keeps the
-        classes the guard admits: for effect +1 the source classes are
-        ``d >> 1`` plus the top class ``width - 1`` when ``d`` holds the wrap
-        target ``t``; for effect -1 they are ``d << 1``.
+        Each move of a source row inverts its shift on its target row ``d``
+        and keeps the classes its guard admits: for effect +1 the source
+        classes are ``d >> 1`` plus the top class ``width - 1`` when ``d``
+        holds the wrap target ``t``; for effect -1 they are ``d << 1``.
         """
-        width, t = self.width, self.t
-        row_mask = (1 << width) - 1
+        top, wrap, rows = self._move_table
+        row_mask, high = top - 1, top >> 1
         out = 0
-        for src, dst, guard, effect in self.moves:
-            d = (mask >> dst * width) & row_mask
-            if effect == 1:
-                d = (d >> 1) | ((d >> t & 1) << (width - 1))
-            elif effect == -1:
-                d <<= 1
-            out |= (d & guard) << src * width
+        for shift, moves in rows:
+            row = 0
+            for dst_shift, guard, effect in moves:
+                d = mask >> dst_shift & row_mask
+                if not d:
+                    continue
+                if effect == 1:
+                    d = d >> 1 | high if d & wrap else d >> 1
+                elif effect == -1:
+                    d <<= 1
+                row |= d & guard
+            out |= row << shift
         return out
-
-
-def mask_of(nodes) -> int:
-    m = 0
-    for i in nodes:
-        m |= 1 << i
-    return m
 
 
 class KripkeBuilder:
@@ -556,7 +556,7 @@ def _mined_pairs(
     return pairs, caveats
 
 
-def _environment_budget() -> int:
+def environment_budget() -> int:
     """``OCASYNC_BUDGET``, or 10^6 when it is unset or empty; any value but a
     non-negative integer is an ``InputError``."""
     text = os.environ.get(BUDGET_ENV_VAR)
@@ -577,7 +577,7 @@ def check_budget(
     """Raise ``BudgetExceededError`` before ``required`` units go over ``budget``
     (default ``OCASYNC_BUDGET``, else 10^6); a symbolic ``required`` always does."""
     if budget is None:
-        budget = _environment_budget()
+        budget = environment_budget()
     if bignum.is_symbolic(required) or required > budget:
         needed = bignum.to_jsonable(required)
         raise BudgetExceededError(

@@ -445,7 +445,8 @@ class BoundedEvaluator:
         that is iff offset k - j is in the OR of the distance masks of level
         j's first-operand configurations and bit k was already set.  Once
         ``alive`` is empty no later bound can succeed (the scan never
-        answers FALSE).
+        answers FALSE).  No distance mask has a bit past ``level_cap``, so
+        neither has ``alive`` after level 0, and the last level empties it.
         """
         true1, _ = self._split(f.children[0])
         goal = self._split(f.children[1])[0]
@@ -465,7 +466,7 @@ class BoundedEvaluator:
                         reach |= mask_s[v]
             alive &= (reach & wanted) << k
             if not alive:
-                return Verdict.UNKNOWN
+                break
         return Verdict.UNKNOWN
 
     def _ue_repeats(self, f: Formula, c: Configuration) -> bool:
@@ -705,12 +706,11 @@ def default_audit_counters(bundle: ConstantBundle) -> list[int]:
 def _slope_diagnostics(
     oca: Oca, bundle: ConstantBundle, trace: OracleTrace,
     target: Configuration, level: int,
-) -> dict | None:
+) -> dict:
     """Decompose one witness path into cycle repetitions per slope, for
-    comparison against the expected many-repetitions thresholds."""
+    comparison against the expected many-repetitions thresholds.  ``target``
+    is read off the trace's own level, so a path to it exists."""
     path = witness_path(oca, trace, target, level)
-    if path is None:
-        return None
     idx_path = tuple(map(oca.transitions.index, path))
     scheme, exponents = compress_path_with_exponents(
         oca, trace.origin.state, idx_path
@@ -820,13 +820,11 @@ def check_shift_periodicity(
                     exact = not trace_vp.truncated[shifted] and not trace_v.truncated[lv]
                     checks = (("2a", trace_vp, shifted, trace_v, lv),
                               ("2b", trace_v, lv, trace_vp, shifted))
-                elif period <= lv <= level_cap:
+                else:  # outside the core, so in range(period, level_cap + 1)
                     seg = None
                     exact = not trace_v.truncated[lv]
                     checks = (("1a", trace_v, lv, trace_v, lv - period),
                               ("1b", trace_v, lv - period, trace_v, lv))
-                else:
-                    continue
                 for imp, src_trace, src_lv, dst_trace, dst_lv in checks:
                     if not exact:
                         cases.append(AuditCase(s, v, lv, imp, seg, "skipped",

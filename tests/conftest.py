@@ -39,6 +39,14 @@ def rows_to_set(rows) -> frozenset[Configuration]:
     )
 
 
+def mask_of(nodes) -> int:
+    """A node set as a bitmask: bit i is node i."""
+    m = 0
+    for i in nodes:
+        m |= 1 << i
+    return m
+
+
 def nested(shape: str, depth: int) -> str:
     """A formula ``depth`` levels deep: nested parentheses or prefix
     operators, or a left-associated chain of ``depth`` binary operators."""

@@ -17,13 +17,13 @@ from ocasync.lps import (
     CycleStats, Lps, adjust_length, combine_cycles_ratio,
     compress_path_with_exponents, shaped_witness_exponents,
 )
-from ocasync.mc import Kripke, check_ua_on_kripke, check_ue_on_kripke, mask_of
+from ocasync.mc import Kripke, check_ua_on_kripke, check_ue_on_kripke
 from ocasync.oca import Configuration, successors
 from ocasync.oracle import (
     BoundedEvaluator, Verdict, check_shift_periodicity, cross_check, mine_period,
 )
 from ocasync.periodicity import TpPair, ctl_constants, ua_constants
-from conftest import random_total_oca
+from conftest import mask_of, random_total_oca
 
 
 def report(name, detail=""):

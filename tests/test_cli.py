@@ -135,6 +135,14 @@ class TestCheck:
         assert doc["error"]["message"].startswith(f"job key {key!r} must be ")
         check_schema(schema, doc)
 
+    def test_job_file_must_hold_an_object(self, capsys, schema, tmp_path):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(["countdown", "FA p", "s,2"]))
+        code, doc, _ = run(capsys, "check", "--job", str(job))
+        assert code == 1 and doc["error"] == {
+            "kind": "input", "message": "job file must hold a JSON object"}
+        check_schema(schema, doc)
+
     def test_missing_job_file_is_input_error(self, capsys, schema, tmp_path):
         code, doc, _ = run(capsys, "check", "--job", str(tmp_path / "absent.json"))
         assert code == 1 and doc["error"]["kind"] == "input"
@@ -210,6 +218,11 @@ class TestInvalidAutomata:
     AUTOMATA = {
         "zero-decrement": "states: s\natoms: p\ns -[=0,-1]-> s\ns -[>0,-1]-> s\n",
         "not-total": "states: s\natoms: p\ns -[=0,0]-> s\n",
+        "no-zero-move": "states: s\natoms: p\ns -[>0,-1]-> s\n",
+        # only the JSON format can carry an effect outside -1..1
+        "effect-five": json.dumps({"states": ["s"], "atoms": ["p"], "transitions": [
+            {"src": "s", "guard": "=0", "effect": 5, "dst": "s"},
+            {"src": "s", "guard": ">0", "effect": 0, "dst": "s"}]}),
     }
     COMMANDS = [
         ("check", "--formula", "FA p", "--init", "s,1"),
@@ -247,10 +260,11 @@ class TestInvalidAutomata:
 
 def _countdown_json(**changes):
     """Countdown's JSON form with top-level keys replaced and the first
-    transition's effect set by ``effect``."""
+    transition's effect or guard set by ``effect`` or ``guard``."""
     doc = oca_to_json(corpus.load("countdown"))
-    if "effect" in changes:
-        doc["transitions"][0]["effect"] = changes.pop("effect")
+    for key in ("effect", "guard"):
+        if key in changes:
+            doc["transitions"][0][key] = changes.pop(key)
     doc.update(changes)
     return doc
 
@@ -267,6 +281,7 @@ class TestMalformedJsonAutomata:
                                      "effect must be an integer, got -1.5"),
         "effect-bool": (_countdown_json(effect=True), "effect must be an integer, got true"),
         "effect-string": (_countdown_json(effect="1"), 'effect must be an integer, got "1"'),
+        "guard-unknown": (_countdown_json(guard="<0"), 'unknown guard "<0"'),
         "duplicate-state": (_countdown_json(states=["s", "t", "t"]), "duplicate state 't'"),
         "no-states": (_countdown_json(states=[], label={}, transitions=[]),
                       "no states declared"),
@@ -292,6 +307,8 @@ class TestMalformedJsonAutomata:
             loads("states: s\nlabel u = {p}\n")
         with pytest.raises(OcaSyntaxError, match=r"^1:1: no states declared$"):
             loads("atoms: p\n")
+        with pytest.raises(OcaSyntaxError, match=r"^2:1: empty states declaration$"):
+            loads("atoms: p\nstates:\n")
 
 
 class TestArgumentErrors:
@@ -415,6 +432,27 @@ class TestOtherCommands:
         assert doc["data"]["cases"] > 0
         seg0 = {k: v for k, v in doc["data"]["summary"].items() if "segment0" in k}
         assert seg0 and all(v.get("fail", 0) == 0 for v in seg0.values())
+
+    def test_check_lemma11_skips_truncated_levels(self, capsys, schema):
+        # counters past 12 are cut, so every level they reach is skipped, not failed
+        code, doc, _ = run(capsys, "check-lemma11", "--oca", "increment-loop", "--b", "1",
+                           "--counter-cap", "12")
+        assert code == 0 and doc["data"]["cases"] == 96 and not doc["data"]["failures"]
+        summary = doc["data"]["summary"]
+        assert summary["1a/outside-core"] == summary["1b/outside-core"] == {
+            "pass": 10, "skipped": 26}
+        assert summary["2a/segment>=1"] == {"pass": 1, "skipped": 5}
+        check_schema(schema, doc)
+
+    def test_check_lemma11_drops_core_levels_past_the_level_cap(self, capsys, schema):
+        argv = ("check-lemma11", "--oca", "fork", "--b", "1")
+        code, doc, _ = run(capsys, *argv)
+        assert code == 0 and doc["data"]["cases"] == 288
+        assert doc["data"]["summary"]["2a/segment>=1"] == {"pass": 18}
+        code, doc, _ = run(capsys, *argv, "--level-cap", "3")
+        assert code == 0 and doc["data"]["cases"] == 66
+        assert "2a/segment>=1" not in doc["data"]["summary"]
+        check_schema(schema, doc)
 
     def test_lps_with_reach(self, capsys, schema):
         code, doc, _ = run(
@@ -555,6 +593,53 @@ class TestErrorsAndDeterminism:
         assert (doc["error"]["required"], doc["error"]["budget"]) == (832, 831)
         check_schema(schema, doc)
 
+    LPS_REACH = ("lps", "--oca", "countdown", "--src", "s", "--dst", "s", "--flat", "2",
+                 "--size", "1", "--start", "s,5", "--target-length", "3")
+
+    def test_lps_report_over_budget(self, capsys, schema, monkeypatch):
+        # 6 rows of 8 transition indices in all, with 3 reached configurations
+        code, doc, _ = run(capsys, *self.LPS_REACH)
+        rows = doc["data"]["schemes"]
+        assert (len(rows), sum(r["flatLength"] for r in rows),
+                sum(len(r["reached"]) for r in rows)) == (6, 8, 3)
+        monkeypatch.setenv("OCASYNC_BUDGET", "17")
+        code, doc, _ = run(capsys, *self.LPS_REACH)
+        assert code == 0 and len(doc["data"]["schemes"]) == 6
+        monkeypatch.setenv("OCASYNC_BUDGET", "16")
+        code, doc, _ = run(capsys, *self.LPS_REACH)
+        assert code == 2 and doc["error"]["kind"] == "budget"
+        assert (doc["error"]["required"], doc["error"]["budget"]) == (17, 16)
+        check_schema(schema, doc)
+
+    def test_lps_max_schemes_keeps_the_first_rows(self, capsys):
+        _, every, _ = run(capsys, *self.LPS_REACH)
+        for cap in (0, 1, 4):
+            code, doc, _ = run(capsys, *self.LPS_REACH, "--max-schemes", str(cap))
+            assert code == 0 and doc["data"]["schemes"] == every["data"]["schemes"][:cap]
+
+    def test_lps_report_budget_stops_a_large_enumeration(self):
+        # 822,396 schemes holding 6,393,757 transition indices, too many to
+        # keep in the child's 1 GB address space: without the budget the
+        # report exits 3 with a MemoryError
+        env = dict(os.environ, OCASYNC_BUDGET="50000")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from ocasync.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "lps", "--oca", "random-a", "--src", "x", "--dst",
+             "x", "--flat", "8", "--size", "4", "--max-schemes", "100000000"],
+            capture_output=True, env=env, timeout=120,
+        )
+        doc = json.loads(proc.stdout)
+        assert proc.returncode == 2 and doc["error"]["kind"] == "budget"
+        # one row of at most 8 transitions went over
+        assert doc["error"]["budget"] == 50000 and 50000 < doc["error"]["required"] <= 50009
+        assert proc.stderr == b""
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["check", "--oca", "fork", "--formula", "E true U p", "--init", "s,3"]
         _, _, first = run(capsys, *argv)
@@ -617,6 +702,14 @@ class TestExitCodes:
           "--mode", "paper"), "default scheme bound needs at least 3 states; pass an override"),
         (("lps", "--oca", "countdown", "--src", "s", "--dst", "s", "--start", "s,5",
           "--target-length", "-1"), "target length must be non-negative"),
+        (("check", "--oca", "countdown", "--formula", "p", "--init", "s,0",
+          "--mode", "supplied:x,1"), "malformed supplied pair in 'supplied:x,1'"),
+        (("check", "--oca", "countdown", "--formula", "p", "--init", "s,0",
+          "--caps", "60"), "malformed caps '60'; use counterCap,levelCap"),
+        (("check",), "check needs an automaton, a formula, and an init "
+                     "(from flags or a job file)"),
+        (("oracle", "--oca", "countdown", "--formula", "p", "--init", "s"),
+         "expected 'state,counter', got 's'"),
     ], ids=lambda v: v if isinstance(v, str) else v[0])
     def test_input_errors_exit_one(self, capsys, argv, message):
         code, _, out = run(capsys, *argv)

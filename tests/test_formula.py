@@ -64,6 +64,9 @@ class TestParsing:
         with pytest.raises(FormulaSyntaxError):
             parse_formula("p q")
 
+    def test_trailing_whitespace_is_not_input(self):
+        assert parse_formula("p UA q  ") == ua(atom("p"), atom("q"))
+
     def test_error_on_bad_character(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("p @ q")

@@ -106,6 +106,16 @@ class TestAdjustLength:
     def test_rejects_wrong_divisibility_with_bound(self):
         with pytest.raises(ValueError):
             adjust_length(CycleStats(0, 1), CycleStats(1, 1), 3, b=2)
+        with pytest.raises(ValueError, match="cycle longer than the configured bound"):
+            adjust_length(CycleStats(0, 3), CycleStats(1, 1), 0, b=2)
+        with pytest.raises(ValueError, match="not divisible by the cycle determinant"):
+            adjust_length(CycleStats(-1, 2), CycleStats(1, 2), 3)
+
+    def test_cycle_stats_fields_checked(self):
+        with pytest.raises(ValueError, match="cycle length must be positive"):
+            CycleStats(0, 0)
+        with pytest.raises(ValueError, match="effect cannot exceed length"):
+            CycleStats(2, 1)
 
     def test_accepts_exact_multiple_with_bound(self):
         modulus = math.lcm(*range(1, 9))  # b=2

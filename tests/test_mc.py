@@ -10,12 +10,12 @@ from ocasync.formula import (
 )
 from ocasync.mc import (
     Kripke, KripkeBuilder, Move, _label_mask, check_budget, check_oca, check_ua_on_kripke,
-    check_ue_on_kripke, counter_class, label_kripke, mask_of, unfold_kripke,
+    check_ue_on_kripke, counter_class, label_kripke, unfold_kripke,
 )
 from ocasync.oracle import BoundedEvaluator
 from ocasync.oca import Configuration, row_bits, successors
 from ocasync.periodicity import TpPair
-from conftest import random_total_oca
+from conftest import mask_of, random_total_oca
 
 COUNTDOWN = corpus.load("countdown")
 
@@ -106,6 +106,14 @@ class TestHandBuilt:
     def test_one_label_set_per_node_required(self):
         with pytest.raises(ValueError, match="label"):
             Kripke.from_successors(((0,),), (frozenset(), frozenset()))
+
+    def test_layout_and_names_checked(self):
+        with pytest.raises(ValueError, match="need width >= 1"):
+            Kripke(0, 0, (), ())
+        b = KripkeBuilder()
+        b.node("a")
+        with pytest.raises(ValueError, match="duplicate node 'a'"):
+            b.node("a")
 
     def test_edges_and_labels_read_back(self):
         k = Kripke.from_successors(((1, 2), (2,), (0, 2)), (
@@ -248,6 +256,44 @@ def two_cycles(level_tail, dist_tail):
     return build(False), build(True)
 
 
+def preimage_per_move(k, mask):
+    """``Kripke.preimage`` as it was before it read the moves grouped by
+    source row: every move extracts its own target row from the whole mask."""
+    width, t = k.width, k.t
+    row_mask = (1 << width) - 1
+    out = 0
+    for src, dst, guard, effect in k.moves:
+        d = (mask >> dst * width) & row_mask
+        if effect == 1:
+            d = (d >> 1) | ((d >> t & 1) << (width - 1))
+        elif effect == -1:
+            d <<= 1
+        out |= (d & guard) << src * width
+    return out
+
+
+def grouped_kernel_cases(rng):
+    """(structure, masks) pairs for the grouped move table: unfoldings,
+    width-1 structures with parallel edges, and edges that never fire
+    (guard 0); each mask has every row empty, full or random."""
+    structures = [unfold_kripke(oca, t, p) for oca in kernel_automata(rng)
+                  for t, p in KERNEL_PAIRS]
+    structures += [random_kripke(rng, rng.randint(1, 12), parallel=True) for _ in range(20)]
+    structures.append(Kripke(1, 0, (
+        Move(0, 1, 1, 0), Move(0, 1, 1, 0), Move(0, 2, 0, 0), Move(1, 1, 1, 0),
+        Move(1, 0, 0, 0), Move(2, 0, 1, 0), Move(2, 0, 1, 0), Move(2, 2, 1, 0),
+    ), (frozenset(),) * 3))
+    for k in structures:
+        rows, width = len(k.labels), k.width
+        full_row = (1 << width) - 1
+        masks = [0, k.full_mask] + [1 << i for i in range(k.n)]
+        for _ in range(20):
+            masks.append(sum(
+                rng.choice((0, full_row, rng.getrandbits(width))) << r * width
+                for r in range(rows)))
+        yield k, masks
+
+
 def random_kripke(rng, n, parallel=False):
     """A total structure of n nodes with one to three successors each and
     atom ``p`` on about 40% of them; with ``parallel`` a successor may be
@@ -339,25 +385,16 @@ class TestUnfoldingKernels:
                     assert k.preimage(m) == preimage, (oca, t, p, m)
 
     def test_grouped_image_matches_the_per_move_loop(self, rng):
-        structures = [unfold_kripke(oca, t, p) for oca in kernel_automata(rng)
-                      for t, p in KERNEL_PAIRS]
-        structures += [random_kripke(rng, rng.randint(1, 12), parallel=True) for _ in range(20)]
-        # width 1 with parallel edges, and edges that never fire (guard 0)
-        structures.append(Kripke(1, 0, (
-            Move(0, 1, 1, 0), Move(0, 1, 1, 0), Move(0, 2, 0, 0), Move(1, 1, 1, 0),
-            Move(1, 0, 0, 0), Move(2, 0, 1, 0), Move(2, 0, 1, 0), Move(2, 2, 1, 0),
-        ), (frozenset(),) * 3))
-        for k in structures:
-            rows, width = len(k.labels), k.width
-            full_row = (1 << width) - 1
-            masks = [0, k.full_mask] + [1 << i for i in range(k.n)]
-            for _ in range(20):  # each row empty, full or random
-                masks.append(sum(
-                    rng.choice((0, full_row, rng.getrandbits(width))) << r * width
-                    for r in range(rows)))
-            assert "_image_table" not in k.__dict__  # built by the first image only
+        for k, masks in grouped_kernel_cases(rng):
+            assert "_move_table" not in k.__dict__  # not built before the first call
             for m in masks:
                 assert k.image(m) == image_per_move(k, m), (k, m)
+
+    def test_grouped_preimage_matches_the_per_move_loop(self, rng):
+        for k, masks in grouped_kernel_cases(rng):
+            assert "_move_table" not in k.__dict__  # not built before the first call
+            for m in masks:
+                assert k.preimage(m) == preimage_per_move(k, m), (k, m)
 
     def test_shared_distance_sequence_matches_reference(self, rng):
         # whole answers or step-cap errors, start nodes in shuffled order, one
@@ -572,6 +609,13 @@ class TestSyncChecks:
         k, root = corpus.tree_staggered()
         res = check_ue_on_kripke(k, root, k.full_mask, 0, 200)
         assert not res.holds
+
+    def test_step_cap_below_its_range_rejected(self):
+        k, root = corpus.tree_staggered()
+        with pytest.raises(ValueError, match="step cap must be at least 1"):
+            check_ue_on_kripke(k, root, k.full_mask, 0, 0)
+        with pytest.raises(ValueError, match="step cap must be non-negative"):
+            check_ua_on_kripke(k, root, k.full_mask, 0, -1)
 
     def test_step_cap_raises_undecided(self):
         k, root = corpus.tree_staggered()

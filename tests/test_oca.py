@@ -6,7 +6,7 @@ import pytest
 
 from ocasync import oca as oca_module
 from ocasync.oca import (
-    Configuration, Oca, Transition, POS, ZERO,
+    Configuration, Oca, OracleTrace, Transition, POS, ZERO,
     iter_level_rows, level_sets, loads, oca_to_json, oca_to_text, parse_configuration,
     parse_oca_json, parse_oca_text, pre_rows, step_rows, successors,
     validate, witness_path,
@@ -46,6 +46,15 @@ class TestValidate:
         oca = Oca(("s",), frozenset(), (frozenset({"p"}),),
                   (Transition(0, ZERO, 0, 0), Transition(0, POS, 0, 0)))
         assert any("undeclared" in d for d in validate(oca))
+
+    def test_out_of_range_state_and_unknown_guard(self):
+        # only an automaton built directly can hold these; both readers refuse them
+        bad_state, bad_guard = Transition(0, POS, 0, 3), Transition(0, "<0", 0, 0)
+        oca = one_state([Transition(0, ZERO, 0, 0), bad_state, bad_guard])
+        assert sorted(validate(oca)) == [
+            f"transition {bad_guard} has unknown guard '<0'",
+            f"transition {bad_state} references an out-of-range state index",
+        ]
 
 
 class TestSuccessors:
@@ -149,6 +158,14 @@ class TestLevelSets:
                         assert (t.guard == ZERO) == (cur.counter == 0)
                         cur = Configuration(t.dst, cur.counter + t.effect)
                     assert cur == target
+            # no path to a configuration the level does not hold, or past the trace
+            assert witness_path(oca, trace, Configuration(0, 99), 3) is None
+            assert witness_path(oca, trace, origin, 7) is None
+
+    def test_witness_path_of_an_inconsistent_trace_is_none(self):
+        # level 1 holds (t, 5), which no configuration of level 0 steps to
+        trace = OracleTrace(Configuration(0, 0), ((1, 0), (0, 1 << 5)), (False, False))
+        assert witness_path(COUNTDOWN, trace, Configuration(1, 5), 1) is None
 
 
 def reference_levels(oca, origin, level_cap, counter_cap):
@@ -318,3 +335,5 @@ class TestFormats:
             parse_configuration(COUNTDOWN, "nope,3")
         with pytest.raises(OcaSyntaxError):
             parse_configuration(COUNTDOWN, "s,-1")
+        with pytest.raises(OcaSyntaxError, match="^expected 'state,counter', got 's'$"):
+            parse_configuration(COUNTDOWN, "s")

@@ -33,6 +33,8 @@ class TestCtlConstants:
         assert ctl_constants(Kind.EU, [TpPair(0, 1), TpPair(0, 1)], 2) == TpPair(16, 2)
 
     def test_arity_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="state count must be positive"):
+            ctl_constants(Kind.ATOM, [], 0)
         with pytest.raises(ValueError):
             ctl_constants(Kind.EX, [], 3)
         with pytest.raises(ValueError):
@@ -202,6 +204,65 @@ class TestSymbolicConstants:
         assert bignum.lcm(L * 4, L * 6) == L * 12
         assert bignum.lcm(L * L * 3, L * 7) == LcmPoly.make(10**7, {2: 3})
         assert bignum.maximum(L, 5) == L
+
+    @staticmethod
+    def _value(x, L):
+        return x if isinstance(x, int) else sum(c * L**k for k, c in x.coeffs)
+
+    @staticmethod
+    def _operand(rng, n, single=False):
+        """A small int, or an ``LcmPoly`` in base n with small coefficients
+        (one term of power 1..3 when ``single``)."""
+        if rng.random() < 0.25:
+            return rng.randint(1, 99)
+        if single:
+            return LcmPoly(n, ((rng.randint(1, 3), rng.randint(1, 60)),))
+        terms = {k: rng.randint(1, 40) for k in rng.sample(range(4), rng.randint(1, 3))}
+        terms.setdefault(rng.randint(1, 3), rng.randint(1, 40))
+        return LcmPoly.make(n, terms)
+
+    def test_operations_match_int_arithmetic(self, rng):
+        for n in [10, 12, 30, 243] + rng.sample(range(10, 400), 8):
+            L = math.lcm(*range(1, n + 1))
+            for _ in range(150):
+                a, b = self._operand(rng, n), self._operand(rng, n)
+                va, vb = self._value(a, L), self._value(b, L)
+                assert self._value(a * b, L) == va * vb, (n, a, b)
+                assert self._value(a + b, L) == va + vb, (n, a, b)
+                assert (a <= b, a >= b, a < b, a > b) == (va <= vb, va >= vb, va < vb, va > vb)
+                assert (a == b) == (va == vb), (n, a, b)
+                assert a <= a and a >= a and not a < a and not a > a
+                assert self._value(bignum.maximum(a, b), L) == max(va, vb)
+                a, b = self._operand(rng, n, True), self._operand(rng, n, True)
+                got = bignum.lcm(a, b)
+                assert self._value(got, L) == math.lcm(self._value(a, L), self._value(b, L)), \
+                    (n, a, b, got)
+
+    def test_lcm_of_different_powers_with_composite_cofactors(self):
+        # lcm(1..12) = 2^3 * 3^2 * 5 * 7 * 11; lcm(1..243) holds 3^5, and
+        # math.log(243, 3) rounds below 5
+        for n, (ka, ca), (kb, cb) in [
+            (12, (1, 6), (2, 1)), (12, (2, 2), (1, 6)), (12, (1, 13 * 9), (3, 4)),
+            (12, (2, 16), (1, 2 * 17 * 27)), (12, (0, 35), (2, 9)), (243, (2, 1), (1, 243)),
+        ]:
+            L = math.lcm(*range(1, n + 1))
+            a = LcmPoly(n, ((ka, ca),)) if ka else ca
+            b = LcmPoly(n, ((kb, cb),))
+            want = math.lcm(ca * L**ka, cb * L**kb)
+            for x, y in ((a, b), (b, a)):
+                got = bignum.lcm(x, y)
+                assert isinstance(got, LcmPoly) and self._value(got, L) == want, (x, y, got)
+
+    def test_regime_and_base_guards_raise(self):
+        L = LcmPoly(10, ((1, 1),))  # lcm(1..10) = 2520, its own certified bound
+        assert L > 2519
+        with pytest.raises(ArithmeticError, match="outside the certified regime"):
+            L <= 2520
+        other = LcmPoly(12, ((1, 1),))
+        for op in (lambda: L * other, lambda: L + other, lambda: L < other,
+                   lambda: bignum.lcm(L, other)):
+            with pytest.raises(ValueError, match="^mixed lcm bases$"):
+                op()
 
     def test_symbolic_bit_length_scales_with_power(self):
         L = lcm_range(10**7)

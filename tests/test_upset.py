@@ -54,4 +54,8 @@ class TestValidation:
             UpSet(1, 1, frozenset({5}), frozenset())
         with pytest.raises(ValueError):
             UpSet(0, 2, frozenset(), frozenset({2}))
+        with pytest.raises(ValueError, match="threshold must be non-negative"):
+            UpSet(-1, 1, frozenset(), frozenset())
+        with pytest.raises(ValueError, match="values are non-negative"):
+            UpSet(0, 1, frozenset(), frozenset({0})).member(-1)
 
