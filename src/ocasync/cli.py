@@ -90,6 +90,11 @@ def _check_args(args) -> dict:
     }
 
 
+class _Json(str):
+    """JSON text already written for the indent at which it is placed;
+    ``_dumps`` copies it out as it is."""
+
+
 def _dumps(o, ind: str = "") -> str:
     """``json.dumps(o, indent=2, sort_keys=True)`` byte for byte, for a value
     that starts a line indented by ``ind``.
@@ -97,10 +102,12 @@ def _dumps(o, ind: str = "") -> str:
     ``indent`` turns off json's C encoder, and its pure-Python one yields
     every fragment through nested generators.  Here plain dicts with str
     keys, lists, tuples, str, int, bool and None are written directly, one
-    joined string per container; anything else (floats, int or str
-    subclasses, dicts with other keys) goes through ``json.dumps``.  Joining
-    per container keeps only one subtree's fragments alive at a time; one
-    fragment list for the whole document is faster but peaks far higher.
+    joined string per container, and a ``_Json`` fragment (an ``lps`` row,
+    written by ``_lps_row``) is copied out unchanged; anything else (floats,
+    other int or str subclasses, dicts with other keys) goes through
+    ``json.dumps``.  Joining per container keeps only one subtree's
+    fragments alive at a time; one fragment list for the whole document is
+    faster but peaks far higher.
     """
     t = type(o)
     if t is str:
@@ -128,6 +135,8 @@ def _dumps(o, ind: str = "") -> str:
         return "true"
     elif o is False:
         return "false"
+    elif t is _Json:
+        return o
     return json.dumps(o, indent=2, sort_keys=True).replace("\n", "\n" + ind)
 
 
@@ -292,6 +301,70 @@ def _cmd_check_lemma11(args) -> int:
     return _ok("check-lemma11", report.to_json(oca))
 
 
+def _items(items: list[str], ind: str, brackets: str = "[]") -> str:
+    """Written ``items`` in a container whose opening line is indented by
+    ``ind``, as ``_dumps`` writes it."""
+    if not items:
+        return brackets
+    return brackets[0] + "\n  " + ind + (",\n  " + ind).join(items) + "\n" + ind + brackets[1]
+
+
+def _int_list_writer(ind: str):
+    """``_items`` for int lists at one fixed indent, its separators built once."""
+    opener, sep, closer = "[\n  " + ind, ",\n  " + ind, "\n" + ind + "]"
+
+    def write(xs) -> str:
+        return opener + sep.join(map(int.__repr__, xs)) + closer if xs else "[]"
+    return write
+
+
+# An lps row at its place in the document, 6 spaces in (document, "data",
+# "schemes"), with its keys in sort_keys order; "reached" is optional.
+_ROW = """{
+        "alpha0": %s,
+        "flatLength": %d,%s
+        "segments": %s,
+        "size": %d
+      }"""
+_REACHED = """
+        "reached": %s,"""
+_SEGMENT = """{
+            "alpha": %s,
+            "beta": %s
+          }"""
+_REACHED_ENTRY = """{
+            "config": %s,
+            "exponents": %s,
+            "slopeRepetitions": %s
+          }"""
+_ROW_KEY, _ENTRY_KEY = " " * 8, " " * 12
+_row_ints, _entry_ints = _int_list_writer(_ROW_KEY), _int_list_writer(_ENTRY_KEY)
+
+
+def _lps_row(alpha0, flat_length: int, segments, size: int, reached=None) -> _Json:
+    """One ``lps`` scheme row, written as ``_dumps`` would write its dict.
+    ``segments`` holds (beta, alpha) pairs; ``reached`` is None or a list of
+    (config, exponents or None, {slope key: repetitions}) triples."""
+    if reached is None:
+        reached_text = ""
+    else:
+        reached_text = _REACHED % _items([
+            _REACHED_ENTRY % (
+                encode_basestring_ascii(config),
+                "null" if exps is None else _entry_ints(exps),
+                _items([encode_basestring_ascii(k) + ": " + int.__repr__(slopes[k])
+                        for k in sorted(slopes)], _ENTRY_KEY, "{}"),
+            )
+            for config, exps, slopes in reached
+        ], _ROW_KEY)
+    return _Json(_ROW % (
+        _row_ints(alpha0), flat_length, reached_text,
+        _items([_SEGMENT % (_entry_ints(alpha), _entry_ints(beta)) for beta, alpha in segments],
+               _ROW_KEY),
+        size,
+    ))
+
+
 def _cmd_lps(args) -> int:
     if (args.start is None) != (args.target_length is None):
         raise InputError("--start and --target-length must be given together")
@@ -299,46 +372,37 @@ def _cmd_lps(args) -> int:
     src = oca.state_index(args.src)
     dst = oca.state_index(args.dst)
     budget = mc.environment_budget()
-    schemes = []
+    rows = []
     entries = 0  # rows, transition indices and reached configurations kept
     start = parse_configuration(oca, args.start) if args.start is not None else None
     for scheme in lps.enumerate_lps(oca, src, dst, args.flat, args.size):
-        if len(schemes) >= args.max_schemes:
+        if len(rows) >= args.max_schemes:
             break
         reach = [] if start is None else sorted(
             lps.shaped_reach(oca, scheme, start, args.target_length, args.exp_cap))
-        entries += 1 + scheme.flat_length + len(reach)
+        flat_length = scheme.flat_length
+        entries += 1 + flat_length + len(reach)
         mc.check_budget("lps report needs", entries, "entries", budget)
-        row = {
-            "alpha0": list(scheme.alpha0),
-            "segments": [
-                {"beta": list(b), "alpha": list(a)} for b, a in scheme.segments
-            ],
-            "flatLength": scheme.flat_length,
-            "size": scheme.size,
-        }
+        reached = None
         if start is not None:
+            # one slope key per cycle, built once per scheme; str(Fraction) is
+            # canonical, so equal slopes of different lengths share a key
+            slope_keys = [str(stats.slope) for stats in scheme.cycle_stats(oca)] if reach else []
             reached = []
             for cfg in reach:
                 exps = lps.shaped_witness_exponents(
                     oca, scheme, start, cfg, args.target_length, args.exp_cap
                 )
-                slopes = (
-                    {str(k): v for k, v in sorted(
-                        lps.analyze_cycle_repetitions(oca, scheme, list(exps)).items()
-                    )} if exps is not None else {}
-                )
-                reached.append({
-                    "config": f"{oca.state_names[cfg.state]},{cfg.counter}",
-                    "exponents": list(exps) if exps is not None else None,
-                    "slopeRepetitions": slopes,
-                })
-            row["reached"] = reached
-        schemes.append(row)
+                slopes = {}
+                if exps is not None:
+                    for key, e in zip(slope_keys, exps):
+                        slopes[key] = slopes.get(key, 0) + e
+                reached.append((f"{oca.state_names[cfg.state]},{cfg.counter}", exps, slopes))
+        rows.append(_lps_row(scheme.alpha0, flat_length, scheme.segments, scheme.size, reached))
     return _ok("lps", {
         "from": args.src, "to": args.dst,
         "flatLenBound": args.flat, "sizeBound": args.size,
-        "schemes": schemes,
+        "schemes": rows,
     })
 
 

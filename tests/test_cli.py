@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from enum import IntEnum
@@ -11,14 +12,14 @@ import jsonschema
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ocasync import corpus, mc
-from ocasync.cli import _dumps, main
+from ocasync import corpus, lps, mc
+from ocasync.cli import _dumps, _lps_row, main
 from ocasync.errors import (
     FormulaSyntaxError, InputError, OcaSyntaxError, UncoveredOperatorError, UnknownNameError,
 )
 from ocasync.formula import MAX_DEPTH, parse_formula
-from ocasync.oca import Configuration, loads, oca_to_json, validate
-from conftest import NESTED_SHAPES, cyclic_garbage, nested
+from ocasync.oca import Configuration, loads, oca_to_json, parse_configuration, validate
+from conftest import NESTED_SHAPES, cyclic_garbage, nested, random_total_oca
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -897,3 +898,148 @@ class TestEmitter:
     def test_every_subcommand_prints_json_dumps_bytes(self, capsys, argv):
         _, doc, out = run(capsys, *argv)
         assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_int_lists = st.lists(st.integers() | st.integers(min_value=2**64), max_size=4)
+_reached_entries = st.tuples(
+    _strings,
+    st.none() | _int_lists,
+    st.dictionaries(st.fractions().map(str), st.integers(min_value=0), max_size=4),
+)
+
+
+def lps_row_dict(alpha0, flat_length, segments, size, reached=None) -> dict:
+    """The dict that ``_lps_row(alpha0, flat_length, segments, size, reached)``
+    writes."""
+    row = {
+        "alpha0": list(alpha0),
+        "segments": [{"beta": list(b), "alpha": list(a)} for b, a in segments],
+        "flatLength": flat_length,
+        "size": size,
+    }
+    if reached is not None:
+        row["reached"] = [
+            {"config": c, "exponents": None if e is None else list(e), "slopeRepetitions": s}
+            for c, e, s in reached
+        ]
+    return row
+
+
+class TestLpsRows:
+    """``lps`` writes each scheme row as its final text, at its place in the
+    document; the document is still ``json.dumps(indent=2, sort_keys=True)``
+    byte for byte."""
+
+    @given(
+        _int_lists, st.integers(min_value=0), st.lists(st.tuples(_int_lists, _int_lists), max_size=3),
+        st.integers(min_value=0), st.none() | st.lists(_reached_entries, max_size=3),
+    )
+    @example([], 0, [], 0, None)
+    @example([], 0, [], 0, [])
+    @example([], 2, [([], []), ([4, 5], [])], 2, [("s,0", None, {})])
+    @example([0], 3, [([1], [])], 1,
+             [("s,1", [2], {"-1/2": 2}), ("s,2", [0], {"0": 0}), ("s,3", [1], {})])
+    @example([7], 1, [([1], [2])], 1, [('q"\\\u00e9,4', [3, 0], {"1/3": 0, "-1": 1, "0": 2})])
+    def test_matches_json_dumps_at_the_row_indent(self, alpha0, flat, segments, size, reached):
+        row = lps_row_dict(alpha0, flat, segments, size, reached)
+        text = _lps_row(alpha0, flat, segments, size, reached)
+        assert text == json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n" + " " * 6)
+        doc = {"command": "lps", "data": {"from": "s", "schemes": [row, row]}, "ok": True}
+        written = {**doc, "data": {**doc["data"], "schemes": [text, text]}}
+        assert _dumps(written) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_state_names_that_need_escaping(self, capsys, schema, tmp_path):
+        names = ['q"1', "b\\", "\u00e9t\u00e9"]
+        q, b, e = names
+        automaton = {
+            "states": names, "atoms": ["p"], "label": {e: ["p"]},
+            "transitions": [
+                {"src": q, "guard": ">0", "effect": -1, "dst": b},
+                {"src": q, "guard": "=0", "effect": 1, "dst": e},
+                {"src": b, "guard": ">0", "effect": 0, "dst": q},
+                {"src": b, "guard": "=0", "effect": 0, "dst": q},
+                {"src": e, "guard": ">0", "effect": 1, "dst": e},
+                {"src": e, "guard": "=0", "effect": 0, "dst": q},
+            ],
+        }
+        path = tmp_path / "escapes.json"
+        path.write_text(json.dumps(automaton))
+        code, doc, out = run(capsys, "lps", "--oca", str(path), "--src", q, "--dst", e,
+                             "--flat", "6", "--size", "2", "--start", f"{q},3",
+                             "--target-length", "8", "--max-schemes", "100000")
+        assert code == 0
+        check_schema(schema, doc)
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        configs = {r["config"] for row in doc["data"]["schemes"] for r in row.get("reached", [])}
+        assert any(c.startswith(e + ",") for c in configs), configs
+        assert "\\u00e9" in out and '"from": "q\\"1"' in out
+
+    def test_slope_keys_match_analyze_cycle_repetitions(self, capsys, tmp_path):
+        # per reached configuration: the CLI keys its repetitions by the
+        # slopes it computed once per scheme
+        compared = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            oca = random_total_oca(rng, n_states=rng.randint(1, 3))
+            names = oca.state_names
+            compared += self.check_slope_keys(
+                capsys, tmp_path, oca, rng.choice(names), rng.choice(names), rng.randint(1, 4),
+                rng.randint(0, 2), f"{rng.choice(names)},{rng.randint(0, 5)}", rng.randint(0, 10))
+        assert compared >= 300, compared
+
+    def test_equal_slopes_of_different_lengths_share_a_key(self, capsys, tmp_path):
+        # at s a 2-cycle and a 4-cycle, both of slope 1/2; at exponent cap 2
+        # a shaped path of length 12 takes each of them twice
+        oca = loads(
+            "states: s a b c d\natoms: p\n"
+            "s -[>0,+1]-> a\na -[>0,0]-> s\n"
+            "s -[>0,+1]-> b\nb -[>0,0]-> c\nc -[>0,+1]-> d\nd -[>0,0]-> s\n"
+            + "".join(f"{x} -[=0,+1]-> {x}\n" for x in "sabcd")
+        )
+        assert self.check_slope_keys(capsys, tmp_path, oca, "s", "s", 6, 2, "s,1", 12, 2) > 0
+        _, doc, _ = run(capsys, "lps", "--oca", str(tmp_path / "oca.json"), "--src", "s",
+                        "--dst", "s", "--flat", "6", "--size", "2", "--start", "s,1",
+                        "--target-length", "12", "--exp-cap", "2", "--max-schemes", "100000")
+        merged = [
+            r for row in doc["data"]["schemes"]
+            if sorted(len(seg["beta"]) for seg in row["segments"]) == [2, 4]
+            for r in row["reached"]
+        ]
+        assert merged
+        for r in merged:
+            assert (r["config"], r["exponents"], r["slopeRepetitions"]) == ("s,7", [2, 2], {"1/2": 4})
+
+    @staticmethod
+    def check_slope_keys(capsys, tmp_path, oca, src, dst, flat, size, start, length,
+                         exp_cap=32) -> int:
+        """Run ``lps`` with a reach query; check every reached entry against
+        ``shaped_reach``, ``shaped_witness_exponents`` and
+        ``analyze_cycle_repetitions``, and return how many there were."""
+        path = tmp_path / "oca.json"
+        path.write_text(json.dumps(oca_to_json(oca)))
+        code, doc, _ = run(capsys, "lps", "--oca", str(path), "--src", src, "--dst", dst,
+                           "--flat", str(flat), "--size", str(size), "--start", start,
+                           "--target-length", str(length), "--exp-cap", str(exp_cap),
+                           "--max-schemes", "100000")
+        assert code == 0
+        init = parse_configuration(oca, start)
+        schemes = list(lps.enumerate_lps(oca, oca.state_index(src), oca.state_index(dst),
+                                         flat, size))
+        rows = doc["data"]["schemes"]
+        assert len(rows) == len(schemes)
+        entries = 0
+        for row, scheme in zip(rows, schemes):
+            assert {k: v for k, v in row.items() if k != "reached"} == lps_row_dict(
+                scheme.alpha0, scheme.flat_length, scheme.segments, scheme.size)
+            reach = sorted(lps.shaped_reach(oca, scheme, init, length, exp_cap))
+            assert [r["config"] for r in row["reached"]] == [
+                f"{oca.state_names[c.state]},{c.counter}" for c in reach]
+            for cfg, entry in zip(reach, row["reached"]):
+                exps = lps.shaped_witness_exponents(oca, scheme, init, cfg, length, exp_cap)
+                assert exps is not None and entry["exponents"] == list(exps)
+                assert entry["slopeRepetitions"] == {
+                    str(k): v
+                    for k, v in lps.analyze_cycle_repetitions(oca, scheme, list(exps)).items()
+                }
+                entries += 1
+        return entries
