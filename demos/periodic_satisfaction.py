@@ -9,9 +9,9 @@ infinite system once a valid threshold/period pair is known.
 from ocasync import corpus
 from ocasync.errors import BudgetExceededError
 from ocasync.formula import formula_atoms, parse_formula
-from ocasync.mc import check_oca
+from ocasync.mc import check_oca, cross_check
 from ocasync.oca import Configuration
-from ocasync.oracle import BoundedEvaluator, cross_check, mine_period
+from ocasync.oracle import BoundedEvaluator, mine_period
 
 FORMULAS = ["EX p", "E true U p", "A true U p", "FA p"]
 

@@ -8,9 +8,11 @@ from .errors import (
     StepCapExceededError,
 )
 from .formula import Formula, Kind, parse_formula, pretty, subformulas
-from .mc import CheckResult, Kripke, check_oca, check_ua_on_kripke, check_ue_on_kripke, unfold_kripke
+from .mc import (
+    CheckResult, Kripke, check_oca, check_ua_on_kripke, check_ue_on_kripke, cross_check, unfold_kripke,
+)
 from .oca import Configuration, Oca, OracleTrace, level_sets, successors, validate
-from .oracle import BoundedEvaluator, Verdict, cross_check, eval_bounded, mine_period
+from .oracle import BoundedEvaluator, Verdict, eval_bounded, mine_period
 from .periodicity import ConstantBundle, TpPair, ctl_constants, ua_constants
 from .upset import UpSet
 

@@ -17,7 +17,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import bignum, corpus, lps, mc, oracle, periodicity
+from . import bignum, corpus, errors, lps, mc, oracle, periodicity
 from .errors import BudgetExceededError, InputError, OcaSyntaxError, UncoveredOperatorError
 from .formula import Formula, parse_formula, pretty
 from .oca import (
@@ -100,14 +100,15 @@ def _dumps(o, ind: str = "") -> str:
     that starts a line indented by ``ind``.
 
     ``indent`` turns off json's C encoder, and its pure-Python one yields
-    every fragment through nested generators.  Here plain dicts with str
-    keys, lists, tuples, str, int, bool and None are written directly, one
-    joined string per container, and a ``_Json`` fragment (an ``lps`` row,
-    written by ``_lps_row``) is copied out unchanged; anything else (floats,
-    other int or str subclasses, dicts with other keys) goes through
-    ``json.dumps``.  Joining per container keeps only one subtree's
-    fragments alive at a time; one fragment list for the whole document is
-    faster but peaks far higher.
+    every fragment through nested generators, whose closures refer to each
+    other: every call leaves cyclic garbage (33 objects for a small
+    document).  Here plain dicts with str keys, lists, tuples, str, int,
+    bool and None are written directly, one joined string per container,
+    and a ``_Json`` fragment (an ``lps`` row, written by ``_lps_row``) is
+    copied out unchanged; anything else (floats, other int or str
+    subclasses, dicts with other keys) goes through ``json.dumps``.  Joining
+    per container keeps only one subtree's fragments alive at a time; one
+    fragment list for the whole document is faster but peaks far higher.
     """
     t = type(o)
     if t is str:
@@ -283,7 +284,7 @@ def _cmd_cross_check(args) -> int:
     oca = _load_oca(args.oca)
     f = _formula(oca, args.formula)
     inits = [parse_configuration(oca, s) for s in args.init]
-    report = oracle.cross_check(oca, f, inits, **_check_args(args))
+    report = mc.cross_check(oca, f, inits, **_check_args(args))
     return _ok("cross-check", report.to_json(oca))
 
 
@@ -371,7 +372,7 @@ def _cmd_lps(args) -> int:
     oca = _load_oca(args.oca)
     src = oca.state_index(args.src)
     dst = oca.state_index(args.dst)
-    budget = mc.environment_budget()
+    budget = errors.environment_budget()
     rows = []
     entries = 0  # rows, transition indices and reached configurations kept
     start = parse_configuration(oca, args.start) if args.start is not None else None
@@ -382,7 +383,7 @@ def _cmd_lps(args) -> int:
             lps.shaped_reach(oca, scheme, start, args.target_length, args.exp_cap))
         flat_length = scheme.flat_length
         entries += 1 + flat_length + len(reach)
-        mc.check_budget("lps report needs", entries, "entries", budget)
+        errors.check_budget("lps report needs", entries, "entries", budget)
         reached = None
         if start is not None:
             # one slope key per cycle, built once per scheme; str(Fraction) is

@@ -1,6 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the node-budget check
+that raises ``BudgetExceededError``."""
 
 from __future__ import annotations
+
+import os
+
+from . import bignum
+
+DEFAULT_NODE_BUDGET = 10**6
+BUDGET_ENV_VAR = "OCASYNC_BUDGET"
 
 
 class InputError(ValueError):
@@ -62,3 +70,33 @@ class StepCapExceededError(BudgetExceededError):
     def __init__(self, message: str, *, partial_horizon: int, budget: int):
         super().__init__(message, required=None, budget=budget)
         self.partial_horizon = partial_horizon
+
+
+def environment_budget() -> int:
+    """``OCASYNC_BUDGET``, or 10^6 when it is unset or empty; any value but a
+    non-negative integer is an ``InputError``."""
+    text = os.environ.get(BUDGET_ENV_VAR)
+    if not text:
+        return DEFAULT_NODE_BUDGET
+    try:
+        budget = int(text)
+        if budget >= 0:
+            return budget
+    except ValueError:
+        pass
+    raise InputError(f"{BUDGET_ENV_VAR} must be a non-negative integer, not {text!r}")
+
+
+def check_budget(
+    what: str, required: bignum.Number, unit: str, budget: int | None = None
+) -> None:
+    """Raise ``BudgetExceededError`` before ``required`` units go over ``budget``
+    (default ``OCASYNC_BUDGET``, else 10^6); a symbolic ``required`` always does."""
+    if budget is None:
+        budget = environment_budget()
+    if bignum.is_symbolic(required) or required > budget:
+        needed = bignum.to_jsonable(required)
+        raise BudgetExceededError(
+            f"{what} {needed} {unit}, over the budget of {budget}",
+            required=needed, budget=budget,
+        )

@@ -6,6 +6,8 @@ automaton into a finite Kripke structure that keeps low counters exact and
 wraps high ones onto residue classes, label plain operators by fixpoints,
 decide the synchronized operators by level-set iteration, and read the
 per-state satisfaction sets back as ultimately periodic sets.
+``cross_check`` runs that procedure against the bounded oracle, which
+imports nothing from this module.
 
 ``label_kripke`` labels unfoldings and hand-built structures alike.  Its
 synchronized checks run once per start node but share their level-set work: a
@@ -30,23 +32,17 @@ are bitmasks over that layout throughout this module.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from . import bignum, upset
+from . import bignum, errors, oracle, upset
 from .errors import BudgetExceededError, InputError, StepCapExceededError, UncoveredOperatorError
 from .formula import Formula, Kind, formula_atoms, pretty, subformulas
 from .oca import Configuration, Oca, ZERO, require_valid
+from .oracle import BoundedEvaluator, Verdict
 from .periodicity import ConstantBundle, TpPair, ctl_constants, ua_constants, uniform_pair
 from .upset import UpSet
-
-if TYPE_CHECKING:
-    from .oracle import BoundedEvaluator
-
-DEFAULT_NODE_BUDGET = 10**6
-BUDGET_ENV_VAR = "OCASYNC_BUDGET"
 
 
 class SyncCheck(NamedTuple):
@@ -530,8 +526,6 @@ def _mined_pairs(
     oca: Oca, f: Formula, caps: tuple[int, int], mine_v_cap: int | None,
     evaluator: BoundedEvaluator | None = None,
 ) -> tuple[dict[Formula, TpPair], list[str]]:
-    from .oracle import BoundedEvaluator, mine_period  # local import to avoid a cycle
-
     counter_cap, level_cap = caps
     v_cap = mine_v_cap if mine_v_cap is not None else counter_cap // 2
     if evaluator is None or evaluator.oca is not oca or (
@@ -543,7 +537,7 @@ def _mined_pairs(
     for g in subformulas(f):
         per_state = []
         for s in range(oca.n_states):
-            pair, _table = mine_period(oca, g, s, v_cap, caps, evaluator=evaluator)
+            pair, _table = oracle.mine_period(oca, g, s, v_cap, caps, evaluator=evaluator)
             if pair is None:
                 raise BudgetExceededError(
                     f"no periodic pattern certified for {pretty(g)!r} at state "
@@ -554,36 +548,6 @@ def _mined_pairs(
             per_state.append(pair)
         pairs[g] = uniform_pair(per_state)
     return pairs, caveats
-
-
-def environment_budget() -> int:
-    """``OCASYNC_BUDGET``, or 10^6 when it is unset or empty; any value but a
-    non-negative integer is an ``InputError``."""
-    text = os.environ.get(BUDGET_ENV_VAR)
-    if not text:
-        return DEFAULT_NODE_BUDGET
-    try:
-        budget = int(text)
-        if budget >= 0:
-            return budget
-    except ValueError:
-        pass
-    raise InputError(f"{BUDGET_ENV_VAR} must be a non-negative integer, not {text!r}")
-
-
-def check_budget(
-    what: str, required: bignum.Number, unit: str, budget: int | None = None
-) -> None:
-    """Raise ``BudgetExceededError`` before ``required`` units go over ``budget``
-    (default ``OCASYNC_BUDGET``, else 10^6); a symbolic ``required`` always does."""
-    if budget is None:
-        budget = environment_budget()
-    if bignum.is_symbolic(required) or required > budget:
-        needed = bignum.to_jsonable(required)
-        raise BudgetExceededError(
-            f"{what} {needed} {unit}, over the budget of {budget}",
-            required=needed, budget=budget,
-        )
 
 
 def require_atoms(oca: Oca, f: Formula) -> None:
@@ -637,7 +601,7 @@ def check_oca(
     # the residue window sits strictly inside the periodic region
     t_uniform, p_uniform = uniform_pair(pairs.values())
     t_eff = t_uniform + 2
-    check_budget("unfolding needs", oca.n_states * (t_eff + p_uniform), "nodes", node_budget)
+    errors.check_budget("unfolding needs", oca.n_states * (t_eff + p_uniform), "nodes", node_budget)
 
     kripke = unfold_kripke(oca, t_eff, p_uniform)
     width = t_eff + p_uniform
@@ -683,3 +647,94 @@ def check_oca(
         ],
     }
     return CheckResult(holds, witness_k, per_state, constants, caveats)
+
+
+# ---------------------------------------------------------------------------
+# Differential testing
+
+AGREE = "AGREE"
+DISAGREE = "DISAGREE"
+ORACLE_UNKNOWN = "ORACLE-UNKNOWN"
+CHECKER_UNKNOWN = "CHECKER-UNKNOWN"
+
+
+@dataclass
+class CrossRow:
+    init: Configuration
+    oracle: Verdict
+    checker: bool | None
+    status: str
+
+
+@dataclass
+class CrossReport:
+    formula: Formula
+    mode: str
+    rows: list[CrossRow]
+    checker_error: str | None = None
+
+    @property
+    def disagreements(self) -> list[CrossRow]:
+        return [r for r in self.rows if r.status == DISAGREE]
+
+    def counts(self) -> dict[str, int]:
+        out: dict[str, int] = {}
+        for r in self.rows:
+            out[r.status] = out.get(r.status, 0) + 1
+        return out
+
+    def to_json(self, oca: Oca) -> dict:
+        return {
+            "formula": pretty(self.formula),
+            "mode": self.mode,
+            "counts": self.counts(),
+            "checkerError": self.checker_error,
+            "rows": [
+                {
+                    "init": f"{oca.state_names[r.init.state]},{r.init.counter}",
+                    "oracle": r.oracle.value,
+                    "checker": r.checker,
+                    "status": r.status,
+                }
+                for r in self.rows
+            ],
+        }
+
+
+def cross_check(
+    oca: Oca,
+    f: Formula,
+    inits: list[Configuration],
+    mode: str = "empirical",
+    caps: tuple[int, int] = (60, 200),
+    *,
+    evaluator: BoundedEvaluator | None = None,
+    **options,
+) -> CrossReport:
+    """Run the reduction-based checker against the bounded oracle per init.
+
+    A DISAGREE row (both sides definite, different answers) is always a bug
+    in one of them; ORACLE-UNKNOWN rows carry no evidence either way.  The
+    oracle's verdicts come from ``evaluator`` (built at ``caps`` if None),
+    which the checker's mining then reuses; ``options`` go to ``check_oca``.
+    """
+    ev = evaluator or BoundedEvaluator(oca, *caps)
+    verdicts = [ev.verdict(f, c) for c in inits]
+    result = None
+    error = None
+    if any(v.definite for v in verdicts):
+        try:
+            result = check_oca(oca, f, inits[0], mode, caps=caps, evaluator=ev, **options)
+        except BudgetExceededError as exc:
+            error = str(exc)
+    rows = []
+    for c, v in zip(inits, verdicts):
+        if not v.definite:
+            rows.append(CrossRow(c, v, None, ORACLE_UNKNOWN))
+        elif result is None:
+            rows.append(CrossRow(c, v, None, CHECKER_UNKNOWN))
+        else:
+            holds = result.per_state[oca.state_names[c.state]].member(c.counter)
+            agree = holds == (v is Verdict.TRUE)
+            rows.append(CrossRow(c, v, holds, AGREE if agree else DISAGREE))
+    return CrossReport(f, mode, rows, error)

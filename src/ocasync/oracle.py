@@ -12,10 +12,11 @@ test the levels of ``oca.iter_level_rows`` against these rows with a few
 ANDs per level.  A synchronized UE formula is decided by one witness scan
 over a per-formula exact-distance index, which can answer TRUE only, plus a
 FALSE repeat rule for scans that found no witness on a cap-closed component.
-Uses: differential testing of the finite-structure checker, mining empirical
-threshold/period pairs, and auditing the segment/shift periodicity of level
-sets at scaled-down constant bundles.  The region, the mining samples and
-the audit traces go through ``mc.check_budget``, as the unfolding does.
+Uses: differential testing of the finite-structure checker, which imports
+this module and never the reverse, mining empirical threshold/period pairs,
+and auditing the segment/shift periodicity of level sets at scaled-down
+constant bundles.  The region, the mining samples and the audit traces go
+through ``errors.check_budget``, as the unfolding does.
 """
 
 from __future__ import annotations
@@ -25,15 +26,14 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from . import mc
-from .errors import BudgetExceededError, InputError
+from .errors import InputError, check_budget
 from .formula import Formula, Kind, pretty
 from .lps import analyze_cycle_repetitions, compress_path_with_exponents
 from .oca import (
     Configuration, Oca, OracleTrace, Rows, iter_level_rows, level_sets, pre_rows,
     row_bits, step_rows, successors, witness_path,
 )
-from .periodicity import ConstantBundle, TpPair, core_levels, segment_start, shift_map
+from .periodicity import ConstantBundle, TpPair, segment_start, shift_map
 
 
 class Verdict(Enum):
@@ -97,7 +97,7 @@ class BoundedEvaluator:
     def __init__(self, oca: Oca, counter_cap: int, level_cap: int):
         if counter_cap < 0 or level_cap < 0:
             raise InputError("caps must be non-negative")
-        mc.check_budget("oracle region needs", oca.n_states * (counter_cap + 1), "configurations")
+        check_budget("oracle region needs", oca.n_states * (counter_cap + 1), "configurations")
         self.oca = oca
         self.counter_cap = counter_cap
         self.level_cap = level_cap
@@ -534,7 +534,7 @@ def mine_period(
     """
     if v_cap < 2:
         raise InputError("need at least counters 0..2 to mine a period")
-    mc.check_budget("period mining samples", v_cap + 1, "counters")
+    check_budget("period mining samples", v_cap + 1, "counters")
     ev = evaluator or BoundedEvaluator(oca, *caps)
     row = [ev.verdict(f, Configuration(state, v)) for v in range(v_cap + 1)]
     for t in range(v_cap - 1):
@@ -544,103 +544,6 @@ def mine_period(
             if all(row[v] == row[t + (v - t) % p] for v in range(t, v_cap + 1)):
                 return TpPair(t, p), row
     return None, row
-
-
-# ---------------------------------------------------------------------------
-# Differential testing
-
-AGREE = "AGREE"
-DISAGREE = "DISAGREE"
-ORACLE_UNKNOWN = "ORACLE-UNKNOWN"
-CHECKER_UNKNOWN = "CHECKER-UNKNOWN"
-
-
-@dataclass
-class CrossRow:
-    init: Configuration
-    oracle: Verdict
-    checker: bool | None
-    status: str
-
-
-@dataclass
-class CrossReport:
-    formula: Formula
-    mode: str
-    rows: list[CrossRow]
-    checker_error: str | None = None
-
-    @property
-    def disagreements(self) -> list[CrossRow]:
-        return [r for r in self.rows if r.status == DISAGREE]
-
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for r in self.rows:
-            out[r.status] = out.get(r.status, 0) + 1
-        return out
-
-    def to_json(self, oca: Oca) -> dict:
-        return {
-            "formula": pretty(self.formula),
-            "mode": self.mode,
-            "counts": self.counts(),
-            "checkerError": self.checker_error,
-            "rows": [
-                {
-                    "init": f"{oca.state_names[r.init.state]},{r.init.counter}",
-                    "oracle": r.oracle.value,
-                    "checker": r.checker,
-                    "status": r.status,
-                }
-                for r in self.rows
-            ],
-        }
-
-
-def cross_check(
-    oca: Oca,
-    f: Formula,
-    inits: list[Configuration],
-    mode: str = "empirical",
-    caps: tuple[int, int] = (60, 200),
-    *,
-    supplied: TpPair | None = None,
-    b_override: int | None = None,
-    node_budget: int | None = None,
-    mine_v_cap: int | None = None,
-    evaluator: BoundedEvaluator | None = None,
-) -> CrossReport:
-    """Run the reduction-based checker against the bounded oracle per init.
-
-    A DISAGREE row (both sides definite, different answers) is always a bug
-    in one of them; ORACLE-UNKNOWN rows carry no evidence either way.  The
-    keyword arguments other than ``evaluator`` go to ``mc.check_oca``.
-    """
-    ev = evaluator or BoundedEvaluator(oca, *caps)
-    verdicts = [ev.verdict(f, c) for c in inits]
-    result = None
-    error = None
-    if any(v.definite for v in verdicts):
-        try:
-            result = mc.check_oca(
-                oca, f, inits[0], mode,
-                supplied=supplied, caps=caps, b_override=b_override,
-                node_budget=node_budget, mine_v_cap=mine_v_cap, evaluator=ev,
-            )
-        except BudgetExceededError as exc:
-            error = str(exc)
-    rows = []
-    for c, v in zip(inits, verdicts):
-        if not v.definite:
-            rows.append(CrossRow(c, v, None, ORACLE_UNKNOWN))
-        elif result is None:
-            rows.append(CrossRow(c, v, None, CHECKER_UNKNOWN))
-        else:
-            holds = result.per_state[oca.state_names[c.state]].member(c.counter)
-            agree = holds == (v is Verdict.TRUE)
-            rows.append(CrossRow(c, v, holds, AGREE if agree else DISAGREE))
-    return CrossReport(f, mode, rows, error)
 
 
 # ---------------------------------------------------------------------------
@@ -792,10 +695,20 @@ def check_shift_periodicity(
         )
     if counter_cap is None:
         counter_cap = max(vs) + period + level_cap + 1
-    mc.check_budget(
+    check_budget(
         "level-set audit traces", (level_cap + 1) * oca.n_states * (counter_cap + 1),
         "configurations",
     )
+    # per audited counter: the segment of each core level (the first one
+    # wins where segments overlap), and the levels to audit in order
+    plans = {}
+    for v in vs:
+        seg_of: dict[int, int] = {}
+        for i in range(bundle.m + 1):
+            start = segment_start(i, v, bundle)
+            for lv in range(start, start + bundle.seg_threshold):
+                seg_of.setdefault(lv, i)
+        plans[v] = seg_of, sorted(seg_of.keys() | range(period, level_cap + 1))
     cases: list[AuditCase] = []
     for s in range(oca.n_states):
         # trace_vp at v is trace_v at v + period whenever both are audited
@@ -805,23 +718,17 @@ def check_shift_periodicity(
                 if u not in traces:
                     traces[u] = level_sets(oca, Configuration(s, u), level_cap, counter_cap)
             trace_v, trace_vp = traces[v], traces[v + period]
-            core_set = set(core_levels(v, bundle))
-            seg_of = {}
-            for i in range(bundle.m + 1):
-                start = segment_start(i, v, bundle)
-                for lv in range(start, start + bundle.seg_threshold):
-                    seg_of.setdefault(lv, i)
-            for lv in sorted(core_set | set(range(period, level_cap + 1))):
-                if lv in core_set:
+            seg_of, levels = plans[v]
+            for lv in levels:
+                seg = seg_of.get(lv)
+                if seg is not None:
                     shifted = shift_map(lv, v, bundle)
-                    seg = seg_of[lv]
                     if shifted > level_cap or lv > level_cap:
                         continue
                     exact = not trace_vp.truncated[shifted] and not trace_v.truncated[lv]
                     checks = (("2a", trace_vp, shifted, trace_v, lv),
                               ("2b", trace_v, lv, trace_vp, shifted))
                 else:  # outside the core, so in range(period, level_cap + 1)
-                    seg = None
                     exact = not trace_v.truncated[lv]
                     checks = (("1a", trace_v, lv, trace_v, lv - period),
                               ("1b", trace_v, lv - period, trace_v, lv))

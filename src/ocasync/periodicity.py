@@ -10,6 +10,7 @@ bundles are meant to be walked level by level.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,12 +79,31 @@ def default_scheme_bound(n: int) -> int:
 
 
 def _totient_sum(b: int) -> int:
-    phi = list(range(b + 1))
-    for i in range(2, b + 1):
+    """Phi(b), the sum of Euler's totient over 1..b, in about b^(2/3) time
+    and memory.  A sieve gives Phi(n) for n up to ``limit`` (about b^(2/3));
+    above it, Phi(n) = n(n+1)/2 - sum over d = 2..n of Phi(n // d), and
+    every n // d that is over ``limit`` is one of the quotients b // k, so
+    those are evaluated for k = kmax down to 1, each from the ones before."""
+    limit = min(b, int(b ** (2 / 3)) + 1)
+    phi = list(range(limit + 1))
+    for i in range(2, limit + 1):
         if phi[i] == i:  # prime
-            for j in range(i, b + 1, i):
+            for j in range(i, limit + 1, i):
                 phi[j] -= phi[j] // i
-    return sum(phi[1 : b + 1])
+    small = list(itertools.accumulate(phi))  # small[n] = Phi(n)
+    kmax = b // (limit + 1)
+    big = [0] * (kmax + 1)  # big[k] = Phi(b // k) for b // k > limit
+    for k in range(kmax, 0, -1):
+        n = b // k
+        total = n * (n + 1) // 2
+        d = 2
+        while d <= n:
+            q = n // d
+            d_next = n // q + 1  # every d' in [d, d_next) has n // d' == q
+            total -= (d_next - d) * (small[q] if q <= limit else big[k * d])
+            d = d_next
+        big[k] = total
+    return big[1] if kmax else small[b]
 
 
 @dataclass(frozen=True)

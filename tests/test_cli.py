@@ -641,6 +641,28 @@ class TestErrorsAndDeterminism:
         assert doc["error"]["budget"] == 50000 and 50000 < doc["error"]["required"] <= 50009
         assert proc.stderr == b""
 
+    def test_check_lemma11_at_a_huge_scheme_bound_fits_in_2_gb(self):
+        # the segment count at b = 10^8 is a sum of 10^8 totients; a sieve
+        # over all of them does not fit in the child's 2 GB address space and
+        # exits 3 with a MemoryError, where the audit should refuse the
+        # symbolic bundle as input
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from ocasync.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "check-lemma11", "--oca", "fork", "--b", "100000000"],
+            capture_output=True, env=env, timeout=120,
+        )
+        doc = json.loads(proc.stdout)
+        assert proc.returncode == 1 and doc["error"] == {
+            "kind": "input", "message": "audit needs a materialized (scaled-down) bundle"}
+        assert proc.stderr == b""
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["check", "--oca", "fork", "--formula", "E true U p", "--init", "s,3"]
         _, _, first = run(capsys, *argv)

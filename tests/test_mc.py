@@ -4,12 +4,12 @@ import random
 import pytest
 
 from ocasync import bignum, corpus, mc
-from ocasync.errors import BudgetExceededError, InputError, StepCapExceededError
+from ocasync.errors import BudgetExceededError, InputError, StepCapExceededError, check_budget
 from ocasync.formula import (
     TRUE, Kind, atom, au, eu, ex, land, lnot, parse_formula, subformulas, ua, ue,
 )
 from ocasync.mc import (
-    Kripke, KripkeBuilder, Move, _label_mask, check_budget, check_oca, check_ua_on_kripke,
+    Kripke, KripkeBuilder, Move, _label_mask, check_oca, check_ua_on_kripke,
     check_ue_on_kripke, counter_class, label_kripke, unfold_kripke,
 )
 from ocasync.oracle import BoundedEvaluator

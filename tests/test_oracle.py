@@ -9,11 +9,12 @@ from ocasync.formula import (
     TRUE, atom, au, eu, ex, land, lnot, parse_formula, pretty, subformulas, ua, ue,
 )
 from ocasync.errors import BudgetExceededError
-from ocasync.mc import SyncCheck
+from ocasync.mc import (
+    AGREE, CHECKER_UNKNOWN, DISAGREE, ORACLE_UNKNOWN, SyncCheck, cross_check,
+)
 from ocasync.oca import Configuration, parse_oca_text, pre_rows, successors
 from ocasync.oracle import (
-    AGREE, CHECKER_UNKNOWN, DISAGREE, ORACLE_UNKNOWN,
-    BoundedEvaluator, Verdict, check_shift_periodicity, cross_check,
+    BoundedEvaluator, Verdict, check_shift_periodicity,
     _match, default_audit_counters, eval_bounded, mine_period,
 )
 from ocasync.periodicity import TpPair, ua_constants
@@ -608,6 +609,44 @@ class TestDifferentialFuzz:
         assert counts.get(AGREE, 0) >= 9000, counts
         assert elapsed < 60, elapsed
 
+    def test_checker_sets_match_the_oracle_on_the_whole_region(self):
+        # the fuzz recipe's 1000 seeded cases, every one kept, with one
+        # evaluator per case shared by the checker's mining and the
+        # comparison; the checker's per-state sets are compared with the
+        # oracle at every state and every counter 0..40, not at 10 inits.  A
+        # case whose mining exceeds its budget is skipped, not compared
+        # (88 of them).  912 cases give 89,749 agreements and 123 UNKNOWNs,
+        # in about 3 s of CPU time on Python 3.11
+        cases = skipped = agreements = unknown = 0
+        disagreements = []
+        start = time.process_time()
+        for seed in range(1000):
+            rng = random.Random(seed)
+            oca = random_total_oca(rng, n_states=rng.randint(1, 4))
+            f = random_formula(rng, 3)
+            ev = BoundedEvaluator(oca, 40, 120)
+            try:
+                result = mc.check_oca(oca, f, Configuration(0, 0), "empirical",
+                                      caps=(40, 120), evaluator=ev)
+            except BudgetExceededError:
+                skipped += 1
+                continue
+            cases += 1
+            for s, name in enumerate(oca.state_names):
+                sat = result.per_state[name]
+                for v in range(41):
+                    verdict = ev.verdict(f, Configuration(s, v))
+                    if not verdict.definite:
+                        unknown += 1
+                    elif sat.member(v) == (verdict is Verdict.TRUE):
+                        agreements += 1
+                    else:
+                        disagreements.append((seed, pretty(f), name, v))
+        elapsed = time.process_time() - start
+        assert not disagreements, disagreements[:5]
+        assert cases + skipped == 1000 and cases >= 880, (cases, skipped)
+        assert agreements >= 85000, (agreements, unknown)
+        assert elapsed < 15, elapsed
 
 
 class TestPairRefinement:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,7 +8,7 @@ from ocasync import bignum
 from ocasync.bignum import LcmPoly, lcm_range
 from ocasync.formula import Kind
 from ocasync.periodicity import (
-    INFINITE_LEVEL, ConstantBundle, TpPair, core_levels, ctl_constants,
+    INFINITE_LEVEL, ConstantBundle, TpPair, _totient_sum, core_levels, ctl_constants,
     default_scheme_bound, segment_start, shift_map, ua_constants,
 )
 
@@ -95,6 +96,31 @@ class TestUaConstants:
                 assert bundle.seg_threshold == b**9 * bundle.period
                 assert bundle.counter_threshold == b**11 * bundle.period
                 assert bundle.period > bundle.prev_t
+
+
+def sieve_totients(n):
+    """Euler's totient of 0..n by the plain sieve ``_totient_sum`` used to
+    run over all of 0..b: the reference it is pinned against."""
+    phi = list(range(n + 1))
+    for i in range(2, n + 1):
+        if phi[i] == i:  # prime
+            for j in range(i, n + 1, i):
+                phi[j] -= phi[j] // i
+    return phi
+
+
+class TestTotientSum:
+    def test_matches_the_sieve(self):
+        # every b <= 10^4, and fixed and seeded samples up to 10^6
+        phi_sum = list(itertools.accumulate(sieve_totients(10**6)))
+        rng = random.Random(11)
+        samples = [12345, 99991, 10**5, 10**6] + [rng.randint(10**4, 10**6) for _ in range(100)]
+        for b in [*range(10**4 + 1), *samples]:
+            assert _totient_sum(b) == phi_sum[b], b
+
+    def test_a_huge_bound_is_sublinear(self):
+        # Phi(10^8), OEIS A064018; the sieve would hold 10^8 ints
+        assert _totient_sum(10**8) == 3039635516365908
 
 
 class TestSegments:
