@@ -346,6 +346,17 @@ def _lps_row(alpha0, flat_length: int, segments, size: int, reached=None) -> _Js
     """One ``lps`` scheme row, written as ``_dumps`` would write its dict.
     ``segments`` holds (beta, alpha) pairs; ``reached`` is None or a list of
     (config, exponents or None, {slope key: repetitions}) triples."""
+    return _row(_row_ints(alpha0), flat_length,
+                _items([_segment_text(s) for s in segments], _ROW_KEY), size, reached)
+
+
+def _segment_text(segment) -> str:
+    beta, alpha = segment
+    return _SEGMENT % (_entry_ints(alpha), _entry_ints(beta))
+
+
+def _row(alpha0_text: str, flat_length: int, segments_text: str, size: int, reached) -> _Json:
+    """``_lps_row`` with ``alpha0`` and ``segments`` already written."""
     if reached is None:
         reached_text = ""
     else:
@@ -358,12 +369,19 @@ def _lps_row(alpha0, flat_length: int, segments, size: int, reached=None) -> _Js
             )
             for config, exps, slopes in reached
         ], _ROW_KEY)
-    return _Json(_ROW % (
-        _row_ints(alpha0), flat_length, reached_text,
-        _items([_SEGMENT % (_entry_ints(alpha), _entry_ints(beta)) for beta, alpha in segments],
-               _ROW_KEY),
-        size,
-    ))
+    return _Json(_ROW % (alpha0_text, flat_length, reached_text, segments_text, size))
+
+
+def _memo(write):
+    """``write`` with each distinct (hashable) argument written once."""
+    texts = {}
+
+    def cached(key) -> str:
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = write(key)
+        return text
+    return cached
 
 
 def _cmd_lps(args) -> int:
@@ -376,21 +394,27 @@ def _cmd_lps(args) -> int:
     rows = []
     entries = 0  # rows, transition indices and reached configurations kept
     start = parse_configuration(oca, args.start) if args.start is not None else None
-    for scheme in lps.enumerate_lps(oca, src, dst, args.flat, args.size):
+    reach = None if start is None else (start, args.target_length, args.exp_cap)
+    # the schemes of one job share most of their words: each distinct alpha0
+    # and segment is written once (a memo of whole segment lists costs more
+    # memory than it saves time: a job has about half as many lists as rows)
+    alpha0_text = _memo(_row_ints)
+    segment_text = _memo(_segment_text)
+    for scheme in lps.enumerate_lps(oca, src, dst, args.flat, args.size, reach=reach):
         if len(rows) >= args.max_schemes:
             break
-        reach = [] if start is None else sorted(
+        ends = [] if start is None else sorted(
             lps.shaped_reach(oca, scheme, start, args.target_length, args.exp_cap))
         flat_length = scheme.flat_length
-        entries += 1 + flat_length + len(reach)
+        entries += 1 + flat_length + len(ends)
         errors.check_budget("lps report needs", entries, "entries", budget)
         reached = None
         if start is not None:
             # one slope key per cycle, built once per scheme; str(Fraction) is
             # canonical, so equal slopes of different lengths share a key
-            slope_keys = [str(stats.slope) for stats in scheme.cycle_stats(oca)] if reach else []
+            slope_keys = [str(stats.slope) for stats in scheme.cycle_stats(oca)] if ends else []
             reached = []
-            for cfg in reach:
+            for cfg in ends:
                 exps = lps.shaped_witness_exponents(
                     oca, scheme, start, cfg, args.target_length, args.exp_cap
                 )
@@ -399,7 +423,9 @@ def _cmd_lps(args) -> int:
                     for key, e in zip(slope_keys, exps):
                         slopes[key] = slopes.get(key, 0) + e
                 reached.append((f"{oca.state_names[cfg.state]},{cfg.counter}", exps, slopes))
-        rows.append(_lps_row(scheme.alpha0, flat_length, scheme.segments, scheme.size, reached))
+        rows.append(_row(alpha0_text(scheme.alpha0), flat_length,
+                         _items([segment_text(s) for s in scheme.segments], _ROW_KEY),
+                         scheme.size, reached))
     return _ok("lps", {
         "from": args.src, "to": args.dst,
         "flatLenBound": args.flat, "sizeBound": args.size,

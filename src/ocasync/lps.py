@@ -7,7 +7,11 @@ instantiates every star with a concrete repetition count.  Each piece is
 read once, as counter arithmetic (``Piece``: its effect, and the counters its
 guards allow it to start from): ``enumerate_lps`` reads a scheme while it
 builds it, one step per transition.  The shaped search steps plain int
-counters and solves for the last star's exponent.  No search is a closure
+counters and solves for the last star's exponent.  Asked for a reach,
+``enumerate_lps`` also carries one frontier per star down its depth-first
+tree, (counter, length left) -> least exponent prefix, so each scheme's
+shaped reach is read off the frontier of its last star; the single-scheme
+search remains for any other scheme.  No search is a closure
 that refers to itself, so a finished or dropped search leaves no cyclic
 garbage.
 """
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .errors import InputError
+from .errors import InputError, check_budget, environment_budget
 from .oca import Configuration, Oca, Transition, ZERO
 
 
@@ -79,20 +83,25 @@ def _piece(oca: Oca, state: int, seq: tuple[int, ...]) -> Piece:
 
 
 SegmentPieces = tuple[tuple[Piece, Piece], ...]
+# (start, target length, exponent cap) of a shaped search
+Reach = tuple[Configuration, int, int]
+# end configuration -> least exponent vector, in ascending vector order
+ReachTable = dict[Configuration, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class Lps:
     """``alpha0`` then ``segments`` of (cycle, following path), all state-chained.
 
-    ``built`` is ``(oca, alpha0 piece, segment pieces)`` when
-    ``enumerate_lps`` read the scheme while building it; it takes no part in
-    equality, hashing or repr."""
+    ``built`` is ``(oca, alpha0 piece, segment pieces, reach, table)`` when
+    ``enumerate_lps`` read the scheme while building it; ``table`` is the
+    scheme's shaped reach from ``reach`` (both None when none was asked for).
+    It takes no part in equality, hashing or repr."""
 
     start_state: int
     alpha0: tuple[int, ...]
     segments: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    built: tuple[Oca, Piece, SegmentPieces] | None = field(
+    built: tuple[Oca, Piece, SegmentPieces, Reach | None, ReachTable | None] | None = field(
         default=None, compare=False, repr=False)
 
     @property
@@ -191,9 +200,18 @@ class _SchemeSearch:
     on two stacks: ``words`` holds ``alpha0``, then the cycle and the path of
     each segment, and ``pieces`` holds each word read as a ``Piece``.  The
     last entry of both is the path being extended, one ``_extend`` per
-    appended transition."""
+    appended transition.
 
-    def __init__(self, oca: Oca, start_state: int, end_state: int, flat_len_bound: int):
+    With ``reach`` given, a third stack holds one frontier per star:
+    ``frontiers[k - 1]`` maps (counter, length left) at the entry of star k
+    to the least exponent prefix that gets there, in ascending prefix order.
+    Two prefixes with the same key have the same continuations, so only the
+    least one is kept.  Frontier k + 1 is frontier k stepped through cycle k
+    and then tail k, built once when cycle k + 1 is pushed; a yielded
+    scheme of size k reads its reach off frontier k with ``_last_star``."""
+
+    def __init__(self, oca: Oca, start_state: int, end_state: int, flat_len_bound: int,
+                 reach: Reach | None = None):
         self.oca = oca
         self.start_state = start_state
         self.end_state = end_state
@@ -212,6 +230,10 @@ class _SchemeSearch:
         self.cycles: dict[int, list[tuple[tuple[int, ...], Piece]]] = {}
         self.words: list = [[]]
         self.pieces: list[Piece] = [_empty_piece(start_state)]
+        self.reach = reach
+        self.frontiers: list[dict[tuple[int, int], tuple[int, ...]]] = []
+        self.live = 0  # entries on the frontier stack
+        self.budget = environment_budget() if reach is not None else 0
 
     def schemes(self, state: int, flat_left: int, size_left: int) -> Iterator[Lps]:
         """The schemes that extend the stacks from ``state``, in the order
@@ -223,7 +245,8 @@ class _SchemeSearch:
                 self.start_state,
                 tuple(words[0]),
                 tuple(zip(words[1::2], map(tuple, words[2::2]))),
-                (self.oca, pieces[0], tuple(zip(pieces[1::2], pieces[2::2]))),
+                (self.oca, pieces[0], tuple(zip(pieces[1::2], pieces[2::2])), self.reach,
+                 None if self.reach is None else self.table()),
             )
         if flat_left > 0:
             tail, piece = words[-1], pieces[-1]
@@ -237,13 +260,80 @@ class _SchemeSearch:
                     tail.pop()
             pieces[-1] = piece
         if size_left > 0:
+            frontiers = self.frontiers
             for beta, cycle in self.cycles_at(state):
                 left = flat_left - len(beta)
                 if steps_to_end[state] <= left:
+                    if self.reach is not None:
+                        frontier = self.next_frontier()
+                        self.live += len(frontier)
+                        frontiers.append(frontier)
                     words += (beta, [])
                     pieces += (cycle, _empty_piece(state))
                     yield from self.schemes(state, left, size_left - 1)
                     del words[-2:], pieces[-2:]
+                    if self.reach is not None:
+                        self.live -= len(frontiers.pop())
+
+    def next_frontier(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """The frontier at the entry of the star about to be pushed: the start
+        read through ``alpha0``, or the top frontier stepped through e =
+        0..exp_cap repetitions of the top cycle and then the path after it.
+        Raises ``BudgetExceededError`` once the stack would hold more entries
+        than ``OCASYNC_BUDGET``; the count is taken after each entry of the
+        top frontier is stepped."""
+        start, target_length, exp_cap = self.reach
+        tail = self.pieces[-1]
+        if not self.frontiers:
+            if (start.state != self.start_state or tail.length > target_length
+                    or not tail.lo <= start.counter <= tail.hi):
+                return {}
+            return {(start.counter + tail.delta, target_length - tail.length): ()}
+        cycle = self.pieces[-2]
+        c_len, c_delta, c_lo, c_hi = cycle.length, cycle.delta, cycle.lo, cycle.hi
+        t_len, t_delta, t_lo, t_hi = tail.length, tail.delta, tail.lo, tail.hi
+        room = self.budget - self.live
+        frontier: dict[tuple[int, int], tuple[int, ...]] = {}
+        for (v, left), exps in self.frontiers[-1].items():
+            left -= t_len  # the length left after e = 0 cycles and the tail
+            if left < 0:
+                continue
+            e = 0
+            while True:
+                if t_lo <= v <= t_hi:
+                    key = (v + t_delta, left)
+                    if key not in frontier:
+                        frontier[key] = (*exps, e)
+                if e >= exp_cap or left < c_len or not c_lo <= v <= c_hi:
+                    break
+                v += c_delta
+                left -= c_len
+                e += 1
+            if len(frontier) > room:
+                check_budget("lps frontier needs", self.live + len(frontier), "entries",
+                             self.budget)
+        return frontier
+
+    def table(self) -> ReachTable:
+        """The shaped reach of the scheme on the stacks: end configuration ->
+        least exponent vector, first hit first."""
+        start, target_length, exp_cap = self.reach
+        table: ReachTable = {}
+        if not self.frontiers:
+            first = self.pieces[0]
+            if (start.state == self.start_state and first.length == target_length
+                    and first.lo <= start.counter <= first.hi):
+                table[Configuration(first.dst, start.counter + first.delta)] = ()
+            return table
+        cycle, tail = self.pieces[-2], self.pieces[-1]
+        end_state = self.end_state
+        for (v, left), exps in self.frontiers[-1].items():
+            hit = _last_star(cycle, tail, v, left, exp_cap)
+            if hit is not None:
+                end = Configuration(end_state, hit[1])
+                if end not in table:
+                    table[end] = (*exps, hit[0])
+        return table
 
     def cycles_at(self, state: int) -> list[tuple[tuple[int, ...], Piece]]:
         """Each simple cycle at ``state`` (no repeated intermediate state) of
@@ -280,11 +370,15 @@ def enumerate_lps(
     end_state: int,
     flat_len_bound: int,
     size_bound: int,
+    reach: Reach | None = None,
 ) -> Iterator[Lps]:
     """Every scheme from start to end within both bounds, exactly once,
     in a deterministic depth-first order over transition indices.  Each
-    scheme carries its pieces, so ``Lps.pieces(oca)`` reads it for free."""
-    search = _SchemeSearch(oca, start_state, end_state, flat_len_bound)
+    scheme carries its pieces, so ``Lps.pieces(oca)`` reads it for free.
+    With ``reach=(start, target_length, exp_cap)`` each scheme also carries
+    its shaped reach from there, and ``shaped_reach`` and
+    ``shaped_witness_exponents`` with those arguments read it for free."""
+    search = _SchemeSearch(oca, start_state, end_state, flat_len_bound, reach)
     if search.steps_to_end[start_state] <= flat_len_bound:
         yield from search.schemes(start_state, flat_len_bound, size_bound)
 
@@ -376,6 +470,17 @@ class _StarSearch:
             e += 1
 
 
+def _built_table(
+    oca: Oca, scheme: Lps, start: Configuration, target_length: int, exp_cap: int,
+) -> ReachTable | None:
+    """The reach table ``enumerate_lps`` built for this ``oca`` and these
+    arguments, or None."""
+    built = scheme.built
+    if built is not None and built[0] is oca and built[3] == (start, target_length, exp_cap):
+        return built[4]
+    return None
+
+
 def shaped_reach(
     oca: Oca,
     scheme: Lps,
@@ -387,6 +492,9 @@ def shaped_reach(
     with every star instantiated at most ``exp_cap`` times."""
     if target_length < 0:
         raise InputError("target length must be non-negative")
+    table = _built_table(oca, scheme, start, target_length, exp_cap)
+    if table is not None:
+        return set(table)
     return {end for end, _ in _shaped_paths(oca, scheme, start, target_length, exp_cap)}
 
 
@@ -399,6 +507,9 @@ def shaped_witness_exponents(
     exp_cap: int,
 ) -> tuple[int, ...] | None:
     """The least exponent vector whose shaped path reaches ``target``; None if none."""
+    table = _built_table(oca, scheme, start, target_length, exp_cap)
+    if table is not None:
+        return table.get(target)
     for end, exps in _shaped_paths(oca, scheme, start, target_length, exp_cap):
         if end == target:
             return exps

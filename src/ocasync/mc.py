@@ -701,6 +701,10 @@ class CrossReport:
         }
 
 
+# the keyword options ``check_oca`` takes, read before any caller can wrap it
+_CHECK_OPTIONS = frozenset(check_oca.__kwdefaults__)
+
+
 def cross_check(
     oca: Oca,
     f: Formula,
@@ -716,8 +720,13 @@ def cross_check(
     A DISAGREE row (both sides definite, different answers) is always a bug
     in one of them; ORACLE-UNKNOWN rows carry no evidence either way.  The
     oracle's verdicts come from ``evaluator`` (built at ``caps`` if None),
-    which the checker's mining then reuses; ``options`` go to ``check_oca``.
+    which the checker's mining then reuses; ``options`` go to ``check_oca``,
+    and one it does not take is a ``TypeError`` before any verdict, even
+    when no verdict is definite and the checker never runs.
     """
+    unknown = options.keys() - _CHECK_OPTIONS
+    if unknown:
+        raise TypeError(f"check_oca() got an unexpected keyword argument {min(unknown)!r}")
     ev = evaluator or BoundedEvaluator(oca, *caps)
     verdicts = [ev.verdict(f, c) for c in inits]
     result = None

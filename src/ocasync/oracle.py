@@ -700,13 +700,15 @@ def check_shift_periodicity(
         "configurations",
     )
     # per audited counter: the segment of each core level (the first one
-    # wins where segments overlap), and the levels to audit in order
+    # wins where segments overlap), and the levels to audit in order; a
+    # segment whose floored start lies below level 0 contributes only its
+    # levels from 0 on
     plans = {}
     for v in vs:
         seg_of: dict[int, int] = {}
         for i in range(bundle.m + 1):
             start = segment_start(i, v, bundle)
-            for lv in range(start, start + bundle.seg_threshold):
+            for lv in range(max(start, 0), start + bundle.seg_threshold):
                 seg_of.setdefault(lv, i)
         plans[v] = seg_of, sorted(seg_of.keys() | range(period, level_cap + 1))
     cases: list[AuditCase] = []

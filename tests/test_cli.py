@@ -434,6 +434,16 @@ class TestOtherCommands:
         seg0 = {k: v for k, v in doc["data"]["summary"].items() if "segment0" in k}
         assert seg0 and all(v.get("fail", 0) == 0 for v in seg0.values())
 
+    def test_check_lemma11_levels_below_zero_are_not_audited(self, capsys, schema):
+        # segment 1 at counter 5 starts at level -2; its levels -2 and -1
+        # used to be read from the end of the traces and listed as failures
+        code, doc, _ = run(capsys, "check-lemma11", "--oca", "countdown", "--prev-t", "3",
+                           "--prev-p", "2", "--b", "1", "--counter", "5")
+        assert code == 0 and doc["data"]["cases"] == 72
+        assert doc["data"]["failures"] and all(
+            f["length"] >= 0 for f in doc["data"]["failures"])
+        check_schema(schema, doc)
+
     def test_check_lemma11_skips_truncated_levels(self, capsys, schema):
         # counters past 12 are cut, so every level they reach is skipped, not failed
         code, doc, _ = run(capsys, "check-lemma11", "--oca", "increment-loop", "--b", "1",
@@ -639,6 +649,31 @@ class TestErrorsAndDeterminism:
         assert proc.returncode == 2 and doc["error"]["kind"] == "budget"
         # one row of at most 8 transitions went over
         assert doc["error"]["budget"] == 50000 and 50000 < doc["error"]["required"] <= 50009
+        assert proc.stderr == b""
+
+    def test_lps_frontier_budget_stops_a_large_cap_search(self):
+        # at target length and exponent cap 400 the frontier stack of this
+        # search peaks at 27,399 entries; under a budget of 20,000 the run
+        # stops with exit 2 and a budget document in the child's 1 GB
+        env = dict(os.environ, OCASYNC_BUDGET="20000")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from ocasync.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "lps", "--oca", "random-a", "--src", "x", "--dst",
+             "x", "--flat", "5", "--size", "3", "--start", "x,3", "--target-length", "400",
+             "--exp-cap", "400", "--max-schemes", "100000"],
+            capture_output=True, env=env, timeout=120,
+        )
+        doc = json.loads(proc.stdout)
+        assert proc.returncode == 2 and doc["error"]["kind"] == "budget"
+        assert doc["error"]["message"].startswith("lps frontier needs ")
+        # checked after each stepped entry, which adds at most 401
+        assert doc["error"]["budget"] == 20000 and 20000 < doc["error"]["required"] <= 20401
         assert proc.stderr == b""
 
     def test_check_lemma11_at_a_huge_scheme_bound_fits_in_2_gb(self):

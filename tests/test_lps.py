@@ -1,10 +1,13 @@
 import itertools
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from ocasync import corpus
+from ocasync.errors import BudgetExceededError
 from ocasync.lps import (
     CycleStats, Lps, _piece, _shaped_paths, adjust_length, analyze_cycle_repetitions,
     basic_slopes, combine_cycles_ratio, compress_path_with_exponents, enumerate_lps,
@@ -791,6 +794,92 @@ class TestCarriedPieces:
                 oca, scheme, Configuration(0, 3), 6, 4)
 
 
+class TestReachFrontier:
+    """``enumerate_lps(..., reach=...)`` carries each scheme's shaped reach,
+    read off the frontier stack; it equals what the single-scheme search
+    finds on a copy of the scheme that carries nothing."""
+
+    def test_tables_match_the_single_scheme_search(self):
+        # 250 seeded cases, every one kept: 1-4 states, flat 1-5, size 0-3,
+        # any start state (so many starts are not the scheme's), start
+        # counter 0-6, target length 0-14, exponent caps 0, 1 and 2-32 in
+        # turn.  114,381 schemes and 10,752 reached configurations, in about
+        # 4 s of CPU time on Python 3.11
+        schemes = ends = unchained = zero_tested = 0
+        ends_at_cap = {0: 0, 1: 0}
+        start_time = time.process_time()
+        for seed in range(250):
+            rng = random.Random(seed)
+            oca = random_total_oca(rng, n_states=rng.randint(1, 4))
+            n = oca.n_states
+            src, dst = rng.randrange(n), rng.randrange(n)
+            start = Configuration(rng.randrange(n), rng.randint(0, 6))
+            length = rng.randint(0, 14)
+            cap = (0, 1, rng.randint(2, 32))[seed % 3]
+            flat, size = rng.randint(1, 5), rng.randint(0, 3)
+            for scheme in enumerate_lps(oca, src, dst, flat, size, reach=(start, length, cap)):
+                table = scheme.built[4]
+                copy = hand_built(scheme)
+                assert set(table) == shaped_reach(oca, copy, start, length, cap), scheme
+                for end, exps in table.items():
+                    assert shaped_witness_exponents(oca, copy, start, end, length, cap) == exps
+                # first hit first: the least vectors in ascending order
+                assert list(table.values()) == sorted(table.values())
+                schemes += 1
+                ends += len(table)
+                unchained += start.state != src
+                zero_tested += bool(table) and any(
+                    cycle.hi != math.inf for cycle, _ in scheme.built[2])
+                if cap in ends_at_cap:
+                    ends_at_cap[cap] += len(table)
+        elapsed = time.process_time() - start_time
+        assert schemes >= 100_000 and ends >= 10_000, (schemes, ends)
+        assert unchained >= 20_000 and zero_tested >= 3_000, (unchained, zero_tested)
+        assert min(ends_at_cap.values()) >= 250, ends_at_cap
+        assert elapsed < 20, elapsed
+
+    def test_the_table_answers_only_its_own_arguments(self, rng):
+        # another automaton object, start, length or cap runs the search
+        compared = 0
+        for _ in range(20):
+            oca = random_total_oca(rng, n_states=rng.randint(1, 3))
+            other = same_shape(rng, oca)
+            start = Configuration(0, 0)
+            for end_state in range(oca.n_states):
+                schemes = enumerate_lps(oca, 0, end_state, 4, 2, reach=(start, 4, 4))
+                for scheme in itertools.islice(schemes, 30):
+                    copy = hand_built(scheme)
+                    for a, s, length, cap in ((oca, start, 4, 4), (oca, start, 3, 4),
+                                              (oca, start, 4, 1), (oca, Configuration(0, 3), 4, 4),
+                                              (other, start, 4, 4)):
+                        reach = shaped_reach(a, copy, s, length, cap)
+                        assert shaped_reach(a, scheme, s, length, cap) == reach
+                        for end in reach:
+                            assert shaped_witness_exponents(a, scheme, s, end, length, cap) == (
+                                shaped_witness_exponents(a, copy, s, end, length, cap))
+                            compared += 1
+        assert compared > 300, compared
+
+    def test_plain_enumeration_carries_no_table(self):
+        for scheme in enumerate_lps(FORK, 0, 1, 3, 2):
+            assert scheme.built[3] is None and scheme.built[4] is None
+
+    def test_frontier_over_the_budget(self, monkeypatch):
+        # the frontier of the third star at target length 400 and exponent
+        # cap 400 holds thousands of entries; the count is checked after each
+        # entry of the frontier below is stepped, which adds at most 401
+        reach = (Configuration(0, 3), 400, 400)
+        monkeypatch.setenv("OCASYNC_BUDGET", "1000")
+        with pytest.raises(BudgetExceededError) as info:
+            for _ in enumerate_lps(corpus.load("random-a"), 0, 0, 5, 3, reach=reach):
+                pass
+        assert info.value.budget == 1000 and 1000 < info.value.required <= 1401
+        # a smaller search fits
+        oca = corpus.load("random-a")
+        assert len(list(enumerate_lps(oca, 0, 0, 3, 2, reach=reach))) == len(
+            list(enumerate_lps(oca, 0, 0, 3, 2))) == 145
+
+
 class TestNoCyclicGarbage:
     """A search that is dropped, finished or not, is freed by reference
     counting alone."""
@@ -798,6 +887,17 @@ class TestNoCyclicGarbage:
     def test_abandoned_enumeration(self):
         oca = corpus.load("random-a")
         schemes = enumerate_lps(oca, 0, 0, 5, 3)
+
+        def abandon():
+            nonlocal schemes
+            next(itertools.islice(schemes, 500, None))
+            schemes = None
+
+        assert cyclic_garbage(abandon) == 0
+
+    def test_abandoned_enumeration_with_reach(self):
+        oca = corpus.load("random-a")
+        schemes = enumerate_lps(oca, 0, 0, 5, 3, reach=(Configuration(0, 3), 16, 32))
 
         def abandon():
             nonlocal schemes

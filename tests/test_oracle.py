@@ -1,5 +1,7 @@
 import functools
+import itertools
 import random
+import re
 import time
 
 import pytest
@@ -12,12 +14,14 @@ from ocasync.errors import BudgetExceededError
 from ocasync.mc import (
     AGREE, CHECKER_UNKNOWN, DISAGREE, ORACLE_UNKNOWN, SyncCheck, cross_check,
 )
-from ocasync.oca import Configuration, parse_oca_text, pre_rows, successors
+from ocasync.oca import (
+    Configuration, Oca, Transition, parse_oca_text, pre_rows, successors,
+)
 from ocasync.oracle import (
     BoundedEvaluator, Verdict, check_shift_periodicity,
     _match, default_audit_counters, eval_bounded, mine_period,
 )
-from ocasync.periodicity import TpPair, ua_constants
+from ocasync.periodicity import TpPair, segment_start, ua_constants
 from conftest import random_total_oca, rows_of, rows_to_set
 
 COUNTDOWN = corpus.load("countdown")
@@ -567,6 +571,23 @@ class TestCrossCheck:
                           [Configuration(0, 0)], caps=(20, 40))
         assert {r.status for r in rep.rows} <= {ORACLE_UNKNOWN, AGREE}
 
+    def test_misspelled_option_is_rejected_before_any_verdict(self, monkeypatch):
+        # at caps (2, 1) the oracle leaves "p UE q" at (s, 3) UNKNOWN, so the
+        # checker never runs; the misspelling must still be a TypeError, as
+        # it is for "p", whose verdict is definite
+        verdicts = []
+        monkeypatch.setattr(BoundedEvaluator, "verdict",
+                            lambda self, f, c: verdicts.append(c))
+        for text in ("p UE q", "p"):
+            with pytest.raises(TypeError, match="unexpected keyword argument 'supplid'"):
+                cross_check(FORK, parse_formula(text), [Configuration(0, 3)], caps=(2, 1),
+                            supplid=None)
+        assert verdicts == []
+        monkeypatch.undo()
+        rep = cross_check(FORK, parse_formula("p UE q"), [Configuration(0, 3)], caps=(2, 1),
+                          supplied=None)
+        assert [r.status for r in rep.rows] == [ORACLE_UNKNOWN]
+
     def test_fault_injection_is_caught(self, monkeypatch):
         # flip the inclusion test inside the synchronized check: the oracle
         # must notice on a formula whose top operator is synchronized
@@ -686,6 +707,76 @@ class TestPairRefinement:
         assert elapsed < 5, elapsed
 
 
+def permuted(rng, oca):
+    """``oca`` with its states renumbered at random and its transitions
+    shuffled (``Oca`` sorts them again), with the index map old -> new."""
+    order = list(range(oca.n_states))
+    rng.shuffle(order)  # new state i is old state order[i]
+    new_index = {old: new for new, old in enumerate(order)}
+    transitions = [Transition(new_index[t.src], t.guard, t.effect, new_index[t.dst])
+                   for t in oca.transitions]
+    rng.shuffle(transitions)
+    return Oca(tuple(oca.state_names[i] for i in order), oca.atoms,
+               tuple(oca.labels[i] for i in order), tuple(transitions)), new_index
+
+
+def check_json(oca, f, init):
+    """``check_oca(...).to_json()`` in the fuzz recipe's mode and caps, or the
+    budget error's message, required count and budget."""
+    try:
+        return mc.check_oca(oca, f, init, "empirical", caps=(40, 120)).to_json()
+    except BudgetExceededError as exc:
+        return ("budget", str(exc), exc.required, exc.budget)
+
+
+def unmined(oca, f):
+    """The first subformula, in ``subformulas`` order, whose mining at the
+    recipe's caps fails at some state, with the names of those states."""
+    ev = BoundedEvaluator(oca, 40, 120)
+    for g in subformulas(f):
+        names = {oca.state_names[s] for s in range(oca.n_states)
+                 if mine_period(oca, g, s, 20, (40, 120), evaluator=ev)[0] is None}
+        if names:
+            return pretty(g), names
+    return None
+
+
+class TestIsomorphismInvariance:
+    def test_renumbered_states_give_the_same_result(self):
+        # the fuzz recipe's seeds 0-499, every one kept: the same automaton
+        # with its states renumbered and its transitions shuffled must give
+        # the same CheckResult JSON (state names stay), or the same budget
+        # error.  A mining failure names the first failing state in index
+        # order, so 7 errors name another state that fails too (the same 7
+        # at caps (80, 240)).  About 4 s of CPU time on Python 3.11
+        budget_errors = 0
+        renamed = []
+        start = time.process_time()
+        for seed in range(500):
+            rng = random.Random(seed)
+            oca = random_total_oca(rng, n_states=rng.randint(1, 4))
+            f = random_formula(rng, 3)
+            init = Configuration(rng.randrange(oca.n_states), rng.randint(0, 11))
+            other, new_index = permuted(rng, oca)
+            got = check_json(oca, f, init)
+            again = check_json(other, f, Configuration(new_index[init.state], init.counter))
+            budget_errors += type(got) is tuple
+            if got != again:
+                # equal but for the state named, which fails in both numberings
+                failing = unmined(oca, f)
+                assert failing == unmined(other, f), (seed, pretty(f))
+                for doc in (got, again):
+                    assert type(doc) is tuple and doc[2:] == got[2:], (seed, pretty(f))
+                    named = re.search(r"for '(.*)' at state (\S+) within", doc[1])
+                    assert named[1] == failing[0] and named[2] in failing[1], (seed, doc)
+                assert re.sub(r"at state \S+", "", got[1]) == re.sub(r"at state \S+", "", again[1])
+                renamed.append(seed)
+        elapsed = time.process_time() - start
+        assert renamed == [63, 151, 202, 374, 406, 439, 445]
+        assert 10 <= budget_errors <= 100, budget_errors
+        assert elapsed < 10, elapsed
+
+
 def reference_match(source, target, prev_t, prev_p):
     """``oracle._match`` by its definition: the first source configuration,
     in sorted order, with no same-state target partner that is equal to it
@@ -702,6 +793,24 @@ def reference_match(source, target, prev_t, prev_p):
 
 
 class TestShiftAudit:
+    def test_audited_levels_are_never_negative(self):
+        # with prev_t > 0, segment 1's floored start lies below level 0 just
+        # above the counter threshold (at -4..-1 here); such a segment is
+        # audited from level 0 on, never read from the end of the traces
+        below_zero = cases = 0
+        for oca in (COUNTDOWN, FORK):
+            for prev_t, prev_p in itertools.product(range(6), (2, 3, 4)):
+                if prev_t >= 2 * prev_p:
+                    continue  # a period of 2 * prev_p must dominate prev_t
+                bundle = ua_constants(oca.n_states, prev_t, prev_p, b_override=1)
+                for v in range(bundle.counter_threshold + 1, bundle.counter_threshold + 4):
+                    below_zero += segment_start(1, v, bundle) < 0
+                    report = check_shift_periodicity(oca, bundle, counters=[v])
+                    assert report.cases and all(c.length >= 0 for c in report.cases), (
+                        oca.state_names, prev_t, prev_p, v)
+                    cases += len(report.cases)
+        assert below_zero >= 20 and cases > 1000, (below_zero, cases)
+
     def test_deterministic_countdown_segment_zero_holds(self):
         bundle = ua_constants(COUNTDOWN.n_states, 0, 1, b_override=1)
         report = check_shift_periodicity(COUNTDOWN, bundle)
