@@ -104,7 +104,7 @@ def _dumps(o, ind: str = "") -> str:
     other: every call leaves cyclic garbage (33 objects for a small
     document).  Here plain dicts with str keys, lists, tuples, str, int,
     bool and None are written directly, one joined string per container,
-    and a ``_Json`` fragment (an ``lps`` row, written by ``_lps_row``) is
+    and a ``_Json`` fragment (an ``lps`` row, written by ``_row``) is
     copied out unchanged; anything else (floats, other int or str
     subclasses, dicts with other keys) goes through ``json.dumps``.  Joining
     per container keeps only one subtree's fragments alive at a time; one
@@ -342,21 +342,17 @@ _ROW_KEY, _ENTRY_KEY = " " * 8, " " * 12
 _row_ints, _entry_ints = _int_list_writer(_ROW_KEY), _int_list_writer(_ENTRY_KEY)
 
 
-def _lps_row(alpha0, flat_length: int, segments, size: int, reached=None) -> _Json:
-    """One ``lps`` scheme row, written as ``_dumps`` would write its dict.
-    ``segments`` holds (beta, alpha) pairs; ``reached`` is None or a list of
-    (config, exponents or None, {slope key: repetitions}) triples."""
-    return _row(_row_ints(alpha0), flat_length,
-                _items([_segment_text(s) for s in segments], _ROW_KEY), size, reached)
-
-
 def _segment_text(segment) -> str:
     beta, alpha = segment
     return _SEGMENT % (_entry_ints(alpha), _entry_ints(beta))
 
 
 def _row(alpha0_text: str, flat_length: int, segments_text: str, size: int, reached) -> _Json:
-    """``_lps_row`` with ``alpha0`` and ``segments`` already written."""
+    """One ``lps`` scheme row, written as ``_dumps`` would write its dict,
+    with ``alpha0`` (``_row_ints``) and its (beta, alpha) segments
+    (``_segment_text`` each, joined by ``_items``) already written;
+    ``reached`` is None or a list of (config, exponents or None, {slope key:
+    repetitions}) triples."""
     if reached is None:
         reached_text = ""
     else:
@@ -394,6 +390,8 @@ def _cmd_lps(args) -> int:
     rows = []
     entries = 0  # rows, transition indices and reached configurations kept
     start = parse_configuration(oca, args.start) if args.start is not None else None
+    if start is not None and args.target_length < 0:
+        raise InputError("target length must be non-negative")
     reach = None if start is None else (start, args.target_length, args.exp_cap)
     # the schemes of one job share most of their words: each distinct alpha0
     # and segment is written once (a memo of whole segment lists costs more

@@ -6,14 +6,14 @@ automaton, where the ``a`` pieces are plain transition sequences and each
 instantiates every star with a concrete repetition count.  Each piece is
 read once, as counter arithmetic (``Piece``: its effect, and the counters its
 guards allow it to start from): ``enumerate_lps`` reads a scheme while it
-builds it, one step per transition.  The shaped search steps plain int
-counters and solves for the last star's exponent.  Asked for a reach,
-``enumerate_lps`` also carries one frontier per star down its depth-first
-tree, (counter, length left) -> least exponent prefix, so each scheme's
-shaped reach is read off the frontier of its last star; the single-scheme
-search remains for any other scheme.  No search is a closure
-that refers to itself, so a finished or dropped search leaves no cyclic
-garbage.
+builds it, one step per transition.  Shaped reach is one frontier fold,
+(counter, length left) -> least exponent prefix, stepped through each star
+and its tail in turn, with the last star's exponent solved for.  Asked for a
+reach, ``enumerate_lps`` runs the fold incrementally, one frontier per star
+carried down its depth-first tree; ``shaped_reach`` and
+``shaped_witness_exponents`` run it whole for any other scheme.  No search
+is a closure that refers to itself, so a finished or dropped search leaves
+no cyclic garbage.
 """
 
 from __future__ import annotations
@@ -87,6 +87,9 @@ SegmentPieces = tuple[tuple[Piece, Piece], ...]
 Reach = tuple[Configuration, int, int]
 # end configuration -> least exponent vector, in ascending vector order
 ReachTable = dict[Configuration, tuple[int, ...]]
+# (counter, length left) at the entry of a star -> least exponent prefix that
+# gets there, in ascending prefix order
+Frontier = dict[tuple[int, int], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,9 @@ class Lps:
 
     ``built`` is ``(oca, alpha0 piece, segment pieces, reach, table)`` when
     ``enumerate_lps`` read the scheme while building it; ``table`` is the
-    scheme's shaped reach from ``reach`` (both None when none was asked for).
-    It takes no part in equality, hashing or repr."""
+    scheme's shaped reach from ``reach``, the frontier fold that the
+    enumeration ran as it pushed each star (both None when no reach was
+    asked for).  It takes no part in equality, hashing or repr."""
 
     start_state: int
     alpha0: tuple[int, ...]
@@ -195,6 +199,89 @@ def adjust_length(
     return (k1, k2)
 
 
+def _first_frontier(first: Piece, start_state: int, reach: Reach) -> Frontier:
+    """The frontier at the entry of the first star: the start of ``reach``
+    read through ``alpha0``, whose piece ``first`` starts at ``start_state``."""
+    start, target_length, _ = reach
+    if (start.state != start_state or first.length > target_length
+            or not first.lo <= start.counter <= first.hi):
+        return {}
+    return {(start.counter + first.delta, target_length - first.length): ()}
+
+
+def _next_frontier(frontier: Frontier, cycle: Piece, tail: Piece, exp_cap: int,
+                   live: int, budget: int) -> Frontier:
+    """``frontier`` stepped through e = 0..exp_cap repetitions of ``cycle``
+    and then ``tail``, the first prefix per key kept.  Raises
+    ``BudgetExceededError`` once ``live`` entries already held and the new
+    frontier would pass ``budget``; the count is taken after each entry of
+    ``frontier`` is stepped."""
+    c_len, c_delta, c_lo, c_hi = cycle.length, cycle.delta, cycle.lo, cycle.hi
+    t_len, t_delta, t_lo, t_hi = tail.length, tail.delta, tail.lo, tail.hi
+    room = budget - live
+    stepped: Frontier = {}
+    for (v, left), exps in frontier.items():
+        left -= t_len  # the length left after e = 0 cycles and the tail
+        if left < 0:
+            continue
+        e = 0
+        while True:
+            if t_lo <= v <= t_hi:
+                key = (v + t_delta, left)
+                if key not in stepped:
+                    stepped[key] = (*exps, e)
+            if e >= exp_cap or left < c_len or not c_lo <= v <= c_hi:
+                break
+            v += c_delta
+            left -= c_len
+            e += 1
+        if len(stepped) > room:
+            check_budget("lps frontier needs", live + len(stepped), "entries", budget)
+    return stepped
+
+
+def _ends(frontier: Frontier, cycle: Piece | None, tail: Piece, exp_cap: int) -> ReachTable:
+    """The shaped reach read off the frontier at the entry of the last star:
+    end configuration -> least exponent vector, first hit first.  With a
+    last star ``cycle`` and its ``tail``, ``_last_star`` on each entry; with
+    none, ``frontier`` is the first one (``tail`` is ``alpha0``'s piece) and
+    its entries with no length left are the ends."""
+    end_state = tail.dst
+    table: ReachTable = {}
+    if cycle is None:
+        for (v, left), exps in frontier.items():
+            if left == 0:
+                table[Configuration(end_state, v)] = exps
+        return table
+    for (v, left), exps in frontier.items():
+        hit = _last_star(cycle, tail, v, left, exp_cap)
+        if hit is not None:
+            end = Configuration(end_state, hit[1])
+            if end not in table:
+                table[end] = (*exps, hit[0])
+    return table
+
+
+def _last_star(
+    cycle: Piece, tail: Piece, v: int, remaining: int, exp_cap: int,
+) -> tuple[int, int] | None:
+    """(e, end counter) for the one exponent e with which the last star and
+    its tail, entered at counter v, use up ``remaining`` exactly; None if e
+    is not an integer in [0, exp_cap] or the path is not walkable.  The
+    cycle starts from the counters v, v + delta, ..., v + (e - 1) * delta,
+    so it is walkable e times iff it is from both ends of that run."""
+    e, rest = divmod(remaining - tail.length, cycle.length)
+    if rest or not 0 <= e <= exp_cap:
+        return None
+    if e and not (cycle.lo <= v <= cycle.hi
+                  and cycle.lo <= v + (e - 1) * cycle.delta <= cycle.hi):
+        return None
+    v += e * cycle.delta
+    if not tail.lo <= v <= tail.hi:
+        return None
+    return e, v + tail.delta
+
+
 class _SchemeSearch:
     """One ``enumerate_lps`` search.  The depth-first walk keeps the scheme
     on two stacks: ``words`` holds ``alpha0``, then the cycle and the path of
@@ -206,9 +293,11 @@ class _SchemeSearch:
     ``frontiers[k - 1]`` maps (counter, length left) at the entry of star k
     to the least exponent prefix that gets there, in ascending prefix order.
     Two prefixes with the same key have the same continuations, so only the
-    least one is kept.  Frontier k + 1 is frontier k stepped through cycle k
-    and then tail k, built once when cycle k + 1 is pushed; a yielded
-    scheme of size k reads its reach off frontier k with ``_last_star``."""
+    least one is kept.  Frontier 1 is ``_first_frontier`` of ``alpha0``, and
+    frontier k + 1 is ``_next_frontier`` of frontier k through cycle k and
+    tail k.  Neither depends on the star being pushed, so a node builds it
+    once, when it pushes its first cycle; a yielded scheme of size k reads
+    its reach off frontier k with ``_ends``."""
 
     def __init__(self, oca: Oca, start_state: int, end_state: int, flat_len_bound: int,
                  reach: Reach | None = None):
@@ -231,7 +320,7 @@ class _SchemeSearch:
         self.words: list = [[]]
         self.pieces: list[Piece] = [_empty_piece(start_state)]
         self.reach = reach
-        self.frontiers: list[dict[tuple[int, int], tuple[int, ...]]] = []
+        self.frontiers: list[Frontier] = []
         self.live = 0  # entries on the frontier stack
         self.budget = environment_budget() if reach is not None else 0
 
@@ -240,13 +329,20 @@ class _SchemeSearch:
         ``enumerate_lps`` promises; a child whose state cannot reach
         ``end_state`` within the flat length it would have is skipped."""
         words, pieces, steps_to_end = self.words, self.pieces, self.steps_to_end
+        reach, frontiers = self.reach, self.frontiers
         if state == self.end_state:
+            if reach is None:
+                table = None
+            elif frontiers:
+                table = _ends(frontiers[-1], pieces[-2], pieces[-1], reach[2])
+            else:
+                table = _ends(_first_frontier(pieces[0], self.start_state, reach), None,
+                              pieces[0], reach[2])
             yield Lps(
                 self.start_state,
                 tuple(words[0]),
                 tuple(zip(words[1::2], map(tuple, words[2::2]))),
-                (self.oca, pieces[0], tuple(zip(pieces[1::2], pieces[2::2])), self.reach,
-                 None if self.reach is None else self.table()),
+                (self.oca, pieces[0], tuple(zip(pieces[1::2], pieces[2::2])), reach, table),
             )
         if flat_left > 0:
             tail, piece = words[-1], pieces[-1]
@@ -260,80 +356,24 @@ class _SchemeSearch:
                     tail.pop()
             pieces[-1] = piece
         if size_left > 0:
-            frontiers = self.frontiers
+            frontier = None
             for beta, cycle in self.cycles_at(state):
                 left = flat_left - len(beta)
                 if steps_to_end[state] <= left:
-                    if self.reach is not None:
-                        frontier = self.next_frontier()
+                    if reach is not None:
+                        if frontier is None:
+                            frontier = _next_frontier(
+                                frontiers[-1], pieces[-2], pieces[-1], reach[2], self.live,
+                                self.budget,
+                            ) if frontiers else _first_frontier(pieces[0], self.start_state, reach)
                         self.live += len(frontier)
                         frontiers.append(frontier)
                     words += (beta, [])
                     pieces += (cycle, _empty_piece(state))
                     yield from self.schemes(state, left, size_left - 1)
                     del words[-2:], pieces[-2:]
-                    if self.reach is not None:
+                    if reach is not None:
                         self.live -= len(frontiers.pop())
-
-    def next_frontier(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """The frontier at the entry of the star about to be pushed: the start
-        read through ``alpha0``, or the top frontier stepped through e =
-        0..exp_cap repetitions of the top cycle and then the path after it.
-        Raises ``BudgetExceededError`` once the stack would hold more entries
-        than ``OCASYNC_BUDGET``; the count is taken after each entry of the
-        top frontier is stepped."""
-        start, target_length, exp_cap = self.reach
-        tail = self.pieces[-1]
-        if not self.frontiers:
-            if (start.state != self.start_state or tail.length > target_length
-                    or not tail.lo <= start.counter <= tail.hi):
-                return {}
-            return {(start.counter + tail.delta, target_length - tail.length): ()}
-        cycle = self.pieces[-2]
-        c_len, c_delta, c_lo, c_hi = cycle.length, cycle.delta, cycle.lo, cycle.hi
-        t_len, t_delta, t_lo, t_hi = tail.length, tail.delta, tail.lo, tail.hi
-        room = self.budget - self.live
-        frontier: dict[tuple[int, int], tuple[int, ...]] = {}
-        for (v, left), exps in self.frontiers[-1].items():
-            left -= t_len  # the length left after e = 0 cycles and the tail
-            if left < 0:
-                continue
-            e = 0
-            while True:
-                if t_lo <= v <= t_hi:
-                    key = (v + t_delta, left)
-                    if key not in frontier:
-                        frontier[key] = (*exps, e)
-                if e >= exp_cap or left < c_len or not c_lo <= v <= c_hi:
-                    break
-                v += c_delta
-                left -= c_len
-                e += 1
-            if len(frontier) > room:
-                check_budget("lps frontier needs", self.live + len(frontier), "entries",
-                             self.budget)
-        return frontier
-
-    def table(self) -> ReachTable:
-        """The shaped reach of the scheme on the stacks: end configuration ->
-        least exponent vector, first hit first."""
-        start, target_length, exp_cap = self.reach
-        table: ReachTable = {}
-        if not self.frontiers:
-            first = self.pieces[0]
-            if (start.state == self.start_state and first.length == target_length
-                    and first.lo <= start.counter <= first.hi):
-                table[Configuration(first.dst, start.counter + first.delta)] = ()
-            return table
-        cycle, tail = self.pieces[-2], self.pieces[-1]
-        end_state = self.end_state
-        for (v, left), exps in self.frontiers[-1].items():
-            hit = _last_star(cycle, tail, v, left, exp_cap)
-            if hit is not None:
-                end = Configuration(end_state, hit[1])
-                if end not in table:
-                    table[end] = (*exps, hit[0])
-        return table
 
     def cycles_at(self, state: int) -> list[tuple[tuple[int, ...], Piece]]:
         """Each simple cycle at ``state`` (no repeated intermediate state) of
@@ -375,110 +415,35 @@ def enumerate_lps(
     """Every scheme from start to end within both bounds, exactly once,
     in a deterministic depth-first order over transition indices.  Each
     scheme carries its pieces, so ``Lps.pieces(oca)`` reads it for free.
-    With ``reach=(start, target_length, exp_cap)`` each scheme also carries
-    its shaped reach from there, and ``shaped_reach`` and
-    ``shaped_witness_exponents`` with those arguments read it for free."""
+    With ``reach=(start, target_length, exp_cap)`` the search runs the
+    frontier fold of ``shaped_reach`` incrementally, one frontier per star
+    pushed, and each scheme carries its shaped reach from there:
+    ``shaped_reach`` and ``shaped_witness_exponents`` with those arguments
+    read it for free."""
     search = _SchemeSearch(oca, start_state, end_state, flat_len_bound, reach)
     if search.steps_to_end[start_state] <= flat_len_bound:
         yield from search.schemes(start_state, flat_len_bound, size_bound)
 
 
-def _shaped_paths(
-    oca: Oca,
-    scheme: Lps,
-    start: Configuration,
-    target_length: int,
-    exp_cap: int,
-) -> Iterator[tuple[Configuration, tuple[int, ...]]]:
-    """(end configuration, exponent vector) of every valid shaped path of
-    exactly ``target_length``, every star instantiated at most ``exp_cap``
-    times; depth-first, so exponent vectors come in ascending lexicographic
-    order.  Raises ``ValueError`` where ``Lps.pieces`` does."""
-    first, segments = scheme.pieces(oca)
-    if (scheme.start_state != start.state or first.length > target_length
-            or not first.lo <= start.counter <= first.hi):
-        return
-    v, remaining = start.counter + first.delta, target_length - first.length
-    if len(segments) > 1:
-        yield from _StarSearch(segments, exp_cap).paths(0, v, remaining)
-    elif segments:
-        hit = _last_star(*segments[0], v, remaining, exp_cap)
-        if hit is not None:
-            yield Configuration(segments[0][1].dst, hit[1]), (hit[0],)
-    elif remaining == 0:
-        yield Configuration(first.dst, v), ()
-
-
-def _last_star(
-    cycle: Piece, tail: Piece, v: int, remaining: int, exp_cap: int,
-) -> tuple[int, int] | None:
-    """(e, end counter) for the one exponent e with which the last star and
-    its tail, entered at counter v, use up ``remaining`` exactly; None if e
-    is not an integer in [0, exp_cap] or the path is not walkable.  The
-    cycle starts from the counters v, v + delta, ..., v + (e - 1) * delta,
-    so it is walkable e times iff it is from both ends of that run."""
-    e, rest = divmod(remaining - tail.length, cycle.length)
-    if rest or not 0 <= e <= exp_cap:
-        return None
-    if e and not (cycle.lo <= v <= cycle.hi
-                  and cycle.lo <= v + (e - 1) * cycle.delta <= cycle.hi):
-        return None
-    v += e * cycle.delta
-    if not tail.lo <= v <= tail.hi:
-        return None
-    return e, v + tail.delta
-
-
-class _StarSearch:
-    """The exponent search of ``_shaped_paths`` over two or more stars: one
-    loop per star but the last, whose exponent ``_last_star`` solves for."""
-
-    def __init__(self, segments: SegmentPieces, exp_cap: int):
-        self.segments = segments
-        self.exp_cap = exp_cap
-        self.end_state = segments[-1][1].dst
-        # need[j]: the flat length that the tails of segments j.. take up
-        self.need = need = [0] * (len(segments) + 1)
-        for j in range(len(segments) - 1, -1, -1):
-            need[j] = need[j + 1] + segments[j][1].length
-        self.exps: list[int] = []
-
-    def paths(self, j: int, v: int, remaining: int) -> Iterator[tuple[Configuration, tuple[int, ...]]]:
-        """The paths through stars j.., for j before the last star."""
-        cycle, tail = self.segments[j]
-        # the length the stars j.. may take; past it the tails to come cannot fit
-        room = remaining - self.need[j]
-        if room < 0:
-            return
-        exps, exp_cap = self.exps, self.exp_cap
-        next_is_last = j + 2 == len(self.segments)
-        e = 0
-        while True:
-            if tail.lo <= v <= tail.hi:
-                left = remaining - e * cycle.length - tail.length
-                if next_is_last:
-                    hit = _last_star(*self.segments[j + 1], v + tail.delta, left, exp_cap)
-                    if hit is not None:
-                        yield Configuration(self.end_state, hit[1]), (*exps, e, hit[0])
-                else:
-                    exps.append(e)
-                    yield from self.paths(j + 1, v + tail.delta, left)
-                    exps.pop()
-            if e >= exp_cap or (e + 1) * cycle.length > room or not cycle.lo <= v <= cycle.hi:
-                return
-            v += cycle.delta
-            e += 1
-
-
-def _built_table(
+def _reach_table(
     oca: Oca, scheme: Lps, start: Configuration, target_length: int, exp_cap: int,
-) -> ReachTable | None:
-    """The reach table ``enumerate_lps`` built for this ``oca`` and these
-    arguments, or None."""
-    built = scheme.built
-    if built is not None and built[0] is oca and built[3] == (start, target_length, exp_cap):
+) -> ReachTable:
+    """The shaped reach of ``scheme``: the table ``enumerate_lps`` carried
+    for this ``oca`` and these arguments, else the frontier folded over the
+    scheme's pieces.  Raises ``ValueError`` where ``Lps.pieces`` does."""
+    built, reach = scheme.built, (start, target_length, exp_cap)
+    if built is not None and built[0] is oca and built[3] == reach:
         return built[4]
-    return None
+    first, segments = scheme.pieces(oca)
+    frontier = _first_frontier(first, scheme.start_state, reach)
+    if not segments:
+        return _ends(frontier, None, first, exp_cap)
+    if len(segments) > 1:
+        # only the frontier being stepped is held beside the one being built
+        budget = environment_budget()
+        for cycle, tail in segments[:-1]:
+            frontier = _next_frontier(frontier, cycle, tail, exp_cap, len(frontier), budget)
+    return _ends(frontier, *segments[-1], exp_cap)
 
 
 def shaped_reach(
@@ -492,10 +457,7 @@ def shaped_reach(
     with every star instantiated at most ``exp_cap`` times."""
     if target_length < 0:
         raise InputError("target length must be non-negative")
-    table = _built_table(oca, scheme, start, target_length, exp_cap)
-    if table is not None:
-        return set(table)
-    return {end for end, _ in _shaped_paths(oca, scheme, start, target_length, exp_cap)}
+    return set(_reach_table(oca, scheme, start, target_length, exp_cap))
 
 
 def shaped_witness_exponents(
@@ -507,13 +469,7 @@ def shaped_witness_exponents(
     exp_cap: int,
 ) -> tuple[int, ...] | None:
     """The least exponent vector whose shaped path reaches ``target``; None if none."""
-    table = _built_table(oca, scheme, start, target_length, exp_cap)
-    if table is not None:
-        return table.get(target)
-    for end, exps in _shaped_paths(oca, scheme, start, target_length, exp_cap):
-        if end == target:
-            return exps
-    return None
+    return _reach_table(oca, scheme, start, target_length, exp_cap).get(target)
 
 
 def analyze_cycle_repetitions(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ocasync import corpus, lps, mc
-from ocasync.cli import _dumps, _lps_row, main
+from ocasync.cli import _ROW_KEY, _dumps, _items, _row, _row_ints, _segment_text, main
 from ocasync.errors import (
     FormulaSyntaxError, InputError, OcaSyntaxError, UncoveredOperatorError, UnknownNameError,
 )
@@ -773,6 +773,23 @@ class TestExitCodes:
         code, _, out = run(capsys, *argv)
         assert code == 1 and out == error_bytes(argv[0], message)
 
+    @pytest.mark.parametrize("argv", [
+        ("--src", "t", "--dst", "s", "--start", "t,1"),  # no scheme from t to s
+        ("--src", "s", "--dst", "s", "--start", "s,1", "--max-schemes", "0"),
+        ("--src", "s", "--dst", "s", "--start", "s,1"),
+    ], ids=["no-scheme", "no-row", "schemes"])
+    def test_lps_negative_target_length_exits_one_before_enumerating(self, argv):
+        # the length is checked whether or not a scheme is ever reached from
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ocasync", "lps", "--oca", "countdown", *argv,
+             "--target-length", "-1"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1 and proc.stderr == b""
+        assert proc.stdout.decode() == error_bytes("lps", "target length must be non-negative")
+
     def test_invalid_automaton_exits_one(self, capsys, tmp_path):
         path = tmp_path / "blocking.oca"
         path.write_text("states: s\natoms: p\ns -[=0,0]-> s\n")
@@ -965,9 +982,16 @@ _reached_entries = st.tuples(
 )
 
 
+def lps_row_text(alpha0, flat_length, segments, size, reached=None):
+    """The row ``lps`` writes: ``_row`` over ``alpha0`` and each (beta,
+    alpha) segment written the way ``_cmd_lps`` writes them."""
+    return _row(_row_ints(alpha0), flat_length,
+                _items([_segment_text(s) for s in segments], _ROW_KEY), size, reached)
+
+
 def lps_row_dict(alpha0, flat_length, segments, size, reached=None) -> dict:
-    """The dict that ``_lps_row(alpha0, flat_length, segments, size, reached)``
-    writes."""
+    """The dict that ``lps_row_text(alpha0, flat_length, segments, size,
+    reached)`` writes."""
     row = {
         "alpha0": list(alpha0),
         "segments": [{"beta": list(b), "alpha": list(a)} for b, a in segments],
@@ -999,7 +1023,7 @@ class TestLpsRows:
     @example([7], 1, [([1], [2])], 1, [('q"\\\u00e9,4', [3, 0], {"1/3": 0, "-1": 1, "0": 2})])
     def test_matches_json_dumps_at_the_row_indent(self, alpha0, flat, segments, size, reached):
         row = lps_row_dict(alpha0, flat, segments, size, reached)
-        text = _lps_row(alpha0, flat, segments, size, reached)
+        text = lps_row_text(alpha0, flat, segments, size, reached)
         assert text == json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n" + " " * 6)
         doc = {"command": "lps", "data": {"from": "s", "schemes": [row, row]}, "ok": True}
         written = {**doc, "data": {**doc["data"], "schemes": [text, text]}}

@@ -9,7 +9,7 @@ import pytest
 from ocasync import corpus
 from ocasync.errors import BudgetExceededError
 from ocasync.lps import (
-    CycleStats, Lps, _piece, _shaped_paths, adjust_length, analyze_cycle_repetitions,
+    CycleStats, Lps, _piece, _reach_table, adjust_length, analyze_cycle_repetitions,
     basic_slopes, combine_cycles_ratio, compress_path_with_exponents, enumerate_lps,
     shaped_reach, shaped_witness_exponents,
 )
@@ -508,6 +508,15 @@ def shaped_paths_reference(oca, scheme, start, target_length, exp_cap):
     yield from rec(0, first, target_length - len(scheme.alpha0))
 
 
+def first_hits(oca, scheme, start, target_length, exp_cap):
+    """(end, exponents) of the first path of ``shaped_paths_reference`` to
+    reach each end, in order: each end with its least exponent vector."""
+    least = {}
+    for end, exps in shaped_paths_reference(oca, scheme, start, target_length, exp_cap):
+        least.setdefault(end, exps)
+    return list(least.items())
+
+
 def zero_test_oca():
     """States a, b; the cycles a-b-a and b-a-b each pass a zero test, so
     they repeat from one counter only."""
@@ -538,15 +547,15 @@ def zero_tested_schemes():
 
 
 class TestShapedPathsPinned:
-    """``_shaped_paths`` on pieces yields the same (end, exponents) sequence,
-    in the same order, as the step-by-step walk."""
+    """The frontier fold on pieces reaches the same ends, each with the same
+    least exponent vector and in the same order, as the step-by-step walk."""
 
     @staticmethod
     def assert_same(oca, scheme, counters, lengths, caps):
         for counter, length, cap in itertools.product(counters, lengths, caps):
             start = Configuration(scheme.start_state, counter)
-            got = list(_shaped_paths(oca, scheme, start, length, cap))
-            assert got == list(shaped_paths_reference(oca, scheme, start, length, cap)), (
+            got = list(_reach_table(oca, scheme, start, length, cap).items())
+            assert got == first_hits(oca, scheme, start, length, cap), (
                 scheme, start, length, cap)
 
     def test_enumerated_schemes(self, rng):
@@ -562,8 +571,7 @@ class TestShapedPathsPinned:
         hits = 0
         for scheme in schemes:
             self.assert_same(oca, scheme, range(5), range(10), (0, 1, 3, 9))
-            hits += len(list(_shaped_paths(
-                oca, scheme, Configuration(scheme.start_state, 0), 8, 9)))
+            hits += len(_reach_table(oca, scheme, Configuration(scheme.start_state, 0), 8, 9))
         assert hits > 0
 
 
@@ -657,14 +665,15 @@ class TestPathCompression:
 
 
 class TestLastStarClosedForm:
-    """The last star's exponent is solved for, not searched: each case is
-    pinned by hand and against the step-by-step walk."""
+    """The last star's exponent is solved for, not searched: each case's
+    ends and least exponent vectors are pinned by hand and against the
+    step-by-step walk."""
 
     @staticmethod
     def paths(oca, scheme, counter, length, cap):
         start = Configuration(scheme.start_state, counter)
-        got = list(_shaped_paths(oca, scheme, start, length, cap))
-        assert got == list(shaped_paths_reference(oca, scheme, start, length, cap))
+        got = list(_reach_table(oca, scheme, start, length, cap).items())
+        assert got == first_hits(oca, scheme, start, length, cap)
         return [(end.counter, exps) for end, exps in got]
 
     def test_exponent_above_the_cap(self):
@@ -673,8 +682,8 @@ class TestLastStarClosedForm:
         scheme = Lps(0, (), ((dec, ()), (up_down, ()), (dec, ())))
         # from 5 the middle star cannot run, so the last needs 5 - e1 >= 3
         assert self.paths(oca, scheme, 5, 5, 2) == []
-        assert self.paths(oca, scheme, 5, 5, 3) == [(0, (2, 0, 3)), (0, (3, 0, 2))]
-        assert self.paths(oca, scheme, 5, 5, 5) == [(0, (e, 0, 5 - e)) for e in range(6)]
+        assert self.paths(oca, scheme, 5, 5, 3) == [(0, (2, 0, 3))]
+        assert self.paths(oca, scheme, 5, 5, 5) == [(0, (0, 0, 5))]
 
     def test_exponent_not_an_integer(self):
         oca, t = zero_test_oca()
@@ -683,7 +692,7 @@ class TestLastStarClosedForm:
         # the two-step last cycle is walkable from 0 only: from 2 it takes
         # e1 + e2 = 2 decrements, so the length must be even
         assert self.paths(oca, scheme, 2, 3, 9) == []
-        assert self.paths(oca, scheme, 2, 4, 9) == [(0, (0, 2, 1)), (0, (1, 1, 1)), (0, (2, 0, 1))]
+        assert self.paths(oca, scheme, 2, 4, 9) == [(0, (0, 2, 1))]
         assert self.paths(oca, scheme, 2, 5, 9) == []
 
     def test_zero_tested_last_cycle(self):
@@ -692,13 +701,13 @@ class TestLastStarClosedForm:
         # b=0+1b is walkable from 0 only, so it repeats once: the run's first
         # counter passes the zero test, the second does not
         scheme = Lps(1, (), ((inc, ()), (flat, ()), (inc, ())))
-        assert self.paths(oca, scheme, 0, 1, 9) == [(1, (0, 0, 1)), (1, (1, 0, 0))]
+        assert self.paths(oca, scheme, 0, 1, 9) == [(1, (0, 0, 1))]
         assert self.paths(oca, scheme, 0, 2, 9) == []
         assert self.paths(oca, scheme, 0, 3, 9) == [(1, (1, 1, 0))]
         # the flat cycle tests b for 1 and a for 0, and repeats from 1 at will
         scheme = Lps(1, (), ((inc, ()), (inc, ()), (flat, ())))
         assert self.paths(oca, scheme, 0, 2, 9) == []
-        assert self.paths(oca, scheme, 0, 9, 9) == [(1, (0, 1, 4)), (1, (1, 0, 4))]
+        assert self.paths(oca, scheme, 0, 9, 9) == [(1, (0, 1, 4))]
         assert self.paths(oca, scheme, 0, 9, 3) == []
 
 
@@ -796,15 +805,16 @@ class TestCarriedPieces:
 
 class TestReachFrontier:
     """``enumerate_lps(..., reach=...)`` carries each scheme's shaped reach,
-    read off the frontier stack; it equals what the single-scheme search
-    finds on a copy of the scheme that carries nothing."""
+    read off the frontier stack; it equals the first hits of the
+    step-by-step walk, and what the whole fold finds on a copy of the
+    scheme that carries nothing."""
 
     def test_tables_match_the_single_scheme_search(self):
         # 250 seeded cases, every one kept: 1-4 states, flat 1-5, size 0-3,
         # any start state (so many starts are not the scheme's), start
         # counter 0-6, target length 0-14, exponent caps 0, 1 and 2-32 in
         # turn.  114,381 schemes and 10,752 reached configurations, in about
-        # 4 s of CPU time on Python 3.11
+        # 4-6 s of CPU time on Python 3.11, the walk included
         schemes = ends = unchained = zero_tested = 0
         ends_at_cap = {0: 0, 1: 0}
         start_time = time.process_time()
@@ -820,6 +830,7 @@ class TestReachFrontier:
             for scheme in enumerate_lps(oca, src, dst, flat, size, reach=(start, length, cap)):
                 table = scheme.built[4]
                 copy = hand_built(scheme)
+                assert list(table.items()) == first_hits(oca, copy, start, length, cap), scheme
                 assert set(table) == shaped_reach(oca, copy, start, length, cap), scheme
                 for end, exps in table.items():
                     assert shaped_witness_exponents(oca, copy, start, end, length, cap) == exps
@@ -839,7 +850,7 @@ class TestReachFrontier:
         assert elapsed < 20, elapsed
 
     def test_the_table_answers_only_its_own_arguments(self, rng):
-        # another automaton object, start, length or cap runs the search
+        # another automaton object, start, length or cap folds afresh
         compared = 0
         for _ in range(20):
             oca = random_total_oca(rng, n_states=rng.randint(1, 3))
@@ -879,6 +890,22 @@ class TestReachFrontier:
         assert len(list(enumerate_lps(oca, 0, 0, 3, 2, reach=reach))) == len(
             list(enumerate_lps(oca, 0, 0, 3, 2))) == 145
 
+    def test_single_scheme_fold_over_the_budget(self, monkeypatch):
+        # a hand-built scheme folds its frontiers whole, holding the one it
+        # steps beside the one it builds: 401 entries at the second star,
+        # then 27,399 at the third, past the budget after 624
+        oca = corpus.load("random-a")
+        scheme = Lps(0, (), (((4,), ()), ((3, 10), ()), ((0,), ())))
+        start = Configuration(0, 3)
+        assert len(shaped_reach(oca, scheme, start, 400, 400)) == 136
+        monkeypatch.setenv("OCASYNC_BUDGET", "1000")
+        calls = (lambda: shaped_reach(oca, scheme, start, 400, 400),
+                 lambda: shaped_witness_exponents(oca, scheme, start, start, 400, 400))
+        for call in calls:
+            with pytest.raises(BudgetExceededError) as info:
+                call()
+            assert info.value.budget == 1000 and info.value.required == 1025
+
 
 class TestNoCyclicGarbage:
     """A search that is dropped, finished or not, is freed by reference
@@ -909,7 +936,7 @@ class TestNoCyclicGarbage:
     def test_early_exit_witness_search(self):
         scheme = Lps(0, (), (((1,), ()), ((1,), ()), ((1,), ())))
         start = Configuration(0, 9)
-        # the least vector is found first, with the search still open
+        # the whole table is folded and dropped; the least vector is kept
         assert cyclic_garbage(lambda: shaped_witness_exponents(
             COUNTDOWN, scheme, start, Configuration(0, 3), 6, 9)) == 0
         assert shaped_witness_exponents(
