@@ -74,7 +74,7 @@ def _meets(a: Rows, b: Rows) -> bool:
 class _Distances(NamedTuple):
     """A UE goal's exact-distance index (``BoundedEvaluator._distances``)."""
 
-    masks: list[list[int]]  # masks[s][v]: the distances of (s, v), as bits
+    masks: list[list[int]]  # masks[s][v]: bit m < len(layers) iff (s, v) is in D_m
     support: Rows           # the configurations with a nonzero mask
     layers: list[Rows]      # D_0, D_1, ... until the first repeat or the cap
     start: int              # D_m for m >= len(layers) is D_{start + (m - start) % period}
@@ -386,14 +386,15 @@ class BoundedEvaluator:
     def _distances(self, f: Formula) -> _Distances:
         """Exact-distance index of a UE formula's goal over the capped region.
 
-        Bit m of ``masks[s][v]`` is set iff some path of exactly
-        m <= level_cap steps, every configuration on it inside the region,
-        leads from (s, v) to a configuration where the second operand is
-        TRUE.  The layers D_0 = goal, D_{m+1} = in-region predecessors of
-        D_m are a deterministic sequence over a finite region, so once a
-        layer repeats an earlier one, D_start, every later layer repeats the
-        cycle D_start..D_{start+period-1}; building stops there and each
-        mask's cycle bits are tiled out to the level cap.
+        D_m holds the configurations with a path of exactly m <= level_cap
+        steps, every configuration on it inside the region, to one where the
+        second operand is TRUE.  The layers D_0 = goal, D_{m+1} = in-region
+        predecessors of D_m are a deterministic sequence over a finite
+        region, so once a layer repeats an earlier one, D_start, every later
+        layer repeats the cycle D_start..D_{start+period-1}; building stops
+        there or at the level cap.  Each distance is stored once: bit m of
+        ``masks[s][v]``, for m < len(layers), is set iff (s, v) is in D_m;
+        a later offset reads through the cycle, as in ``layer``.
         """
         index = self._distance_index.get(f)
         if index is not None:
@@ -420,14 +421,6 @@ class BoundedEvaluator:
             layer = pre_rows(self.oca, layer, self._full)
             if layer in first:
                 start = first[layer]
-                period = m + 1 - start
-                reps = (cap - start) // period + 1
-                tile = ((1 << (period * reps)) - 1) // ((1 << period) - 1)
-                full = (1 << (cap + 1)) - 1
-                for mask_s in masks:
-                    for v, mask in enumerate(mask_s):
-                        cycle = (mask >> start) & ((1 << period) - 1)
-                        mask_s[v] = (mask | (cycle * tile) << start) & full
                 break
         index = self._distance_index[f] = _Distances(masks, tuple(support), layers, start)
         return index
@@ -440,31 +433,37 @@ class BoundedEvaluator:
         The configurations of level j with an in-region path of exactly k - j
         steps to a goal configuration of level k are ``levels[j] ∩ D_{k-j}``:
         such a path stays inside the region, so its configuration after i
-        steps lies in level j + i.  So one pass suffices.  Leaving level j,
-        ``alive`` keeps bit k > j iff every level up to j passed for bound k,
-        that is iff offset k - j is in the OR of the distance masks of level
-        j's first-operand configurations and bit k was already set.  Once
-        ``alive`` is empty no later bound can succeed (the scan never
-        answers FALSE).  No distance mask has a bit past ``level_cap``, so
-        neither has ``alive`` after level 0, and the last level empties it.
+        steps lies in level j + i.  So one pass suffices.  ``alive`` is a
+        window over the index's offsets: at level j, bit i < len(layers) is
+        set iff bound j + i passed every level before j.  Leaving level j,
+        it keeps the offsets in ``reach``, the OR of the distance masks of
+        level j's first-operand configurations, and shifts down one.  Bound
+        j + len(layers) enters at the top: from level j and every earlier
+        level its offset is on the cycle, one period above that of bound
+        j + start, so it takes bit ``start``.  Bounds past ``level_cap``
+        never enter, so once ``alive`` is empty no bound can succeed (the
+        scan never answers FALSE).
         """
         true1, _ = self._split(f.children[0])
         goal = self._split(f.children[1])[0]
         dist = self._distances(f)
         masks = dist.masks
         starts = tuple(map(int.__and__, true1, dist.support))
-        alive = -1
+        top = len(dist.layers) - 1
+        start, wrap_until = dist.start, self.level_cap - top
+        alive = (2 << top) - 1
         for k, (level, _truncated) in enumerate(self._levels(c)):
-            if (alive >> k) & 1 and _meets(level, goal):
+            if alive & 1 and _meets(level, goal):
                 return Verdict.TRUE
-            wanted = (alive >> (k + 1)) << 1  # offsets m >= 1 with bit k + m alive
             reach = 0
             for s, row in enumerate(map(int.__and__, level, starts)):
                 if row:
                     mask_s = masks[s]
                     for v in row_bits(row):
                         reach |= mask_s[v]
-            alive &= (reach & wanted) << k
+            alive &= reach
+            enter = (alive >> start & 1) << top if k < wrap_until else 0
+            alive = alive >> 1 | enter
             if not alive:
                 break
         return Verdict.UNKNOWN

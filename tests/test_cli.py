@@ -867,6 +867,85 @@ class TestExitCodes:
         assert out == error_bytes("lps", "--start and --target-length must be given together")
 
 
+BIG = "1000000000"
+CD = ("--oca", "countdown")
+CD_FA = (*CD, "--formula", "FA p")
+CD_LPS = ("lps", *CD, "--src", "s", "--dst", "s")
+RB_UE = ("--oca", "random-b", "--formula", "p UE q", "--init", "x,0")
+UNCERTIFIED = ("no periodic pattern certified for 'p UE q' at state x within counters "
+               "0..20; raise the caps or supply a pair")
+
+CAP_PROBES = [
+    (("oracle", *CD_FA, "--init", "s,0", "--counter-cap", BIG), None),
+    (("oracle", *CD_FA, "--init", "s,0", "--level-cap", BIG), None),
+    (("check", *CD_FA, "--init", "s,0", "--caps", f"{BIG},200"), None),
+    (("check", *CD_FA, "--init", "s,0", "--caps", f"60,{BIG}"), None),
+    (("mine-period", *CD_FA, "--state", "s", "--v-cap", BIG), None),
+    (("check", *CD_FA, "--init", "s,0", "--mine-v-cap", BIG), None),
+    (("check-lemma11", *CD, "--counter", BIG), None),
+    (("check-lemma11", *CD, "--prev-t", BIG), None),
+    (("check-lemma11", *CD, "--prev-p", BIG), None),
+    ((*CD_LPS, "--flat", BIG), None),
+    ((*CD_LPS, "--size", BIG), None),
+    ((*CD_LPS, "--max-schemes", BIG), None),
+    ((*CD_LPS, "--start", "s,5", "--target-length", BIG), None),
+    ((*CD_LPS, "--start", "s,5", "--target-length", "3", "--exp-cap", BIG), None),
+    ((*CD_LPS, "--start", f"s,{BIG}", "--target-length", "3"), None),
+    (("check", *CD_FA, "--init", f"s,{BIG}"), None),
+    (("check", *CD_FA, "--init", "s,0", "--mode", f"supplied:{BIG},1"), None),
+    (("check", *CD_FA, "--init", "s,0", "--mode", f"supplied:1,{BIG}"), None),
+    (("oracle", *RB_UE, "--counter-cap", "40", "--level-cap", BIG), (0, "FALSE")),
+    (("check", *RB_UE, "--caps", f"40,{BIG}"), (2, UNCERTIFIED)),
+    (("check", *RB_UE, "--caps", "40,100000000"), (2, UNCERTIFIED)),
+    (("cross-check", *RB_UE, "--caps", f"40,{BIG}"), (0, "FALSE")),
+    (("oracle", *RB_UE, "--counter-cap", "30000", "--level-cap", "100000"), (0, "FALSE")),
+    (("oracle", *CD, "--formula", "true UE p", "--init", "t,5", "--counter-cap", "3000",
+      "--level-cap", BIG), (0, "TRUE")),
+]
+
+
+class TestCapProbes:
+    """Every integer flag at 10^9, each run in a child limited to a 1 GB
+    address space.  Every cap-sized allocation is checked against the
+    budget before it is made, so each run answers or exits 1 or 2; it
+    never exits 3 with a ``MemoryError``, and never runs past the wall
+    limit.  Left out: ``--b``, whose constant recursion at a huge scheme
+    bound still runs out of memory (an open ROADMAP item), and
+    ``--budget``, which raises the budget itself: set above what memory
+    holds, it can still exit 3.  The UE rows used to exit 3 under 1 GB,
+    when the distance index tiled every mask out to the level cap; their
+    outcomes are pinned too."""
+
+    WALL_S = 60
+
+    @pytest.mark.parametrize("argv, want", CAP_PROBES,
+                             ids=[" ".join(argv) for argv, _ in CAP_PROBES])
+    def test_exits_zero_one_or_two_under_1_gb(self, schema, argv, want):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from ocasync.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", child, *argv],
+                              capture_output=True, env=env, timeout=self.WALL_S)
+        doc = json.loads(proc.stdout)
+        assert proc.returncode in (0, 1, 2), doc
+        assert proc.stderr == b""
+        check_schema(schema, doc)
+        if want is not None:
+            code, answer = want
+            assert proc.returncode == code
+            if code:
+                assert doc["error"]["message"] == answer
+            elif argv[0] == "cross-check":
+                assert [row["oracle"] for row in doc["data"]["rows"]] == [answer]
+            else:
+                assert doc["data"]["verdict"] == answer
+
+
 class TestDeeplyNestedFormulas:
     """Nesting up to ``MAX_DEPTH`` is checked as before; one level more is
     malformed input (exit 1), never a ``RecursionError`` (exit 3)."""

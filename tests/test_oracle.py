@@ -305,6 +305,42 @@ class TestSynchronizedScan:
                     assert ev._scan_ue(f, c) is ref._scan_ue(f, c), (c, level_cap)
                     assert ev.verdict(f, c) is ref.verdict(f, c), (c, level_cap)
 
+    def test_scan_reads_bounds_past_the_index_through_the_cycle(self):
+        # the index stores offsets below len(layers) only, and the scan
+        # reads a bound that enters its window later through the cycle.
+        # Here the layers repeat after 5 (start 4), and the least witness
+        # of p UE q from s1,8 is at bound 5, one past the stored offsets:
+        # TRUE from level cap 5 on, and UNKNOWN if the wrap is dropped
+        rng = random.Random(9)
+        oca = random_total_oca(rng, n_states=rng.randint(2, 6))
+        f, c = parse_formula("p UE q"), Configuration(1, 8)
+        for level_cap in range(12):
+            ev = BoundedEvaluator(oca, 8, level_cap)
+            dist = ev._distances(f)
+            assert (len(dist.layers), dist.start) == ((5, 4) if level_cap >= 5
+                                                      else (level_cap + 1, 0))
+            want = Verdict.TRUE if level_cap >= 5 else Verdict.UNKNOWN
+            assert ev._scan_ue(f, c) is ev.verdict(f, c) is want, level_cap
+        # seeded automata, level caps on both sides of the index length;
+        # seeds 9, 34, 106 and 110 have witnesses only the wrap reaches
+        for seed in range(111):
+            rng = random.Random(seed)
+            oca = random_total_oca(rng, n_states=rng.randint(2, 6))
+            counter_cap = rng.randint(0, 8)
+            succ = _successors(oca)
+            inits = [Configuration(s, v) for s in range(oca.n_states)
+                     for v in range(counter_cap + 1)]
+            for f in UE_SUITE:
+                n = len(BoundedEvaluator(oca, counter_cap, 60)._distances(f).layers)
+                for level_cap in sorted({max(0, n - 2), max(0, n - 1), n, n + 1, 2 * n + 3}):
+                    ev = BoundedEvaluator(oca, counter_cap, level_cap)
+                    ref = ReferenceEvaluator(oca, counter_cap, level_cap, succ)
+                    for c in inits:
+                        assert ev._scan_ue(f, c) is ref._scan_ue(f, c), (
+                            seed, f, c, level_cap)
+                        assert ev.verdict(f, c) is ref.verdict(f, c), (
+                            seed, f, c, level_cap)
+
     def test_distance_masks_match_exact_path_lengths(self):
         for oca in self._automata():
             succ = _successors(oca)
@@ -321,9 +357,17 @@ class TestSynchronizedScan:
                                 if any(ev.verdict(f.children[1], d) is Verdict.TRUE
                                        for d in level)
                             )
-                            assert dist.masks[s][v] == want, (f, c, counter_cap, level_cap)
+                            # each distance is stored once: offsets past the
+                            # stored layers read through the cycle
+                            n, start = len(dist.layers), dist.start
+                            mask = dist.masks[s][v]
+                            assert mask == want & ((1 << n) - 1), (
+                                f, c, counter_cap, level_cap)
                             assert _has(dist.support, c) == bool(want)
                             for m in range(level_cap + 1):
+                                offset = m if m < n else start + (m - start) % (n - start)
+                                assert mask >> offset & 1 == want >> m & 1, (
+                                    f, c, counter_cap, level_cap, m)
                                 assert _has(dist.layer(m), c) == bool(want >> m & 1)
 
     def test_region_index_matches_successors(self):
