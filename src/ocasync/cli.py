@@ -392,6 +392,10 @@ def _cmd_lps(args) -> int:
     start = parse_configuration(oca, args.start) if args.start is not None else None
     if start is not None and args.target_length < 0:
         raise InputError("target length must be non-negative")
+    for value, name in ((args.flat, "flat length bound"), (args.size, "size bound"),
+                        (args.exp_cap, "exponent cap"), (args.max_schemes, "scheme limit")):
+        if value < 0:
+            raise InputError(f"{name} must be non-negative")
     reach = None if start is None else (start, args.target_length, args.exp_cap)
     # the schemes of one job share most of their words: each distinct alpha0
     # and segment is written once (a memo of whole segment lists costs more

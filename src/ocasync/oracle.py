@@ -9,9 +9,10 @@ one Python int per state, its row, whose bit v is the configuration
 tuples, (TRUE, FALSE), with UNKNOWN everywhere else; the plain-until
 fixpoints iterate ``oca.pre_rows`` in the region, and the synchronized scans
 test the levels of ``oca.iter_level_rows`` against these rows with a few
-ANDs per level.  A synchronized UE formula is decided by one witness scan
-over a per-formula exact-distance index, which can answer TRUE only, plus a
-FALSE repeat rule for scans that found no witness on a cap-closed component.
+ANDs per level.  A synchronized UE formula is decided by one witness scan,
+which can answer TRUE only, plus a FALSE repeat rule for scans that found no
+witness on a cap-closed component; both read a per-formula exact-distance
+index kept as the distance layers' rows.
 Uses: differential testing of the finite-structure checker, which imports
 this module and never the reverse, mining empirical threshold/period pairs,
 and auditing the segment/shift periodicity of level sets at scaled-down
@@ -31,7 +32,7 @@ from .formula import Formula, Kind, pretty
 from .lps import analyze_cycle_repetitions, compress_path_with_exponents
 from .oca import (
     Configuration, Oca, OracleTrace, Rows, iter_level_rows, level_sets, pre_rows,
-    row_bits, step_rows, successors, witness_path,
+    step_rows, successors, witness_path,
 )
 from .periodicity import ConstantBundle, TpPair, segment_start, shift_map
 
@@ -74,10 +75,9 @@ def _meets(a: Rows, b: Rows) -> bool:
 class _Distances(NamedTuple):
     """A UE goal's exact-distance index (``BoundedEvaluator._distances``)."""
 
-    masks: list[list[int]]  # masks[s][v]: bit m < len(layers) iff (s, v) is in D_m
-    support: Rows           # the configurations with a nonzero mask
-    layers: list[Rows]      # D_0, D_1, ... until the first repeat or the cap
-    start: int              # D_m for m >= len(layers) is D_{start + (m - start) % period}
+    layers: list[Rows]  # D_0, D_1, ... until the first repeat or the cap
+    support: Rows       # the OR of the layers: configurations at some distance
+    start: int          # D_m for m >= len(layers) is D_{start + (m - start) % period}
 
     def layer(self, m: int) -> Rows:
         n = len(self.layers)
@@ -392,37 +392,30 @@ class BoundedEvaluator:
         predecessors of D_m are a deterministic sequence over a finite
         region, so once a layer repeats an earlier one, D_start, every later
         layer repeats the cycle D_start..D_{start+period-1}; building stops
-        there or at the level cap.  Each distance is stored once: bit m of
-        ``masks[s][v]``, for m < len(layers), is set iff (s, v) is in D_m;
-        a later offset reads through the cycle, as in ``layer``.
+        there or at the level cap.  Each distance is stored once, in its
+        layer's rows, and a later offset reads through the cycle, as in
+        ``layer``; ``support`` is the OR of the layers.
         """
         index = self._distance_index.get(f)
         if index is not None:
             return index
         cap = self.level_cap
-        n_states = self.oca.n_states
         layer = self._split(f.children[1])[0]
         first: dict[Rows, int] = {}
         layers: list[Rows] = []
-        masks = [[0] * (self.counter_cap + 1) for _ in range(n_states)]
-        support = [0] * n_states
+        support = layer
         start = 0
         while True:
             m = first[layer] = len(layers)
             layers.append(layer)
-            bit = 1 << m
-            for s, row in enumerate(layer):
-                support[s] |= row
-                mask_s = masks[s]
-                for v in row_bits(row):
-                    mask_s[v] |= bit
+            support = tuple(map(int.__or__, support, layer))
             if m == cap:
                 break
             layer = pre_rows(self.oca, layer, self._full)
             if layer in first:
                 start = first[layer]
                 break
-        index = self._distance_index[f] = _Distances(masks, tuple(support), layers, start)
+        index = self._distance_index[f] = _Distances(layers, support, start)
         return index
 
     def _scan_ue(self, f: Formula, c: Configuration) -> Verdict:
@@ -435,33 +428,39 @@ class BoundedEvaluator:
         such a path stays inside the region, so its configuration after i
         steps lies in level j + i.  So one pass suffices.  ``alive`` is a
         window over the index's offsets: at level j, bit i < len(layers) is
-        set iff bound j + i passed every level before j.  Leaving level j,
-        it keeps the offsets in ``reach``, the OR of the distance masks of
-        level j's first-operand configurations, and shifts down one.  Bound
-        j + len(layers) enters at the top: from level j and every earlier
-        level its offset is on the cycle, one period above that of bound
-        j + start, so it takes bit ``start``.  Bounds past ``level_cap``
-        never enter, so once ``alive`` is empty no bound can succeed (the
-        scan never answers FALSE).
+        set unless bound j + i failed a tested level before j.  Level j is
+        read as ``useful``, its part in the index's support, and ``firsts``,
+        the first-operand part of that.  With no ``firsts`` no later bound
+        can pass, and the scan ends.  With ``firsts == useful`` nothing is
+        tested: a goal configuration at level k has an in-region path back
+        to ``useful``, so bound k's goal test implies this level's.
+        Otherwise offset i stays iff ``firsts`` meets D_i.  Then ``alive``
+        shifts down one, and bound j + len(layers) enters at the top: from
+        level j and every earlier level its offset is on the cycle, one
+        period above that of bound j + start, so it takes bit ``start``.
+        Bounds past ``level_cap`` never enter, so once ``alive`` is empty no
+        bound can succeed (the scan never answers FALSE).
         """
         true1, _ = self._split(f.children[0])
         goal = self._split(f.children[1])[0]
-        dist = self._distances(f)
-        masks = dist.masks
-        starts = tuple(map(int.__and__, true1, dist.support))
-        top = len(dist.layers) - 1
-        start, wrap_until = dist.start, self.level_cap - top
+        layers, support, start = self._distances(f)
+        top = len(layers) - 1
+        wrap_until = self.level_cap - top
         alive = (2 << top) - 1
         for k, (level, _truncated) in enumerate(self._levels(c)):
             if alive & 1 and _meets(level, goal):
                 return Verdict.TRUE
-            reach = 0
-            for s, row in enumerate(map(int.__and__, level, starts)):
-                if row:
-                    mask_s = masks[s]
-                    for v in row_bits(row):
-                        reach |= mask_s[v]
-            alive &= reach
+            useful = tuple(map(int.__and__, level, support))
+            firsts = tuple(map(int.__and__, useful, true1))
+            if not any(firsts):
+                break
+            if firsts != useful:
+                rest = alive
+                while rest:
+                    i = rest.bit_length() - 1
+                    rest ^= 1 << i
+                    if not _meets(firsts, layers[i]):
+                        alive ^= 1 << i
             enter = (alive >> start & 1) << top if k < wrap_until else 0
             alive = alive >> 1 | enter
             if not alive:

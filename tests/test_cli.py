@@ -760,6 +760,14 @@ class TestExitCodes:
           "--mode", "paper"), "default scheme bound needs at least 3 states; pass an override"),
         (("lps", "--oca", "countdown", "--src", "s", "--dst", "s", "--start", "s,5",
           "--target-length", "-1"), "target length must be non-negative"),
+        (("lps", "--oca", "countdown", "--src", "s", "--dst", "s", "--flat", "-1"),
+         "flat length bound must be non-negative"),
+        (("lps", "--oca", "countdown", "--src", "s", "--dst", "s", "--size", "-1"),
+         "size bound must be non-negative"),
+        (("lps", "--oca", "countdown", "--src", "s", "--dst", "s", "--exp-cap", "-1"),
+         "exponent cap must be non-negative"),
+        (("lps", "--oca", "countdown", "--src", "s", "--dst", "s", "--max-schemes", "-1"),
+         "scheme limit must be non-negative"),
         (("check", "--oca", "countdown", "--formula", "p", "--init", "s,0",
           "--mode", "supplied:x,1"), "malformed supplied pair in 'supplied:x,1'"),
         (("check", "--oca", "countdown", "--formula", "p", "--init", "s,0",
@@ -901,20 +909,25 @@ CAP_PROBES = [
     (("oracle", *RB_UE, "--counter-cap", "30000", "--level-cap", "100000"), (0, "FALSE")),
     (("oracle", *CD, "--formula", "true UE p", "--init", "t,5", "--counter-cap", "3000",
       "--level-cap", BIG), (0, "TRUE")),
+    (("oracle", *CD, "--formula", "true UE p", "--init", "t,5", "--counter-cap", "30000",
+      "--level-cap", "100000"), (0, "TRUE")),
 ]
 
 
 class TestCapProbes:
     """Every integer flag at 10^9, each run in a child limited to a 1 GB
-    address space.  Every cap-sized allocation is checked against the
-    budget before it is made, so each run answers or exits 1 or 2; it
-    never exits 3 with a ``MemoryError``, and never runs past the wall
-    limit.  Left out: ``--b``, whose constant recursion at a huge scheme
-    bound still runs out of memory (an open ROADMAP item), and
-    ``--budget``, which raises the budget itself: set above what memory
-    holds, it can still exit 3.  The UE rows used to exit 3 under 1 GB,
-    when the distance index tiled every mask out to the level cap; their
-    outcomes are pinned too."""
+    address space.  Every cap-sized allocation but the oracle's UE distance
+    layers is checked against the budget before it is made, so each run
+    answers or exits 1 or 2; it never exits 3 with a ``MemoryError``, and
+    never runs past the wall limit.  Left out: ``--b``, whose constant
+    recursion at a huge scheme bound still runs out of memory (an open
+    ROADMAP item), and ``--budget``, which raises the budget itself: set
+    above what memory holds, it can still exit 3.  The UE rows used to exit
+    3 under 1 GB, when the distance index tiled every mask out to the level
+    cap; their outcomes are pinned too.  The countdown rows' layers repeat
+    only after about counter cap steps, so the row at counter cap 30000
+    fits the wall limit only if neither the index nor the scan takes a
+    Python step per configuration of every layer."""
 
     WALL_S = 60
 
