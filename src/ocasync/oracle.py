@@ -106,6 +106,7 @@ class BoundedEvaluator:
         self._distance_index: dict[Formula, _Distances] = {}
         self._sync_memo: dict[tuple[Formula, Configuration], Verdict] = {}
         self._may_must: dict[Formula, tuple[frozenset[int], frozenset[int]]] = {}
+        self._refutable: dict[Formula, frozenset[int]] = {}
 
     # -- configuration graph -------------------------------------------------
 
@@ -164,18 +165,23 @@ class BoundedEvaluator:
             # until family: anything reaching a may-state of the goal might hold;
             # a goal that must hold everywhere holds immediately at bound zero
             may2, must2 = self.may_must_states(f.children[1])
-            step = self._state_step
-            reach = set(may2)
-            changed = True
-            while changed:
-                changed = False
-                for s in every:
-                    if s not in reach and step[s] & reach:
-                        reach.add(s)
-                        changed = True
-            out = (frozenset(reach), must2)
+            out = (self._reaching(may2), must2)
         self._may_must[f] = out
         return out
+
+    def _reaching(self, targets: frozenset[int]) -> frozenset[int]:
+        """The states with a path in the state graph (``_state_step``), of
+        length zero or more, to a state in ``targets``."""
+        step = self._state_step
+        reach = set(targets)
+        changed = True
+        while changed:
+            changed = False
+            for s in range(self.oca.n_states):
+                if s not in reach and step[s] & reach:
+                    reach.add(s)
+                    changed = True
+        return frozenset(reach)
 
     # -- main dispatch ---------------------------------------------------------
 
@@ -346,8 +352,30 @@ class BoundedEvaluator:
         return v
 
     def _scan_ua(self, f: Formula, c: Configuration) -> Verdict:
+        """Bounded UA scan: bound k passes iff levels 0..k-1 are all
+        first-operand and level k is non-empty and all second-operand.
+
+        TRUE at the first level k that is untruncated, non-empty and all
+        TRUE for the second operand, after levels 0..k-1 were untruncated and
+        all TRUE for the first.  While every bound so far definitely fails
+        (``all_failed``: its level meets the second operand's FALSE rows, or
+        an earlier level met the first's), FALSE when a level meets the
+        first operand's FALSE rows, since every later bound inherits the
+        broken prefix, or when an untruncated level repeats an earlier one,
+        since exact levels evolve deterministically.  UNKNOWN once neither
+        answer can come from a later level: some bound has not definitely
+        failed and the prefix is no longer certified; or the level is
+        truncated (truncation is sticky, so TRUE and the repeat rule are
+        out) and none of its states reaches, in the state graph, a state
+        whose first-operand FALSE row is non-empty, so no later level, each
+        stepped from this one, can meet it.  UNKNOWN too past the level cap.
+        """
         true1, false1 = self._split(f.children[0])
         true2, false2 = self._split(f.children[1])
+        refutable = self._refutable.get(f)
+        if refutable is None:
+            refutable = self._refutable[f] = self._reaching(
+                frozenset(s for s, row in enumerate(false1) if row))
         not_true1 = tuple(~row for row in true1)
         not_true2 = tuple(~row for row in true2)
         meet = int.__and__  # any(map(meet, a, b)): rows a and b intersect
@@ -378,6 +406,10 @@ class BoundedEvaluator:
             if all_failed and prefix_violated:
                 # every later bound inherits the broken prefix
                 return Verdict.FALSE
+            if truncated and all_failed and not any(level[s] for s in refutable):
+                # only FALSE is left, and no level stepped from this one
+                # can meet the first operand's FALSE rows
+                return Verdict.UNKNOWN
             if not (all_failed or prefix_certified):
                 # neither answer can come from a later level
                 return Verdict.UNKNOWN
@@ -535,9 +567,9 @@ def mine_period(
     check_budget("period mining samples", v_cap + 1, "counters")
     ev = evaluator or BoundedEvaluator(oca, *caps)
     row = [ev.verdict(f, Configuration(state, v)) for v in range(v_cap + 1)]
-    for t in range(v_cap - 1):
-        if any(not v.definite for v in row[t:]):
-            continue
+    # thresholds at or below the last UNKNOWN sample are not admissible
+    first = max((v + 1 for v, r in enumerate(row) if not r.definite), default=0)
+    for t in range(first, v_cap - 1):
         for p in range(1, (v_cap - t) // 2 + 1):
             if all(row[v] == row[t + (v - t) % p] for v in range(t, v_cap + 1)):
                 return TpPair(t, p), row

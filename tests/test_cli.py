@@ -882,6 +882,9 @@ CD_LPS = ("lps", *CD, "--src", "s", "--dst", "s")
 RB_UE = ("--oca", "random-b", "--formula", "p UE q", "--init", "x,0")
 UNCERTIFIED = ("no periodic pattern certified for 'p UE q' at state x within counters "
                "0..20; raise the caps or supply a pair")
+RB_FA = ("--oca", "random-b", "--formula", "FA p")
+FA_UNCERTIFIED = ("no periodic pattern certified for 'true UA p' at state x within "
+                  "counters 0..30; raise the caps or supply a pair")
 
 CAP_PROBES = [
     (("oracle", *CD_FA, "--init", "s,0", "--counter-cap", BIG), None),
@@ -911,6 +914,9 @@ CAP_PROBES = [
       "--level-cap", BIG), (0, "TRUE")),
     (("oracle", *CD, "--formula", "true UE p", "--init", "t,5", "--counter-cap", "30000",
       "--level-cap", "100000"), (0, "TRUE")),
+    (("oracle", *RB_FA, "--init", "x,5", "--counter-cap", "60", "--level-cap", BIG),
+     (0, "UNKNOWN")),
+    (("check", *RB_FA, "--init", "x,0", "--caps", f"60,{BIG}"), (2, FA_UNCERTIFIED)),
 ]
 
 
@@ -927,7 +933,11 @@ class TestCapProbes:
     cap; their outcomes are pinned too.  The countdown rows' layers repeat
     only after about counter cap steps, so the row at counter cap 30000
     fits the wall limit only if neither the index nor the scan takes a
-    Python step per configuration of every layer."""
+    Python step per configuration of every layer.  The countdown ``FA p``
+    rows decide before any level is truncated; the random-b ``FA p`` rows
+    truncate early and can then only answer UNKNOWN, so they fit the wall
+    limit only if the UA scan stops at its first truncated level instead of
+    walking to the level cap."""
 
     WALL_S = 60
 

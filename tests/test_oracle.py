@@ -8,7 +8,7 @@ import pytest
 
 from ocasync import corpus, mc, oracle
 from ocasync.formula import (
-    TRUE, atom, au, eu, ex, land, lnot, parse_formula, pretty, subformulas, ua, ue,
+    TRUE, Kind, atom, au, eu, ex, land, lnot, parse_formula, pretty, subformulas, ua, ue,
 )
 from ocasync.errors import BudgetExceededError
 from ocasync.mc import (
@@ -246,29 +246,82 @@ def reference_exact_ue(ev, f, c, succ):
     return Verdict.UNKNOWN
 
 
-class ReferenceEvaluator(BoundedEvaluator):
-    """An evaluator whose UE scan is ``reference_scan_ue``, memoised per
-    (formula, configuration)."""
+def reference_ua_answers(ev, f, c, succ):
+    """The bounded UA verdict by its definition at each level cap
+    0..ev.level_cap, from one walk with no early exit.  Bound k passes if
+    level k is untruncated, non-empty and all second-operand, after
+    all-first-operand levels 0..k-1; it fails if level k meets the second
+    operand's FALSE set or an earlier level meets the first's.  At level
+    cap L: TRUE if some bound k <= L passes.  Otherwise FALSE if, for some
+    k <= L, bounds 0..k all fail and level k meets the first operand's
+    FALSE set (every later bound inherits it) or is untruncated and equal
+    to an earlier level (exact levels evolve deterministically).
+    Otherwise UNKNOWN."""
+    sat1, sat2 = f.children
+    cap = ev.counter_cap
+    true, false = {Verdict.TRUE}, Verdict.FALSE
+    level = {c} if c.counter <= cap else set()
+    truncated = c.counter > cap
+    seen = set()
+    passed = refuted = broken = False
+    certified = failed = True  # levels so far all sat1; bounds so far all fail
+    for k in range(ev.level_cap + 1):
+        if k:
+            step = {e for d in level for e in succ(d)}
+            level = {e for e in step if e.counter <= cap}
+            truncated = truncated or level != step
+        frozen = frozenset(level)
+        one = {ev.verdict(sat1, d) for d in frozen}
+        two = {ev.verdict(sat2, d) for d in frozen}
+        passed = passed or certified and not truncated and two == true
+        failed = failed and (false in two or broken)
+        repeat = not truncated and frozen in seen
+        refuted = refuted or failed and (false in one or repeat)
+        seen.add(frozen)
+        certified = certified and one <= true
+        broken = broken or false in one
+        yield Verdict.TRUE if passed else Verdict.FALSE if refuted else Verdict.UNKNOWN
 
-    def __init__(self, oca, counter_cap, level_cap, succ):
+
+class ReferenceEvaluator(BoundedEvaluator):
+    """An evaluator whose UE scan is ``reference_scan_ue`` and whose UA scan
+    reads ``reference_ua_answers``, each memoised per (formula,
+    configuration).  The UA answers cover every level cap up to the one
+    they were walked at, so evaluators that differ only in their level cap
+    may share ``ua_answers`` when no UA operand has a synchronized operator
+    (its verdicts then do not depend on the level cap)."""
+
+    def __init__(self, oca, counter_cap, level_cap, succ, ua_answers=None):
         super().__init__(oca, counter_cap, level_cap)
         self.naive_succ = succ
         self.scans = {}
+        self.ua_answers = {} if ua_answers is None else ua_answers
 
     def _scan_ue(self, f, c):
         if (f, c) not in self.scans:
             self.scans[f, c] = reference_scan_ue(self, f, c, self.naive_succ)
         return self.scans[f, c]
 
+    def _scan_ua(self, f, c):
+        answers = self.ua_answers.get((f, c), ())
+        if len(answers) <= self.level_cap:
+            answers = self.ua_answers[f, c] = list(
+                reference_ua_answers(self, f, c, self.naive_succ))
+        return answers[self.level_cap]
+
 
 UE_SUITE = [parse_formula(t) for t in (
     "p UE q", "true UE p", "(EX p) UE q", "q UE (E true U p)",
 )]
+UA_SUITE = [parse_formula(t) for t in (
+    "FA p", "p UA q", "(EX p) UA q", "!q UA p", "(E true U p) UA q",
+)]
 
 
 class TestSynchronizedScan:
-    """The linear UE scan and the region index it shares with the plain-until
-    tables, pinned against their definitions over ``oca.successors``."""
+    """The linear UE scan, the UA scan and the region index the UE scan
+    shares with the plain-until tables, pinned against their definitions
+    over ``oca.successors``."""
 
     @staticmethod
     def _automata():
@@ -290,6 +343,61 @@ class TestSynchronizedScan:
                                 f, c, counter_cap, level_cap)
                             assert ev.verdict(f, c) is ref.verdict(f, c), (
                                 f, c, counter_cap, level_cap)
+
+    def test_ua_scan_matches_the_walk_to_the_level_cap(self):
+        # no operand has a synchronized operator, so one walk per origin, at
+        # the largest level cap first, answers every smaller level cap
+        assert not any(g.kind in (Kind.UA, Kind.UE)
+                       for f in UA_SUITE for h in f.children for g in subformulas(h))
+        for oca in self._automata():
+            succ = _successors(oca)
+            for counter_cap in range(13):
+                counters = {0, counter_cap // 2 + 1, counter_cap, counter_cap + 2}
+                inits = [Configuration(s, v) for s in range(oca.n_states) for v in counters]
+                answers = {}
+                for level_cap in range(30, -1, -1):
+                    ev = BoundedEvaluator(oca, counter_cap, level_cap)
+                    ref = ReferenceEvaluator(oca, counter_cap, level_cap, succ, answers)
+                    for f in UA_SUITE:
+                        for c in inits:
+                            assert ev._scan_ua(f, c) is ref._scan_ua(f, c), (
+                                f, c, counter_cap, level_cap)
+                            assert ev.verdict(f, c) is ref.verdict(f, c), (
+                                f, c, counter_cap, level_cap)
+
+    def test_ua_scan_matches_the_walk_on_random_b(self):
+        oca = corpus.load("random-b")
+        succ = _successors(oca)
+        ev = BoundedEvaluator(oca, 60, 200)
+        ref = ReferenceEvaluator(oca, 60, 200, succ)
+        for f in UA_SUITE:
+            for s in range(oca.n_states):
+                for v in (0, 31, 60, 62):
+                    c = Configuration(s, v)
+                    assert ev._scan_ua(f, c) is ref._scan_ua(f, c), (f, c)
+                    assert ev.verdict(f, c) is ref.verdict(f, c), (f, c)
+
+    def test_fa_scan_reads_no_level_past_its_first_truncated_one(self):
+        # FA p is true UA p: the first operand is never FALSE, so no later
+        # level can refute it, and a truncated level cannot certify it
+        ended_truncated = 0
+        for oca in self._automata() + [corpus.load("random-b")]:
+            ev = BoundedEvaluator(oca, 12, 200)
+            read = []
+
+            def recording(c, ev=ev, read=read):
+                for level, truncated in BoundedEvaluator._levels(ev, c):
+                    read.append(truncated)
+                    yield level, truncated
+
+            ev._levels = recording
+            for s in range(oca.n_states):
+                for v in (0, 6, 12, 14):
+                    read.clear()
+                    ev._scan_ua(FA_P, Configuration(s, v))
+                    assert True not in read[:-1], (oca, s, v, len(read))
+                    ended_truncated += read[-1]
+        assert ended_truncated
 
     def test_scan_matches_reference_around_countdown_transient(self):
         # at counter cap 60 the countdown's distance layers only repeat after
@@ -532,7 +640,6 @@ class TestMinePeriod:
     def test_recursion_from_mined_child_pairs_stays_periodic(self, rng):
         # the threshold/period recursion applied to mined child pairs must
         # remain verdict-periodic on the sampled range
-        from ocasync.formula import Kind
         from ocasync.periodicity import ctl_constants
 
         oca = corpus.load("random-a")
