@@ -12,21 +12,26 @@ imports nothing from this module.
 ``label_kripke`` labels unfoldings and hand-built structures alike.  Its
 synchronized checks run once per start node but share their level-set work: a
 UA answer depends on the level set alone, so each UA operator keeps one memo
-of answers per level set, and every UE operator reads one cache of level-set
-images plus its own distance sequence and that sequence's index of first
-positions.  None of it outlives the call.  A UE level step does constant
-work unless its bound passes the start-level test, which UE makes before
-testing any other level; and UE finds where the (level, distance) pair
-repeats from the two sequences' own repeats (base = max of the bases,
-period = lcm of the periods) instead of keying a table by pairs.
+per level set, of ints that hold an answer or mark a level on the current
+walk, and every UE operator reads one cache of level-set images plus its own
+distance sequence and that sequence's index of first positions.  None of it
+outlives the call.  A UE level step does constant work unless its bound
+passes the start-level test, which UE makes before testing any other level;
+and UE finds where the (level, distance) pair repeats from the two
+sequences' own repeats (base = max of the bases, period = lcm of the
+periods) instead of keying a table by pairs.  From a start node outside
+sat1 and sat2 no bound past 0 can hold, so UE answers as soon as both
+repeats are known.
 
 Every ``Kripke`` structure, unfolded or hand-built, is one layout: rows of
 ``width`` counter classes, with a row's edges given by ``Move``s that act on
-the whole row at once.  ``image`` and ``preimage`` read one move table, the
-moves grouped by source row, built once per structure on the first call of
-either: ``image`` extracts each non-empty source row of a set once, and
-``preimage`` builds each source row from its moves' target rows.  Node sets
-are bitmasks over that layout throughout this module.
+the whole row at once.  A move therefore shifts every node its guard admits
+by one fixed amount (a +1 step from the top class, which wraps, by
+another), and ``image`` and ``preimage`` read the moves grouped by amount,
+built once per structure on the first call of either:
+``image`` is the OR of each group's nodes of a set shifted by its amount,
+and ``preimage`` the OR of the set shifted back, on each group's nodes.
+Node sets are bitmasks over that layout throughout this module.
 """
 
 from __future__ import annotations
@@ -126,74 +131,53 @@ class Kripke:
         return m
 
     @cached_property
-    def _move_table(self) -> tuple[int, int, tuple[tuple[int, tuple], ...]]:
+    def _shift_groups(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
         """What ``image`` and ``preimage`` read, built on the first call of
-        either: the bit one past a row, the wrap target, and the moves
-        grouped by source row as ``(source shift, ((target shift, guard,
-        effect), ...))``, with the guards of a row's moves to the same row by
-        the same effect ORed."""
-        width = self.width
-        by_row: dict[int, dict[tuple[int, int], int]] = {}
+        either.  A move shifts every node its guard admits by one fixed
+        amount, ``(dst - src) * width + effect``, except that a +1 step from
+        the top class wraps to class ``t``, a shift of ``(dst - src) * width
+        - (width - 1) + t``.  The guards, over the whole structure, of all
+        moves with one amount are ORed, and the groups are split into
+        ``(guard, amount)`` pairs for left shifts and for right shifts."""
+        width, t = self.width, self.t
+        top = 1 << (width - 1)
+        groups: dict[int, int] = {}
         for src, dst, guard, effect in self.moves:
-            row = by_row.setdefault(src, {})
-            row[dst, effect] = row.get((dst, effect), 0) | guard
-        return 1 << width, 1 << self.t, tuple(
-            (src * width, tuple((dst * width, guard, effect)
-                                for (dst, effect), guard in row.items()))
-            for src, row in by_row.items()
-        )
+            shift = (dst - src) * width + effect
+            if effect == 1 and guard & top:
+                wrap = shift - width + t
+                groups[wrap] = groups.get(wrap, 0) | top << src * width
+                guard ^= top
+            if guard:
+                groups[shift] = groups.get(shift, 0) | guard << src * width
+        return (tuple((g, d) for d, g in groups.items() if d >= 0),
+                tuple((g, -d) for d, g in groups.items() if d < 0))
 
     def image(self, mask: int) -> int:
-        """Nodes with a predecessor in ``mask``.
-
-        Each non-empty source row of ``mask`` is extracted once; each of its
-        moves keeps the classes its guard admits and shifts them by its
-        effect.  A +1 step from the top class ``width - 1`` lands on bit
-        ``width``, which wraps back to class ``t``.
-        """
-        top, wrap, rows = self._move_table
-        row_mask = top - 1
+        """Nodes with a predecessor in ``mask``: each group's nodes of
+        ``mask``, shifted by the group's amount.  Level sets are mostly
+        sparse, so a group that keeps no node is not shifted."""
+        left, right = self._shift_groups
         out = 0
-        for shift, moves in rows:
-            row = mask >> shift & row_mask
-            if not row:
-                continue  # level sets are mostly sparse
-            for dst_shift, guard, effect in moves:
-                r = row & guard
-                if not r:
-                    continue
-                if effect == 1:
-                    r <<= 1
-                    if r & top:
-                        r = r ^ top | wrap
-                elif effect == -1:
-                    r >>= 1
-                out |= r << dst_shift
+        for guard, d in left:
+            r = mask & guard
+            if r:
+                out |= r << d
+        for guard, d in right:
+            r = mask & guard
+            if r:
+                out |= r >> d
         return out
 
     def preimage(self, mask: int) -> int:
-        """Nodes with a successor in ``mask``.
-
-        Each move of a source row inverts its shift on its target row ``d``
-        and keeps the classes its guard admits: for effect +1 the source
-        classes are ``d >> 1`` plus the top class ``width - 1`` when ``d``
-        holds the wrap target ``t``; for effect -1 they are ``d << 1``.
-        """
-        top, wrap, rows = self._move_table
-        row_mask, high = top - 1, top >> 1
+        """Nodes with a successor in ``mask``: ``mask`` shifted back by each
+        group's amount, on the nodes its guard admits."""
+        left, right = self._shift_groups
         out = 0
-        for shift, moves in rows:
-            row = 0
-            for dst_shift, guard, effect in moves:
-                d = mask >> dst_shift & row_mask
-                if not d:
-                    continue
-                if effect == 1:
-                    d = d >> 1 | high if d & wrap else d >> 1
-                elif effect == -1:
-                    d <<= 1
-                row |= d & guard
-            out |= row << shift
+        for guard, d in left:
+            out |= mask >> d & guard
+        for guard, d in right:
+            out |= mask << d & guard
         return out
 
 
@@ -295,7 +279,7 @@ def _step_cap_exceeded(step_cap: int) -> StepCapExceededError:
 
 def check_ua_on_kripke(
     k: Kripke, init: int, sat1: int, sat2: int, step_cap: int | None = None,
-    memo: dict[int, SyncCheck] | None = None,
+    memo: dict[int, int] | None = None,
 ) -> SyncCheck:
     """Does some single bound make every path of that length end in sat2 with
     sat1 everywhere before?  Exact on total structures; terminates without a
@@ -303,53 +287,58 @@ def check_ua_on_kripke(
 
     The answer from a level set depends on the set alone: bound 0 inside
     sat2, failure outside sat1 or on a revisited set, else the answer at its
-    image one step later.  ``memo`` maps level masks to their answers; callers
-    checking many start nodes pass one dict, fixed to this structure, sat1 and
-    sat2, to every call.  A call walks until a memo hit or a decided level and
-    records every level it walked, so merging orbits are walked once.  An
-    answer that needs more than ``step_cap + 1`` iterations raises
-    ``StepCapExceededError``, whether walked or read from the memo.
+    image one step later.  ``memo`` maps level masks to their answers, each
+    stored as ``iterations << 1 | holds`` (a bound that holds is always
+    ``iterations - 1``); callers checking many start nodes pass one dict,
+    fixed to this structure, sat1 and sat2, to every call.  A call walks
+    until a memo hit or a decided level and records every level it walked,
+    so merging orbits are walked once.  While it walks, a level on the walk
+    is stored as ``-1 - position``, and a hit on such an entry is a revisit.
+    An answer that needs more than ``step_cap + 1`` iterations raises
+    ``StepCapExceededError``, whether walked or read from the memo; a call
+    that raises leaves no walk marker in the memo.
     """
     if step_cap is not None and step_cap < 0:
         raise ValueError("step cap must be non-negative")
     if memo is None:
         memo = {}
     path: list[int] = []  # walked levels without an answer yet, in orbit order
-    on_path: dict[int, int] = {}
     not_sat1, not_sat2 = ~sat1, ~sat2
     level = 1 << init
     while True:
         res = memo.get(level)
         if res is not None:
+            if res < 0:
+                # the levels from the first visit on form a cycle of length
+                # c, and each fails after c + 1 iterations
+                first = -1 - res
+                res = (len(path) - first + 1) << 1
+                for lv in path[first:]:
+                    memo[lv] = res
+                del path[first:]
             break
         if not level & not_sat2:
-            res = memo[level] = SyncCheck(True, 0, 1)
+            res = memo[level] = 1 << 1 | 1
             break
         if level & not_sat1:
-            res = memo[level] = SyncCheck(False, None, 1)
-            break
-        first = on_path.get(level)
-        if first is not None:
-            # the levels from the first visit on form a cycle of length c,
-            # and each fails after c + 1 iterations
-            res = SyncCheck(False, None, len(path) - first + 1)
-            for lv in path[first:]:
-                memo[lv] = res
-            del path[first:]
+            res = memo[level] = 1 << 1
             break
         if step_cap is not None and len(path) + 1 > step_cap:
+            for lv in path:
+                del memo[lv]
             raise _step_cap_exceeded(step_cap)
-        on_path[level] = len(path)
+        memo[level] = -1 - len(path)
         path.append(level)
         level = k.image(level)
-    holds, witness_k, iterations = res
-    for shift, lv in enumerate(reversed(path), 1):
-        res = memo[lv] = SyncCheck(
-            holds, None if witness_k is None else witness_k + shift, iterations + shift
-        )
-    if step_cap is not None and res.iterations > step_cap + 1:
+    for lv in reversed(path):
+        res += 2  # one more iteration
+        memo[lv] = res
+    iterations = res >> 1
+    if step_cap is not None and iterations > step_cap + 1:
         raise _step_cap_exceeded(step_cap)
-    return res
+    if res & 1:
+        return SyncCheck(True, iterations - 1, iterations)
+    return SyncCheck(False, None, iterations)
 
 
 def check_ue_on_kripke(
@@ -371,7 +360,9 @@ def check_ue_on_kripke(
     both must be on their cycles and a shift must be a multiple of both
     periods.  From the repeat on the predicate is determined by the cycle,
     so the scan stops at twice the base plus one period less one, or at the
-    repeat if that is later.
+    repeat if that is later.  From a start node outside sat1 no bound past
+    0 can hold, so that answer is known, and returned, once both sequences
+    have repeated.
 
     ``dist[d]`` holds the nodes reaching sat2 in exactly d steps, and
     ``dist_index`` maps each distinct mask of ``dist`` to its first
@@ -435,6 +426,10 @@ def check_ue_on_kripke(
             base = max(level_base, dist_base)
             period = math.lcm(level_period, rep - dist_base)
             stop = max(base + period, 2 * base + period - 1)
+            if not start:  # no bound past 0 can hold: the scan would run to stop
+                if stop > step_cap:
+                    raise _step_cap_exceeded(step_cap)
+                return SyncCheck(False, None, stop + 1)
         if start & dist[k_step] and level & sat2:
             for j in range(1, k_step):
                 if not levels[j] & sat1 & dist[k_step - j]:
@@ -457,7 +452,7 @@ def label_kripke(
             sat1, sat2 = sat[g.children[0]], sat[g.children[1]]
             # UA's answers per level set and UE's distance sequence are the
             # same for every start node of this operator
-            memo: dict[int, SyncCheck] = {}
+            memo: dict[int, int] = {}
             dist, dist_index = [sat2], {sat2: 0}
             mask = 0
             for node in range(k.n):
@@ -610,15 +605,11 @@ def check_oca(
 
     per_state: dict[str, UpSet] = {}
     top = sat[f]
+    row_mask = (1 << width) - 1
     for s in range(oca.n_states):
-        base = frozenset(
-            c for c in range(t_eff) if top >> (s * width + c) & 1
-        )
-        residues = frozenset(
-            c % p_uniform
-            for c in range(t_eff, width)
-            if top >> (s * width + c) & 1
-        )
+        row = top >> s * width & row_mask
+        base = frozenset(c for c in range(t_eff) if row >> c & 1)
+        residues = frozenset(c % p_uniform for c in range(t_eff, width) if row >> c & 1)
         per_state[oca.state_names[s]] = upset.normalize(
             UpSet(t_eff, p_uniform, base, residues)
         )

@@ -169,11 +169,13 @@ def ue_reference(k, init, sat1, sat2, step_cap):
                 seen[key] = k_step
 
 
-def ua_reference(k, init, sat1, sat2, step_cap=None):
+def ua_reference(k, init, sat1, sat2, step_cap=None, level=None):
     """Synchronized UA as it was decided before answers were shared: one
     orbit walk per start node, failing on the first revisited level set.
-    An answer that needs more than ``step_cap + 1`` iterations raises."""
-    level = 1 << init
+    An answer that needs more than ``step_cap + 1`` iterations raises.
+    ``level`` replaces the start level ``1 << init`` when given."""
+    if level is None:
+        level = 1 << init
     seen = set()
     k_step = 0
     while True:
@@ -273,11 +275,12 @@ def preimage_per_move(k, mask):
 
 
 def grouped_kernel_cases(rng):
-    """(structure, masks) pairs for the grouped move table: unfoldings,
-    width-1 structures with parallel edges, and edges that never fire
-    (guard 0); each mask has every row empty, full or random."""
+    """(structure, masks) pairs for the shift groups: unfoldings, among them
+    the benchmark's widest windows, width-1 structures with parallel edges,
+    and edges that never fire (guard 0); each mask has every row empty, full
+    or random."""
     structures = [unfold_kripke(oca, t, p) for oca in kernel_automata(rng)
-                  for t, p in KERNEL_PAIRS]
+                  for t, p in KERNEL_PAIRS + [(42, 40), (62, 60)]]
     structures += [random_kripke(rng, rng.randint(1, 12), parallel=True) for _ in range(20)]
     structures.append(Kripke(1, 0, (
         Move(0, 1, 1, 0), Move(0, 1, 1, 0), Move(0, 2, 0, 0), Move(1, 1, 1, 0),
@@ -386,13 +389,13 @@ class TestUnfoldingKernels:
 
     def test_grouped_image_matches_the_per_move_loop(self, rng):
         for k, masks in grouped_kernel_cases(rng):
-            assert "_move_table" not in k.__dict__  # not built before the first call
+            assert "_shift_groups" not in k.__dict__  # not built before the first call
             for m in masks:
                 assert k.image(m) == image_per_move(k, m), (k, m)
 
     def test_grouped_preimage_matches_the_per_move_loop(self, rng):
         for k, masks in grouped_kernel_cases(rng):
-            assert "_move_table" not in k.__dict__  # not built before the first call
+            assert "_shift_groups" not in k.__dict__  # not built before the first call
             for m in masks:
                 assert k.preimage(m) == preimage_per_move(k, m), (k, m)
 
@@ -454,6 +457,69 @@ class TestUnfoldingKernels:
                         level = k.image(level)
                     revisits += not holds and level & ~sat1 == 0
         assert revisits > 0
+
+    def test_ua_memo_survives_a_step_cap_error_mid_walk(self, rng):
+        # a first call per start node at a cap below its answer raises, most
+        # of them while walking levels the memo has not seen; the memo must
+        # come out holding answers only, and full-cap calls must be exact
+        raised = 0
+        for k in scan_structures(rng):
+            full_cap = 4 * k.n * k.n + 64
+            for sat1, sat2 in scan_operands(rng, k):
+                order = list(range(k.n))
+                rng.shuffle(order)
+                memo = {}
+                for node in order:
+                    expect = ua_reference(k, node, sat1, sat2)
+                    if expect[2] >= 2:
+                        before = dict(memo)
+                        step_cap = expect[2] - 2
+                        with pytest.raises(StepCapExceededError) as exc:
+                            check_ua_on_kripke(k, node, sat1, sat2, step_cap, memo)
+                        assert exc.value.partial_horizon == step_cap
+                        # what the memo held is kept, and what it gained is
+                        # answers, stored as iterations << 1 | holds
+                        assert memo.items() >= before.items(), (k, node)
+                        for level, got in memo.items():
+                            holds, _, it = ua_reference(k, None, sat1, sat2, level=level)
+                            assert got == it << 1 | holds, (k, node, level)
+                        raised += 1
+                    got = check_ua_on_kripke(k, node, sat1, sat2, full_cap, memo)
+                    assert tuple(got) == expect, (k, node)
+        assert raised > 100
+
+    def test_ue_outside_sat1_stops_at_the_repeat(self, rng):
+        # start nodes in neither sat1 nor sat2: the answer is fixed once both
+        # orbits have repeated, so the scan ends there, and the shared
+        # distance sequence grows no further than its repeat and the levels'
+        checked = shorter = 0
+        for k in scan_structures(rng):
+            full_cap = 4 * k.n * k.n + 64
+            for sat1, sat2 in scan_operands(rng, k):
+                dist_base, dist_period = orbit_shape(sat2, k.preimage)
+                dist, dist_index, images = [sat2], {sat2: 0}, {}
+                order = list(range(k.n))
+                rng.shuffle(order)
+                for node in order:
+                    if (sat1 | sat2) >> node & 1:
+                        continue
+                    level_base, level_period = orbit_shape(1 << node, k.image)
+                    base = max(level_base, dist_base)
+                    period = math.lcm(level_period, dist_period)
+                    stop = max(base + period, 2 * base + period - 1)
+                    need = max(level_base + level_period, dist_base + dist_period) + 1
+                    grown = max(len(dist), need)
+                    for step_cap in (full_cap, stop, max(1, stop - 1)):
+                        got = scan_outcome(check_ue_on_kripke, k, node, sat1, sat2, step_cap,
+                                           dist, images, dist_index)
+                        assert got == scan_outcome(
+                            ue_reference, k, node, sat1, sat2, step_cap), (k, node, step_cap)
+                        if step_cap == full_cap:
+                            assert got == (False, None, stop + 1), (k, node)
+                        assert len(dist) <= grown, (k, node, step_cap)
+                    checked += 1
+                    shorter += need < stop + 1
+        assert checked > 100 and shorter > 10
 
     def test_shared_distance_sequence_must_start_at_goal(self):
         k, root = corpus.tree_staggered()
