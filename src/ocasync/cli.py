@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -329,6 +330,7 @@ _ROW = """{
       }"""
 _REACHED = """
         "reached": %s,"""
+_NO_REACHED = _REACHED % "[]"
 _SEGMENT = """{
             "alpha": %s,
             "beta": %s
@@ -355,6 +357,8 @@ def _row(alpha0_text: str, flat_length: int, segments_text: str, size: int, reac
     repetitions}) triples."""
     if reached is None:
         reached_text = ""
+    elif not reached:
+        reached_text = _NO_REACHED
     else:
         reached_text = _REACHED % _items([
             _REACHED_ENTRY % (
@@ -402,21 +406,27 @@ def _cmd_lps(args) -> int:
     # memory than it saves time: a job has about half as many lists as rows)
     alpha0_text = _memo(_row_ints)
     segment_text = _memo(_segment_text)
+    # one slope key per cycle piece; str(Fraction) is canonical, so equal
+    # slopes of different lengths share a key
+    slope_key = _memo(lambda cycle: str(Fraction(cycle.delta, cycle.length)))
     for scheme in lps.enumerate_lps(oca, src, dst, args.flat, args.size, reach=reach):
         if len(rows) >= args.max_schemes:
             break
-        ends = [] if start is None else sorted(
-            lps.shaped_reach(oca, scheme, start, args.target_length, args.exp_cap))
-        flat_length = scheme.flat_length
+        flat_length = len(scheme.alpha0)
+        segments = []
+        for segment in scheme.segments:
+            beta, alpha = segment
+            flat_length += len(beta) + len(alpha)
+            segments.append(segment_text(segment))
+        ends = () if start is None else lps.shaped_reach(
+            oca, scheme, start, args.target_length, args.exp_cap)
         entries += 1 + flat_length + len(ends)
-        errors.check_budget("lps report needs", entries, "entries", budget)
-        reached = None
-        if start is not None:
-            # one slope key per cycle, built once per scheme; str(Fraction) is
-            # canonical, so equal slopes of different lengths share a key
-            slope_keys = [str(stats.slope) for stats in scheme.cycle_stats(oca)] if ends else []
-            reached = []
-            for cfg in ends:
+        if entries > budget:
+            errors.check_budget("lps report needs", entries, "entries", budget)
+        reached = None if start is None else []
+        if ends:
+            slope_keys = [slope_key(cycle) for cycle, _ in scheme.pieces(oca)[1]]
+            for cfg in sorted(ends):
                 exps = lps.shaped_witness_exponents(
                     oca, scheme, start, cfg, args.target_length, args.exp_cap
                 )
@@ -425,9 +435,8 @@ def _cmd_lps(args) -> int:
                     for key, e in zip(slope_keys, exps):
                         slopes[key] = slopes.get(key, 0) + e
                 reached.append((f"{oca.state_names[cfg.state]},{cfg.counter}", exps, slopes))
-        rows.append(_row(alpha0_text(scheme.alpha0), flat_length,
-                         _items([segment_text(s) for s in scheme.segments], _ROW_KEY),
-                         scheme.size, reached))
+        rows.append(_row(alpha0_text(scheme.alpha0), flat_length, _items(segments, _ROW_KEY),
+                         len(segments), reached))
     return _ok("lps", {
         "from": args.src, "to": args.dst,
         "flatLenBound": args.flat, "sizeBound": args.size,

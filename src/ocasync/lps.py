@@ -6,7 +6,11 @@ automaton, where the ``a`` pieces are plain transition sequences and each
 instantiates every star with a concrete repetition count.  Each piece is
 read once, as counter arithmetic (``Piece``: its effect, and the counters its
 guards allow it to start from): ``enumerate_lps`` reads a scheme while it
-builds it, one step per transition.  Shaped reach is one frontier fold,
+builds it, one step per transition.  Its depth-first walk keeps the finished
+prefix of a node (``alpha0``, the finished segments and their pieces) as
+tuples, built once when the node pushes a star and shared by every scheme
+below it, so a yielded scheme appends its last segment and piece pair to
+them and reads no stack again.  Shaped reach is one frontier fold,
 (counter, length left) -> least exponent prefix, stepped through each star
 and its tail in turn, with the last star's exponent solved for.  Asked for a
 reach, ``enumerate_lps`` runs the fold incrementally, one frontier per star
@@ -92,7 +96,7 @@ ReachTable = dict[Configuration, tuple[int, ...]]
 Frontier = dict[tuple[int, int], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Lps:
     """``alpha0`` then ``segments`` of (cycle, following path), all state-chained.
 
@@ -100,7 +104,11 @@ class Lps:
     ``enumerate_lps`` read the scheme while building it; ``table`` is the
     scheme's shaped reach from ``reach``, the frontier fold that the
     enumeration ran as it pushed each star (both None when no reach was
-    asked for).  It takes no part in equality, hashing or repr."""
+    asked for).  It takes no part in equality, hashing or repr.
+
+    A scheme is treated as immutable: it is hashed by value.  It is not
+    frozen, because a frozen dataclass pays an ``object.__setattr__`` per
+    field for each of the many schemes an enumeration builds."""
 
     start_state: int
     alpha0: tuple[int, ...]
@@ -283,21 +291,25 @@ def _last_star(
 
 
 class _SchemeSearch:
-    """One ``enumerate_lps`` search.  The depth-first walk keeps the scheme
-    on two stacks: ``words`` holds ``alpha0``, then the cycle and the path of
-    each segment, and ``pieces`` holds each word read as a ``Piece``.  The
-    last entry of both is the path being extended, one ``_extend`` per
-    appended transition.
+    """One ``enumerate_lps`` search.  A node of the depth-first walk is the
+    path being extended, a tuple of transition indices with its ``Piece``
+    (one ``_extend`` per appended transition), and the finished prefix
+    before it: None while the path is ``alpha0``, else ``(alpha0, its
+    piece, the finished (beta, alpha) segments, their (cycle, tail) pieces,
+    the last star's cycle word, its piece)``.  Every part of a prefix is a
+    tuple, built once when the node pushes its first cycle and shared by
+    all the schemes below it, so a yield costs one tuple concatenation for
+    the segments and one for their pieces.
 
-    With ``reach`` given, a third stack holds one frontier per star:
+    With ``reach`` given, a stack holds one frontier per star:
     ``frontiers[k - 1]`` maps (counter, length left) at the entry of star k
     to the least exponent prefix that gets there, in ascending prefix order.
     Two prefixes with the same key have the same continuations, so only the
     least one is kept.  Frontier 1 is ``_first_frontier`` of ``alpha0``, and
     frontier k + 1 is ``_next_frontier`` of frontier k through cycle k and
     tail k.  Neither depends on the star being pushed, so a node builds it
-    once, when it pushes its first cycle; a yielded scheme of size k reads
-    its reach off frontier k with ``_ends``."""
+    once, with its prefix; a yielded scheme of size k reads its reach off
+    frontier k with ``_ends``."""
 
     def __init__(self, oca: Oca, start_state: int, end_state: int, flat_len_bound: int,
                  reach: Reach | None = None):
@@ -317,61 +329,59 @@ class _SchemeSearch:
                 if self.steps_to_end[t.dst] == k - 1 and self.steps_to_end[t.src] > k:
                     self.steps_to_end[t.src] = k
         self.cycles: dict[int, list[tuple[tuple[int, ...], Piece]]] = {}
-        self.words: list = [[]]
-        self.pieces: list[Piece] = [_empty_piece(start_state)]
         self.reach = reach
         self.frontiers: list[Frontier] = []
         self.live = 0  # entries on the frontier stack
         self.budget = environment_budget() if reach is not None else 0
 
-    def schemes(self, state: int, flat_left: int, size_left: int) -> Iterator[Lps]:
-        """The schemes that extend the stacks from ``state``, in the order
-        ``enumerate_lps`` promises; a child whose state cannot reach
-        ``end_state`` within the flat length it would have is skipped."""
-        words, pieces, steps_to_end = self.words, self.pieces, self.steps_to_end
-        reach, frontiers = self.reach, self.frontiers
+    def schemes(self, path: tuple[int, ...], piece: Piece, done: tuple | None,
+                flat_left: int, size_left: int) -> Iterator[Lps]:
+        """The schemes that extend ``path``, read as ``piece``, after the
+        finished prefix ``done``, in the order ``enumerate_lps`` promises; a
+        child whose state cannot reach ``end_state`` within the flat length
+        it would have is skipped."""
+        steps_to_end, reach, frontiers = self.steps_to_end, self.reach, self.frontiers
+        state = piece.dst
         if state == self.end_state:
-            if reach is None:
-                table = None
-            elif frontiers:
-                table = _ends(frontiers[-1], pieces[-2], pieces[-1], reach[2])
+            if done is None:
+                yield Lps(self.start_state, path, (), (
+                    self.oca, piece, (), reach, None if reach is None else _ends(
+                        _first_frontier(piece, self.start_state, reach), None, piece,
+                        reach[2])))
             else:
-                table = _ends(_first_frontier(pieces[0], self.start_state, reach), None,
-                              pieces[0], reach[2])
-            yield Lps(
-                self.start_state,
-                tuple(words[0]),
-                tuple(zip(words[1::2], map(tuple, words[2::2]))),
-                (self.oca, pieces[0], tuple(zip(pieces[1::2], pieces[2::2])), reach, table),
-            )
+                alpha0, first, segments, pairs, beta, cycle = done
+                yield Lps(self.start_state, alpha0, segments + ((beta, path),), (
+                    self.oca, first, pairs + ((cycle, piece),), reach,
+                    None if reach is None else _ends(frontiers[-1], cycle, piece, reach[2])))
         if flat_left > 0:
-            tail, piece = words[-1], pieces[-1]
             transitions = self.oca.transitions
             for idx in self.by_src.get(state, ()):
                 t = transitions[idx]
                 if steps_to_end[t.dst] < flat_left:
-                    tail.append(idx)
-                    pieces[-1] = _extend(piece, t)
-                    yield from self.schemes(t.dst, flat_left - 1, size_left)
-                    tail.pop()
-            pieces[-1] = piece
+                    yield from self.schemes(path + (idx,), _extend(piece, t), done,
+                                            flat_left - 1, size_left)
         if size_left > 0:
-            frontier = None
+            prefix = None
             for beta, cycle in self.cycles_at(state):
                 left = flat_left - len(beta)
                 if steps_to_end[state] <= left:
+                    if prefix is None:
+                        if done is None:
+                            prefix = (path, piece, (), ())
+                            if reach is not None:
+                                frontier = _first_frontier(piece, self.start_state, reach)
+                        else:
+                            alpha0, first, segments, pairs, last_beta, last_cycle = done
+                            prefix = (alpha0, first, segments + ((last_beta, path),),
+                                      pairs + ((last_cycle, piece),))
+                            if reach is not None:
+                                frontier = _next_frontier(frontiers[-1], last_cycle, piece,
+                                                          reach[2], self.live, self.budget)
                     if reach is not None:
-                        if frontier is None:
-                            frontier = _next_frontier(
-                                frontiers[-1], pieces[-2], pieces[-1], reach[2], self.live,
-                                self.budget,
-                            ) if frontiers else _first_frontier(pieces[0], self.start_state, reach)
                         self.live += len(frontier)
                         frontiers.append(frontier)
-                    words += (beta, [])
-                    pieces += (cycle, _empty_piece(state))
-                    yield from self.schemes(state, left, size_left - 1)
-                    del words[-2:], pieces[-2:]
+                    yield from self.schemes((), _empty_piece(state), (*prefix, beta, cycle),
+                                            left, size_left - 1)
                     if reach is not None:
                         self.live -= len(frontiers.pop())
 
@@ -422,7 +432,8 @@ def enumerate_lps(
     read it for free."""
     search = _SchemeSearch(oca, start_state, end_state, flat_len_bound, reach)
     if search.steps_to_end[start_state] <= flat_len_bound:
-        yield from search.schemes(start_state, flat_len_bound, size_bound)
+        yield from search.schemes((), _empty_piece(start_state), None, flat_len_bound,
+                                  size_bound)
 
 
 def _reach_table(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -1191,6 +1192,22 @@ class TestLpsRows:
         assert merged
         for r in merged:
             assert (r["config"], r["exponents"], r["slopeRepetitions"]) == ("s,7", [2, 2], {"1/2": 4})
+
+    def test_deep_reached_rows_are_pinned(self):
+        # at target length and exponent cap 400, 726 of the 4,634 schemes
+        # reach 8,751 configurations, with exponents up to 400 and up to
+        # three slope keys per entry: the document is pinned byte for byte
+        env = {k: v for k, v in os.environ.items() if k != "OCASYNC_BUDGET"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ocasync", "lps", "--oca", "random-a", "--src", "x",
+             "--dst", "x", "--flat", "5", "--size", "3", "--start", "x,3",
+             "--target-length", "400", "--exp-cap", "400", "--max-schemes", "100000"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "cae301a164e4c449f6966a36ef4134b7042b91a2e2eec18aa7c9bac88ed902b1")
 
     @staticmethod
     def check_slope_keys(capsys, tmp_path, oca, src, dst, flat, size, start, length,

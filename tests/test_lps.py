@@ -274,23 +274,43 @@ def reference_enumerate_lps(oca, start_state, end_state, flat_len_bound, size_bo
 
 class TestEnumerationOrder:
     """One cycle list per state, filtered by the flat length left, yields
-    the schemes of the per-node cycle search in the same order."""
+    the schemes of the per-node cycle search in the same order.  Each list
+    is consumed whole before it is compared, and every word and piece pair
+    a scheme holds is a tuple: a stack that a later yield changes leaks
+    into no earlier scheme."""
+
+    @staticmethod
+    def assert_matches_reference(oca, src, dst, flat, size):
+        got = list(enumerate_lps(oca, src, dst, flat, size))
+        for scheme in got:
+            assert type(scheme.alpha0) is tuple
+            assert type(scheme.segments) is tuple and type(scheme.built[2]) is tuple
+            for segment, pair in zip(scheme.segments, scheme.built[2], strict=True):
+                assert type(segment) is tuple and type(pair) is tuple
+                assert all(type(word) is tuple for word in segment)
+        assert got == list(reference_enumerate_lps(oca, src, dst, flat, size)), (
+            oca, src, dst, flat, size)
+        return sum(scheme.size == 3 for scheme in got)
 
     def test_corpus(self):
+        # (5, 3) is the bench's path-schemes search: up to two finished
+        # segments below the last star
+        deepest = 0
         for name in corpus.names():
             oca = corpus.load(name)
             for src, dst in itertools.product(range(oca.n_states), repeat=2):
-                for flat, size in ((4, 2), (5, 1)):
-                    assert list(enumerate_lps(oca, src, dst, flat, size)) == list(
-                        reference_enumerate_lps(oca, src, dst, flat, size)), (name, src, dst)
+                for flat, size in ((4, 2), (5, 1), (5, 3)):
+                    deepest += self.assert_matches_reference(oca, src, dst, flat, size)
+        assert deepest >= 5000, deepest
 
     def test_random_automata(self, rng):
+        deepest = 0
         for _ in range(120):
             oca = random_total_oca(rng, n_states=rng.randint(1, 3))
             src, dst = rng.randrange(oca.n_states), rng.randrange(oca.n_states)
-            flat, size = rng.randint(0, 5), rng.randint(0, 2)
-            assert list(enumerate_lps(oca, src, dst, flat, size)) == list(
-                reference_enumerate_lps(oca, src, dst, flat, size)), (oca, src, dst, flat, size)
+            deepest += self.assert_matches_reference(
+                oca, src, dst, rng.randint(0, 5), rng.randint(0, 3))
+        assert deepest >= 1000, deepest
 
 
 def countdown_loop_scheme():
