@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import FormulaSyntaxError
 
@@ -50,6 +51,11 @@ class Formula:
 
     def __hash__(self) -> int:
         return self._hash
+
+    @cached_property
+    def synchronized(self) -> bool:
+        """Whether a UA or UE occurs in it, worked out on first use."""
+        return self.kind in SYNC_KINDS or any(c.synchronized for c in self.children)
 
 
 TRUE = Formula(Kind.TRUE)

@@ -309,7 +309,9 @@ class _SchemeSearch:
     frontier k + 1 is ``_next_frontier`` of frontier k through cycle k and
     tail k.  Neither depends on the star being pushed, so a node builds it
     once, with its prefix; a yielded scheme of size k reads its reach off
-    frontier k with ``_ends``."""
+    frontier k with ``_ends``.  Nothing is reached below an empty frontier,
+    so there neither is called: the next frontier is the empty one, and a
+    scheme's table is empty."""
 
     def __init__(self, oca: Oca, start_state: int, end_state: int, flat_len_bound: int,
                  reach: Reach | None = None):
@@ -344,15 +346,18 @@ class _SchemeSearch:
         state = piece.dst
         if state == self.end_state:
             if done is None:
-                yield Lps(self.start_state, path, (), (
-                    self.oca, piece, (), reach, None if reach is None else _ends(
-                        _first_frontier(piece, self.start_state, reach), None, piece,
-                        reach[2])))
+                table = None
+                if reach is not None:
+                    frontier = _first_frontier(piece, self.start_state, reach)
+                    table = _ends(frontier, None, piece, reach[2]) if frontier else {}
+                yield Lps(self.start_state, path, (), (self.oca, piece, (), reach, table))
             else:
                 alpha0, first, segments, pairs, beta, cycle = done
+                table = None
+                if reach is not None:
+                    table = _ends(frontiers[-1], cycle, piece, reach[2]) if frontiers[-1] else {}
                 yield Lps(self.start_state, alpha0, segments + ((beta, path),), (
-                    self.oca, first, pairs + ((cycle, piece),), reach,
-                    None if reach is None else _ends(frontiers[-1], cycle, piece, reach[2])))
+                    self.oca, first, pairs + ((cycle, piece),), reach, table))
         if flat_left > 0:
             transitions = self.oca.transitions
             for idx in self.by_src.get(state, ()):
@@ -375,8 +380,9 @@ class _SchemeSearch:
                             prefix = (alpha0, first, segments + ((last_beta, path),),
                                       pairs + ((last_cycle, piece),))
                             if reach is not None:
-                                frontier = _next_frontier(frontiers[-1], last_cycle, piece,
-                                                          reach[2], self.live, self.budget)
+                                frontier = frontiers[-1] and _next_frontier(
+                                    frontiers[-1], last_cycle, piece, reach[2], self.live,
+                                    self.budget)
                     if reach is not None:
                         self.live += len(frontier)
                         frontiers.append(frontier)

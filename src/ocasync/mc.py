@@ -532,7 +532,8 @@ def _mined_pairs(
     for g in subformulas(f):
         per_state = []
         for s in range(oca.n_states):
-            pair, _table = oracle.mine_period(oca, g, s, v_cap, caps, evaluator=evaluator)
+            pair, _table = oracle.mine_period(oca, g, s, v_cap, caps, evaluator=evaluator,
+                                               full_row=False)
             if pair is None:
                 raise BudgetExceededError(
                     f"no periodic pattern certified for {pretty(g)!r} at state "

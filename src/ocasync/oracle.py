@@ -6,16 +6,20 @@ three-valued verdicts: UNKNOWN absorbs every way the caps could hide the
 answer.  Every configuration set is kept in ``oca``'s counter-bitset layout:
 one Python int per state, its row, whose bit v is the configuration
 (state, v).  Over the capped region a formula's verdicts are one pair of row
-tuples, (TRUE, FALSE), with UNKNOWN everywhere else; the plain-until
-fixpoints iterate ``oca.pre_rows`` in the region, and the synchronized scans
-test the levels of ``oca.iter_level_rows`` against these rows with a few
-ANDs per level.  A synchronized UE formula is decided by one witness scan,
-which can answer TRUE only, plus a FALSE repeat rule for scans that found no
-witness on a cap-closed component; both read a per-formula exact-distance
-index kept as the distance layers' rows.
+tuples, (TRUE, FALSE), with UNKNOWN everywhere else; EX and the plain-until
+fixpoints are built from their operands' rows with ``oca.pre_rows`` in the
+region (EX's configurations at the cap, whose successors may lie above it,
+walk their successors), and the synchronized scans test the levels of
+``oca.iter_level_rows`` against these rows with a few ANDs per level, one
+scan per configuration.  A synchronized UE formula is decided by one witness
+scan, which can answer TRUE only, plus a FALSE repeat rule for scans that
+found no witness on a cap-closed component; both read a per-formula
+exact-distance index kept as the distance layers' rows.
 Uses: differential testing of the finite-structure checker, which imports
-this module and never the reverse, mining empirical threshold/period pairs,
-and auditing the segment/shift periodicity of level sets at scaled-down
+this module and never the reverse, mining empirical threshold/period pairs
+(sampled from the top counter down; the checker's mining stops at the
+highest UNKNOWN, since no threshold at or below it is admissible), and
+auditing the segment/shift periodicity of level sets at scaled-down
 constant bundles.  The region, the mining samples and the audit traces go
 through ``errors.check_budget``, as the unfolding does.
 """
@@ -196,21 +200,15 @@ class BoundedEvaluator:
         if kind is Kind.AND:
             return _and(self.verdict(f.children[0], c), self.verdict(f.children[1], c))
         if kind is Kind.EX:
-            best = Verdict.FALSE
-            for d in successors(self.oca, c):
-                v = self.verdict(f.children[0], d)
-                if v is Verdict.TRUE:
-                    return Verdict.TRUE
-                if v is Verdict.UNKNOWN:
-                    best = Verdict.UNKNOWN
-            return best
+            # a synchronized child's table would cost a scan per region
+            # configuration, so those walk the successors instead
+            if f.synchronized or c.counter > self.counter_cap:
+                return self._ex_successors(f, c)
+            return self._read(f, c)
         if kind in (Kind.EU, Kind.AU):
             if c.counter > self.counter_cap:
                 return Verdict.UNKNOWN
-            true, false = self._split(f)
-            s, v = c
-            return (Verdict.TRUE if (true[s] >> v) & 1
-                    else Verdict.FALSE if (false[s] >> v) & 1 else Verdict.UNKNOWN)
+            return self._read(f, c)
         if kind in (Kind.UA, Kind.UE):
             key = (f, c)
             cached = self._sync_memo.get(key)
@@ -219,6 +217,25 @@ class BoundedEvaluator:
                 self._sync_memo[key] = cached
             return cached
         raise AssertionError(kind)
+
+    def _read(self, f: Formula, c: Configuration) -> Verdict:
+        """f's verdict at an in-region c, read off its table."""
+        true, false = self._split(f)
+        s, v = c
+        return (Verdict.TRUE if (true[s] >> v) & 1
+                else Verdict.FALSE if (false[s] >> v) & 1 else Verdict.UNKNOWN)
+
+    def _ex_successors(self, f: Formula, c: Configuration) -> Verdict:
+        """EX's definition at c: TRUE if some successor satisfies the child,
+        else UNKNOWN if some successor's verdict is, else FALSE."""
+        best = Verdict.FALSE
+        for d in successors(self.oca, c):
+            v = self.verdict(f.children[0], d)
+            if v is Verdict.TRUE:
+                return Verdict.TRUE
+            if v is Verdict.UNKNOWN:
+                best = Verdict.UNKNOWN
+        return best
 
     # -- three-valued region tables -----------------------------------------------
 
@@ -242,13 +259,15 @@ class BoundedEvaluator:
                 true2, false2 = self._split(f.children[1])
                 split = (tuple(map(int.__and__, true1, true2)),
                          tuple(map(int.__or__, false1, false2)))
+            elif kind is Kind.EX:
+                split = self._ex_split(f)
             elif kind is Kind.EU:
                 split = self._eu_split(f)
             elif kind is Kind.AU:
                 split = self._au_split(f)
             else:
-                # EX children and synchronized scans may look above the cap,
-                # so these go through ``verdict`` one configuration at a time
+                # synchronized scans may look above the cap, so UA and UE go
+                # through ``verdict`` one configuration at a time
                 true, false = [], []
                 for s in range(self.oca.n_states):
                     t = u = 0
@@ -277,6 +296,25 @@ class BoundedEvaluator:
     def _states_outside(self, states: frozenset[int]) -> Rows:
         """Full rows for the states not in ``states``, empty rows for the rest."""
         return tuple(0 if s in states else self._full for s in range(self.oca.n_states))
+
+    def _ex_split(self, f: Formula) -> Split:
+        """TRUE where some in-region successor is TRUE for the child, FALSE
+        where every successor is FALSE for it.  A configuration in
+        ``_boundary`` has a successor just above the cap, outside the
+        child's table, so those take ``_ex_successors``."""
+        true1, false1 = self._split(f.children[0])
+        full = self._full
+        true = list(pre_rows(self.oca, true1, full))
+        false = [full & ~row for row in pre_rows(
+            self.oca, tuple(full ^ row for row in false1), full)]
+        cap = self.counter_cap
+        top = 1 << cap
+        for s, row in enumerate(self._boundary):
+            if row:  # the cap bit only
+                r = self._ex_successors(f, Configuration(s, cap))
+                true[s] = true[s] & ~top | (top if r is Verdict.TRUE else 0)
+                false[s] = false[s] & ~top | (top if r is Verdict.FALSE else 0)
+        return tuple(true), tuple(false)
 
     def _eu_split(self, f: Formula) -> Split:
         true1, false1 = self._split(f.children[0])
@@ -553,25 +591,38 @@ def mine_period(
     v_cap: int,
     caps: tuple[int, int],
     evaluator: BoundedEvaluator | None = None,
-) -> tuple[TpPair | None, list[Verdict]]:
+    *,
+    full_row: bool = True,
+) -> tuple[TpPair | None, list[Verdict | None]]:
     """Smallest (threshold, period) under which the sampled verdicts repeat.
 
-    Samples verdicts at counters 0..v_cap, then returns the lexicographically
-    least pair (t, p) with t + 2p <= v_cap such that no verdict at or above t
-    is UNKNOWN and verdicts at congruent counters >= t agree.  The raw verdict
-    row is always returned.  The v_cap + 1 samples are checked against the
-    node budget before any is taken.
+    Samples verdicts at counters v_cap down to 0, then returns the
+    lexicographically least pair (t, p) with t + 2p <= v_cap such that no
+    verdict at or above t is UNKNOWN and verdicts at congruent counters
+    >= t agree.  No threshold at or below an UNKNOWN sample is admissible,
+    so with ``full_row=False`` sampling stops at the highest UNKNOWN: the
+    pair is the same, and the returned row holds the samples read, from
+    that counter up, with None below it.  Otherwise the row holds every
+    sample.  The v_cap + 1 samples are checked against the node budget
+    before any is taken.
     """
     if v_cap < 2:
         raise InputError("need at least counters 0..2 to mine a period")
     check_budget("period mining samples", v_cap + 1, "counters")
     ev = evaluator or BoundedEvaluator(oca, *caps)
-    row = [ev.verdict(f, Configuration(state, v)) for v in range(v_cap + 1)]
-    # thresholds at or below the last UNKNOWN sample are not admissible
-    first = max((v + 1 for v, r in enumerate(row) if not r.definite), default=0)
-    for t in range(first, v_cap - 1):
+    row: list[Verdict | None] = [None] * (v_cap + 1)
+    first = None  # the least admissible threshold, once an UNKNOWN is met
+    verdict, unknown = ev.verdict, Verdict.UNKNOWN
+    for v in range(v_cap, -1, -1):
+        r = row[v] = verdict(f, Configuration(state, v))
+        if r is unknown and first is None:
+            first = v + 1
+            if not full_row:
+                break
+    for t in range(first or 0, v_cap - 1):
+        tail = row[t:]
         for p in range(1, (v_cap - t) // 2 + 1):
-            if all(row[v] == row[t + (v - t) % p] for v in range(t, v_cap + 1)):
+            if tail[p:] == tail[:-p]:
                 return TpPair(t, p), row
     return None, row
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 from enum import IntEnum
@@ -484,6 +485,32 @@ class TestOtherCommands:
         assert code == 0
         check_schema(schema, doc)
         assert doc["data"]["perState"]["s"]["residues"] == [0]
+
+
+def readme_usage_lines():
+    """The ``ocasync ...`` lines of README's usage block, continuation lines
+    joined, as argument lists without the program name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = []
+    for block in text.split("```sh\n")[1:]:
+        for line in block.split("```", 1)[0].replace("\\\n", " ").splitlines():
+            if line.startswith("ocasync "):
+                lines.append(shlex.split(line, comments=True)[1:])
+    return lines
+
+
+class TestReadmeUsage:
+    # the two lines that name user files, which a checkout does not have
+    NEEDS_USER_FILES = ("job.json", "my-machine.oca")
+
+    def test_every_runnable_line_exits_zero_with_a_valid_document(self, capsys, schema):
+        runnable = [argv for argv in readme_usage_lines()
+                    if not set(self.NEEDS_USER_FILES) & set(argv)]
+        assert len(runnable) == 8, runnable
+        for argv in runnable:
+            code, doc, _ = run(capsys, *argv)
+            assert code == 0, (argv, doc)
+            check_schema(schema, doc)
 
 
 def error_bytes(command, message):

@@ -601,6 +601,80 @@ class TestSynchronizedScan:
             assert eval_bounded(oca, c, f, *caps) is Verdict.TRUE, caps
 
 
+def all_search_pair(row):
+    """The least (t, p) with t + 2p <= v_cap, no UNKNOWN at or above t and
+    row[v] == row[t + (v - t) % p] for every v >= t, tested sample by
+    sample: the reference for ``mine_period``'s slice search."""
+    v_cap = len(row) - 1
+    first = max((v + 1 for v, r in enumerate(row) if not r.definite), default=0)
+    for t in range(first, v_cap - 1):
+        for p in range(1, (v_cap - t) // 2 + 1):
+            if all(row[v] == row[t + (v - t) % p] for v in range(t, v_cap + 1)):
+                return TpPair(t, p)
+    return None
+
+
+class RowEvaluator:
+    """Answers every verdict from one fixed row, indexed by the counter, and
+    records the counters it was asked for."""
+
+    def __init__(self, row):
+        self.row = row
+        self.asked = []
+
+    def verdict(self, f, c):
+        self.asked.append(c.counter)
+        return self.row[c.counter]
+
+
+def naive_ex(ev, f, c):
+    """EX by its definition over ``oca.successors``: TRUE if some successor
+    satisfies the child, else UNKNOWN if some successor's verdict is, else
+    FALSE.  A child that is itself an EX is taken the same way."""
+    g = f.children[0]
+    answers = {naive_ex(ev, g, d) if g.kind is Kind.EX else ev.verdict(g, d)
+               for d in successors(ev.oca, c)}
+    return (Verdict.TRUE if Verdict.TRUE in answers
+            else Verdict.UNKNOWN if Verdict.UNKNOWN in answers else Verdict.FALSE)
+
+
+class TestExSplit:
+    """EX's region table, built from its child's rows, and the verdicts read
+    off it, pinned against ``naive_ex``."""
+
+    CHILDREN = [parse_formula(t) for t in (
+        "p", "q", "!p", "p & !q", "!(p & !q)", "E p U q", "A p U q", "A q U (p & q)",
+        "EX q", "EX (E q U p)", "EX EX !p", "FA p", "p UE q",
+    )]
+
+    def test_split_matches_successors_at_every_region_configuration(self):
+        # 60 seeded automata of 1-6 states at counter caps 0-40, the caps
+        # 0 and 40 included; the configurations at the cap, whose
+        # successors may lie above it, are part of every region
+        rng = random.Random(36)
+        boundary = 0
+        for i in range(60):
+            oca = random_total_oca(rng, n_states=1 + i % 6)
+            counter_cap = (0, 40)[i] if i < 2 else rng.randint(0, 40)
+            level_cap = 2 * counter_cap + 8
+            ev = BoundedEvaluator(oca, counter_cap, level_cap)
+            ref = BoundedEvaluator(oca, counter_cap, level_cap)
+            boundary += sum(map(bool, ev._boundary))
+            for g in self.CHILDREN:
+                f = ex(g)
+                true, false = ev._split(f)
+                for s in range(oca.n_states):
+                    for v in range(counter_cap + 2):
+                        c = Configuration(s, v)
+                        want = naive_ex(ref, f, c)
+                        assert ev.verdict(f, c) is want, (i, pretty(f), c)
+                        if v <= counter_cap:
+                            got = (Verdict.TRUE if _has(true, c)
+                                   else Verdict.FALSE if _has(false, c) else Verdict.UNKNOWN)
+                            assert got is want, (i, pretty(f), c)
+        assert boundary >= 20, boundary
+
+
 class TestMinePeriod:
     def test_constant_formula(self):
         pair, row = mine_period(COUNTDOWN, TRUE, 0, 20, (60, 200))
@@ -667,6 +741,71 @@ class TestMinePeriod:
     def test_v_cap_too_small_rejected(self):
         with pytest.raises(ValueError):
             mine_period(COUNTDOWN, TRUE, 0, 1, (10, 10))
+
+    def test_pair_only_rows_give_the_full_row_pair(self):
+        # every subformula and state of the differential-fuzz recipe, mined
+        # at the checker's v_cap (half the counter cap); the full row reuses
+        # the pair-only row's evaluator, so it costs only the samples below
+        # the stop.  About 4 s of CPU time on Python 3.11
+        stopped = 0
+        for caps in ((40, 120), (20, 60)):
+            v_cap = caps[0] // 2
+            for seed in range(1000):
+                rng = random.Random(seed)
+                oca = random_total_oca(rng, n_states=rng.randint(1, 4))
+                f = random_formula(rng, 3)
+                ev = BoundedEvaluator(oca, *caps)
+                for g in subformulas(f):
+                    for s in range(oca.n_states):
+                        pair, row = mine_period(oca, g, s, v_cap, caps, ev, full_row=False)
+                        full_pair, full = mine_period(oca, g, s, v_cap, caps, ev)
+                        assert pair == full_pair, (seed, pretty(g), s, caps)
+                        read = [v for v, r in enumerate(row) if r is not None]
+                        assert read == list(range(read[0], v_cap + 1))
+                        assert all(row[v] is full[v] for v in read)
+                        # the stop is the highest UNKNOWN, or there is none
+                        assert Verdict.UNKNOWN not in row[read[0] + 1:]
+                        assert read[0] == 0 or row[read[0]] is Verdict.UNKNOWN
+                        stopped += read[0] > 0
+        assert stopped >= 400, stopped
+
+    def test_pair_only_mining_stops_at_the_highest_unknown(self):
+        # FA p at random-b's state 0: FALSE at counter 0, UNKNOWN above it,
+        # so pair-only mining scans once, at the top, and finds no pair
+        oca = corpus.load("random-b")
+        full_pair, full = mine_period(oca, FA_P, 0, 30, (60, 200))
+        assert full_pair is None
+        assert full == [Verdict.FALSE] + [Verdict.UNKNOWN] * 30
+        ev = BoundedEvaluator(oca, 60, 200)
+        pair, row = mine_period(oca, FA_P, 0, 30, (60, 200), ev, full_row=False)
+        assert pair is None
+        assert row == [None] * 30 + [Verdict.UNKNOWN]
+        assert len(ev._sync_memo) == 1
+
+    def test_slice_search_matches_the_all_search(self):
+        # seeded three-valued rows, each a random prefix before a repeating
+        # pattern with a few samples overwritten, answered by a stub
+        # evaluator; both row modes must find the reference's pair
+        rng = random.Random(36)
+        values = (Verdict.TRUE, Verdict.FALSE, Verdict.TRUE, Verdict.FALSE, Verdict.UNKNOWN)
+        found = none = 0
+        for _ in range(4000):
+            v_cap = rng.randint(2, 40)
+            t0, p0 = rng.randint(0, v_cap), rng.randint(1, v_cap // 2 + 1)
+            pattern = [rng.choice(values[:-1]) for _ in range(p0)]
+            row = [rng.choice(values) for _ in range(t0)]
+            row += [pattern[(v - t0) % p0] for v in range(t0, v_cap + 1)]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                row[rng.randrange(v_cap + 1)] = rng.choice(values)
+            want = all_search_pair(row)
+            for full_row in (True, False):
+                stub = RowEvaluator(row)
+                pair, _ = mine_period(None, TRUE, 0, v_cap, (0, 0), stub, full_row=full_row)
+                assert pair == want, (row, full_row)
+            assert stub.asked == list(range(v_cap, v_cap - len(stub.asked), -1))
+            found += want is not None
+            none += want is None
+        assert found >= 2000 and none >= 500, (found, none)
 
 
 class TestCrossCheck:
