@@ -10,18 +10,19 @@ per-state satisfaction sets back as ultimately periodic sets.
 imports nothing from this module.
 
 ``label_kripke`` labels unfoldings and hand-built structures alike.  Its
-synchronized checks run once per start node but share their level-set work: a
-UA answer depends on the level set alone, so each UA operator keeps one memo
-per level set, of ints that hold an answer or mark a level on the current
-walk, and every UE operator reads one cache of level-set images plus its own
-distance sequence and that sequence's index of first positions.  None of it
-outlives the call.  A UE level step does constant work unless its bound
-passes the start-level test, which UE makes before testing any other level;
-and UE finds where the (level, distance) pair repeats from the two
-sequences' own repeats (base = max of the bases, period = lcm of the
-periods) instead of keying a table by pairs.  From a start node outside
-sat1 and sat2 no bound past 0 can hold, so UE answers as soon as both
-repeats are known.
+synchronized checks run once per start node but share their level-set work
+through three caches that the ``Kripke`` structure keeps, keyed by what their
+answers depend on: UA answers per level set, under ``(sat1, sat2)``; UE's
+distance sequence and that sequence's index of first positions, under
+``sat2``; and the images of the level sets UE has stepped from, under the
+level set.  Every call on the structure reads and extends them, standalone
+calls too, and they live as long as the structure.  A UE level step does
+constant work unless its bound passes the start-level test, which UE makes
+before testing any other level; and UE finds where the (level, distance)
+pair repeats from the two sequences' own repeats (base = max of the bases,
+period = lcm of the periods) instead of keying a table by pairs.  From a
+start node outside sat1 and sat2 no bound past 0 can hold, so UE answers as
+soon as both repeats are known.
 
 Every ``Kripke`` structure, unfolded or hand-built, is one layout: rows of
 ``width`` counter classes, with a row's edges given by ``Move``s that act on
@@ -153,6 +154,21 @@ class Kripke:
         return (tuple((g, d) for d, g in groups.items() if d >= 0),
                 tuple((g, -d) for d, g in groups.items() if d < 0))
 
+    @cached_property
+    def _level_images(self) -> dict[int, int]:
+        """``image`` of each level mask UE has stepped from, keyed by mask."""
+        return {}
+
+    @cached_property
+    def _ue_distances(self) -> dict[int, tuple[list[int], dict[int, int]]]:
+        """UE's exact-distance sequence and its index, keyed by ``sat2``."""
+        return {}
+
+    @cached_property
+    def _ua_memos(self) -> dict[tuple[int, int], dict[int, int]]:
+        """UA's answer per level mask, keyed by ``(sat1, sat2)``."""
+        return {}
+
     def image(self, mask: int) -> int:
         """Nodes with a predecessor in ``mask``: each group's nodes of
         ``mask``, shifted by the group's amount.  Level sets are mostly
@@ -278,8 +294,7 @@ def _step_cap_exceeded(step_cap: int) -> StepCapExceededError:
 
 
 def check_ua_on_kripke(
-    k: Kripke, init: int, sat1: int, sat2: int, step_cap: int | None = None,
-    memo: dict[int, int] | None = None,
+    k: Kripke, init: int, sat1: int, sat2: int, step_cap: int | None = None
 ) -> SyncCheck:
     """Does some single bound make every path of that length end in sat2 with
     sat1 everywhere before?  Exact on total structures; terminates without a
@@ -287,35 +302,34 @@ def check_ua_on_kripke(
 
     The answer from a level set depends on the set alone: bound 0 inside
     sat2, failure outside sat1 or on a revisited set, else the answer at its
-    image one step later.  ``memo`` maps level masks to their answers, each
-    stored as ``iterations << 1 | holds`` (a bound that holds is always
-    ``iterations - 1``); callers checking many start nodes pass one dict,
-    fixed to this structure, sat1 and sat2, to every call.  A call walks
-    until a memo hit or a decided level and records every level it walked,
-    so merging orbits are walked once.  While it walks, a level on the walk
-    is stored as ``-1 - position``, and a hit on such an entry is a revisit.
-    An answer that needs more than ``step_cap + 1`` iterations raises
-    ``StepCapExceededError``, whether walked or read from the memo; a call
-    that raises leaves no walk marker in the memo.
+    image one step later.  ``k`` keeps one memo per ``(sat1, sat2)`` that
+    maps level masks to their answers, each stored as ``iterations << 1 |
+    holds`` (a bound that holds is always ``iterations - 1``).  A call walks
+    until a memo hit or a decided level, keeping the walk's positions to
+    itself, and then records an answer for every level it walked, so merging
+    orbits are walked once.  An answer that needs more than ``step_cap + 1``
+    iterations raises ``StepCapExceededError``, whether walked or read from
+    the memo; a call that raises records nothing.
     """
     if step_cap is not None and step_cap < 0:
         raise ValueError("step cap must be non-negative")
-    if memo is None:
-        memo = {}
+    memo = k._ua_memos.setdefault((sat1, sat2), {})
     path: list[int] = []  # walked levels without an answer yet, in orbit order
+    on_path: dict[int, int] = {}  # each walked level's position in path
     not_sat1, not_sat2 = ~sat1, ~sat2
     level = 1 << init
     while True:
         res = memo.get(level)
         if res is not None:
-            if res < 0:
-                # the levels from the first visit on form a cycle of length
-                # c, and each fails after c + 1 iterations
-                first = -1 - res
-                res = (len(path) - first + 1) << 1
-                for lv in path[first:]:
-                    memo[lv] = res
-                del path[first:]
+            break
+        first = on_path.get(level)
+        if first is not None:
+            # the levels from the first visit on form a cycle of length c,
+            # and each fails after c + 1 iterations
+            res = (len(path) - first + 1) << 1
+            for lv in path[first:]:
+                memo[lv] = res
+            del path[first:]
             break
         if not level & not_sat2:
             res = memo[level] = 1 << 1 | 1
@@ -324,10 +338,8 @@ def check_ua_on_kripke(
             res = memo[level] = 1 << 1
             break
         if step_cap is not None and len(path) + 1 > step_cap:
-            for lv in path:
-                del memo[lv]
             raise _step_cap_exceeded(step_cap)
-        memo[level] = -1 - len(path)
+        on_path[level] = len(path)
         path.append(level)
         level = k.image(level)
     for lv in reversed(path):
@@ -342,9 +354,7 @@ def check_ua_on_kripke(
 
 
 def check_ue_on_kripke(
-    k: Kripke, init: int, sat1: int, sat2: int, step_cap: int,
-    dist: list[int] | None = None, images: dict[int, int] | None = None,
-    dist_index: dict[int, int] | None = None,
+    k: Kripke, init: int, sat1: int, sat2: int, step_cap: int
 ) -> SyncCheck:
     """Does some single bound admit, for every earlier level, a sat1 node of
     that level from which sat2 is reachable in exactly the remaining steps?
@@ -364,30 +374,21 @@ def check_ue_on_kripke(
     0 can hold, so that answer is known, and returned, once both sequences
     have repeated.
 
-    ``dist[d]`` holds the nodes reaching sat2 in exactly d steps, and
-    ``dist_index`` maps each distinct mask of ``dist`` to its first
-    position.  Neither depends on ``init``: callers checking many start
-    nodes pass one pair, starting ``[sat2]`` and ``{sat2: 0}``, to every
-    call, and each call extends both in place as far as it scans.  Once
-    ``dist`` is longer than ``dist_index``, the sequence has repeated at
-    position ``len(dist_index)``; its base and period are then known, and
-    later positions are copied rather than computed.  ``images`` maps a
-    level mask to ``k.image`` of it; it depends on the structure alone, so
-    callers share one dict per structure.
+    What does not depend on ``init`` is kept on ``k``: each level mask's
+    image, keyed by mask, and per ``sat2`` the list ``dist``, where
+    ``dist[d]`` holds the nodes reaching sat2 in exactly d steps, with its
+    index of each distinct mask's first position.  Each call extends them as
+    far as it scans.  Once ``dist`` is longer than its index, the sequence
+    has repeated at position ``len(dist_index)``; its base and period are
+    then known, and later positions are copied rather than computed.
     """
     if step_cap < 1:
         raise ValueError("step cap must be at least 1")
-    if images is None:
-        images = {}
-    if dist is None:
-        dist, dist_index = [sat2], {sat2: 0}
-    elif not dist or dist[0] != sat2:
-        raise ValueError("a shared distance sequence must start at sat2")
-    elif dist_index is None:
-        raise ValueError("a shared distance sequence needs its index")
     level = 1 << init
     if level & sat2:
         return SyncCheck(True, 0, 1)
+    images = k._level_images
+    dist, dist_index = k._ue_distances.setdefault(sat2, ([sat2], {sat2: 0}))
     start = level & sat1  # bound K >= 1 needs start & dist[K]
     levels = [level]
     first = {level: 0}  # each level's first position, until the levels repeat
@@ -399,13 +400,10 @@ def check_ue_on_kripke(
             return SyncCheck(False, None, k_step + 1)
         if k_step >= step_cap:
             raise _step_cap_exceeded(step_cap)
-        if level_period:
-            level = levels[k_step + 1 - level_period]
-        else:
-            nxt = images.get(level)
-            if nxt is None:
-                nxt = images[level] = k.image(level)
-            level = nxt
+        nxt = images.get(level)
+        if nxt is None:
+            nxt = images[level] = k.image(level)
+        level = nxt
         k_step += 1
         levels.append(level)
         if len(dist) == k_step:
@@ -443,24 +441,18 @@ def label_kripke(
 ) -> tuple[dict[Formula, int], int | None]:
     """The satisfaction mask of every subformula of ``f``, and the shared
     bound of ``f`` at node ``root`` (None unless ``f`` is synchronized and
-    holds there); each synchronized check is capped at ``step_cap`` steps."""
+    holds there); each synchronized check is capped at ``step_cap`` steps.
+    The checks of one operator share their level-set work through what
+    ``k`` keeps, so this builds no cache of its own."""
     sat: dict[Formula, int] = {}
     witness_k = None
-    images: dict[int, int] = {}  # level images depend on the structure alone
     for g in subformulas(f):
         if g.kind in (Kind.UA, Kind.UE):
+            check = check_ua_on_kripke if g.kind is Kind.UA else check_ue_on_kripke
             sat1, sat2 = sat[g.children[0]], sat[g.children[1]]
-            # UA's answers per level set and UE's distance sequence are the
-            # same for every start node of this operator
-            memo: dict[int, int] = {}
-            dist, dist_index = [sat2], {sat2: 0}
             mask = 0
             for node in range(k.n):
-                if g.kind is Kind.UA:
-                    res = check_ua_on_kripke(k, node, sat1, sat2, step_cap, memo)
-                else:
-                    res = check_ue_on_kripke(
-                        k, node, sat1, sat2, step_cap, dist, images, dist_index)
+                res = check(k, node, sat1, sat2, step_cap)
                 if res.holds:
                     mask |= 1 << node
                 if node == root and g == f:
@@ -693,10 +685,6 @@ class CrossReport:
         }
 
 
-# the keyword options ``check_oca`` takes, read before any caller can wrap it
-_CHECK_OPTIONS = frozenset(check_oca.__kwdefaults__)
-
-
 def cross_check(
     oca: Oca,
     f: Formula,
@@ -705,27 +693,28 @@ def cross_check(
     caps: tuple[int, int] = (60, 200),
     *,
     evaluator: BoundedEvaluator | None = None,
-    **options,
+    supplied: TpPair | None = None,
+    b_override: int | None = None,
+    node_budget: int | None = None,
+    mine_v_cap: int | None = None,
 ) -> CrossReport:
     """Run the reduction-based checker against the bounded oracle per init.
 
     A DISAGREE row (both sides definite, different answers) is always a bug
     in one of them; ORACLE-UNKNOWN rows carry no evidence either way.  The
     oracle's verdicts come from ``evaluator`` (built at ``caps`` if None),
-    which the checker's mining then reuses; ``options`` go to ``check_oca``,
-    and one it does not take is a ``TypeError`` before any verdict, even
-    when no verdict is definite and the checker never runs.
+    which the checker's mining then reuses; the other keyword options go to
+    ``check_oca``.
     """
-    unknown = options.keys() - _CHECK_OPTIONS
-    if unknown:
-        raise TypeError(f"check_oca() got an unexpected keyword argument {min(unknown)!r}")
     ev = evaluator or BoundedEvaluator(oca, *caps)
     verdicts = [ev.verdict(f, c) for c in inits]
     result = None
     error = None
     if any(v.definite for v in verdicts):
         try:
-            result = check_oca(oca, f, inits[0], mode, caps=caps, evaluator=ev, **options)
+            result = check_oca(oca, f, inits[0], mode, supplied=supplied, caps=caps,
+                               b_override=b_override, node_budget=node_budget,
+                               mine_v_cap=mine_v_cap, evaluator=ev)
         except BudgetExceededError as exc:
             error = str(exc)
     rows = []

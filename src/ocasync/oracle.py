@@ -418,7 +418,6 @@ class BoundedEvaluator:
         not_true2 = tuple(~row for row in true2)
         meet = int.__and__  # any(map(meet, a, b)): rows a and b intersect
         prefix_certified = True  # every earlier level untruncated and all-sat1
-        prefix_violated = False  # some earlier level definitely breaks sat1
         all_failed = True        # every bound so far definitely fails
         seen: set[Rows] = set()
         for level, truncated in self._levels(c):
@@ -427,7 +426,7 @@ class BoundedEvaluator:
             ):
                 return Verdict.TRUE
             if all_failed:
-                if not prefix_violated and not any(map(meet, level, false2)):
+                if not any(map(meet, level, false2)):
                     all_failed = False
                 elif not truncated:
                     # exact levels evolve deterministically: a repeat with
@@ -437,13 +436,13 @@ class BoundedEvaluator:
                     seen.add(level)
                     if len(seen) == n:
                         return Verdict.FALSE
-                if not prefix_violated and any(map(meet, level, false1)):
-                    prefix_violated = True
+                if any(map(meet, level, false1)):
+                    # every later bound inherits the broken prefix; a bound
+                    # not refuted so far is no longer certified either,
+                    # since false1 rows lie outside true1
+                    return Verdict.FALSE if all_failed else Verdict.UNKNOWN
             if prefix_certified and (truncated or any(map(meet, level, not_true1))):
                 prefix_certified = False
-            if all_failed and prefix_violated:
-                # every later bound inherits the broken prefix
-                return Verdict.FALSE
             if truncated and all_failed and not any(level[s] for s in refutable):
                 # only FALSE is left, and no level stepped from this one
                 # can meet the first operand's FALSE rows

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -400,26 +401,25 @@ class TestUnfoldingKernels:
                 assert k.preimage(m) == preimage_per_move(k, m), (k, m)
 
     def test_shared_distance_sequence_matches_reference(self, rng):
-        # whole answers or step-cap errors, start nodes in shuffled order, one
-        # distance sequence, distance index and image cache per operator
+        # whole answers or step-cap errors, start nodes in shuffled order, the
+        # structure's distance sequence, distance index and image cache shared
+        # by every call; a call on a copy shares nothing
         shapes = set()
         for k in scan_structures(rng):
             full_cap = 4 * k.n * k.n + 64
             for sat1, sat2 in scan_operands(rng, k):
                 dist_shape = orbit_shape(sat2, k.preimage)
                 expect = [ue_reference(k, node, sat1, sat2, full_cap) for node in range(k.n)]
-                dist, dist_index, images = [sat2], {sat2: 0}, {}
                 order = list(range(k.n))
                 rng.shuffle(order)
                 for node in order:
                     # a cap below the answer's last bound raises, one at it does not
                     last = expect[node][2] - 1
                     for step_cap in (full_cap, max(1, last), max(1, last - 1)):
-                        got = scan_outcome(check_ue_on_kripke, k, node, sat1, sat2, step_cap,
-                                           dist, images, dist_index)
+                        got = scan_outcome(check_ue_on_kripke, k, node, sat1, sat2, step_cap)
                         assert got == scan_outcome(
                             ue_reference, k, node, sat1, sat2, step_cap), (k, node, step_cap)
-                    alone = check_ue_on_kripke(k, node, sat1, sat2, full_cap)
+                    alone = check_ue_on_kripke(dataclasses.replace(k), node, sat1, sat2, full_cap)
                     assert tuple(alone) == expect[node], (k, node)
                     if not expect[node][0]:  # the scan ran to its repeat rule
                         level_shape = orbit_shape(1 << node, k.image)
@@ -441,15 +441,15 @@ class TestUnfoldingKernels:
                 expect = [ua_reference(k, node, sat1, sat2) for node in range(k.n)]
                 order = list(range(k.n))
                 rng.shuffle(order)
-                memo = {}
                 for node in order:
                     # a cap below the answer's iterations less one raises
                     it = expect[node][2]
                     for step_cap in (full_cap, it - 1, max(0, it - 2)):
-                        got = scan_outcome(check_ua_on_kripke, k, node, sat1, sat2, step_cap, memo)
+                        got = scan_outcome(check_ua_on_kripke, k, node, sat1, sat2, step_cap)
                         assert got == scan_outcome(
                             ua_reference, k, node, sat1, sat2, step_cap), (k, node, step_cap)
-                    assert tuple(check_ua_on_kripke(k, node, sat1, sat2)) == expect[node]
+                    alone = check_ua_on_kripke(dataclasses.replace(k), node, sat1, sat2)
+                    assert tuple(alone) == expect[node]
                 for node, (holds, _, it) in enumerate(expect):
                     # a failure whose last level lies inside sat1 is a revisit
                     level = 1 << node
@@ -460,22 +460,23 @@ class TestUnfoldingKernels:
 
     def test_ua_memo_survives_a_step_cap_error_mid_walk(self, rng):
         # a first call per start node at a cap below its answer raises, most
-        # of them while walking levels the memo has not seen; the memo must
-        # come out holding answers only, and full-cap calls must be exact
+        # of them while walking levels the memo has not seen; the structure's
+        # memo must come out holding answers only, and full-cap calls must be
+        # exact
         raised = 0
         for k in scan_structures(rng):
             full_cap = 4 * k.n * k.n + 64
             for sat1, sat2 in scan_operands(rng, k):
                 order = list(range(k.n))
                 rng.shuffle(order)
-                memo = {}
+                memo = k._ua_memos.setdefault((sat1, sat2), {})  # the dict the calls fill
                 for node in order:
                     expect = ua_reference(k, node, sat1, sat2)
                     if expect[2] >= 2:
                         before = dict(memo)
                         step_cap = expect[2] - 2
                         with pytest.raises(StepCapExceededError) as exc:
-                            check_ua_on_kripke(k, node, sat1, sat2, step_cap, memo)
+                            check_ua_on_kripke(k, node, sat1, sat2, step_cap)
                         assert exc.value.partial_horizon == step_cap
                         # what the memo held is kept, and what it gained is
                         # answers, stored as iterations << 1 | holds
@@ -484,20 +485,21 @@ class TestUnfoldingKernels:
                             holds, _, it = ua_reference(k, None, sat1, sat2, level=level)
                             assert got == it << 1 | holds, (k, node, level)
                         raised += 1
-                    got = check_ua_on_kripke(k, node, sat1, sat2, full_cap, memo)
+                    got = check_ua_on_kripke(k, node, sat1, sat2, full_cap)
                     assert tuple(got) == expect, (k, node)
         assert raised > 100
 
     def test_ue_outside_sat1_stops_at_the_repeat(self, rng):
         # start nodes in neither sat1 nor sat2: the answer is fixed once both
-        # orbits have repeated, so the scan ends there, and the shared
+        # orbits have repeated, so the scan ends there, and the structure's
         # distance sequence grows no further than its repeat and the levels'
         checked = shorter = 0
         for k in scan_structures(rng):
             full_cap = 4 * k.n * k.n + 64
             for sat1, sat2 in scan_operands(rng, k):
                 dist_base, dist_period = orbit_shape(sat2, k.preimage)
-                dist, dist_index, images = [sat2], {sat2: 0}, {}
+                # the list the calls extend
+                dist, _ = k._ue_distances.setdefault(sat2, ([sat2], {sat2: 0}))
                 order = list(range(k.n))
                 rng.shuffle(order)
                 for node in order:
@@ -510,8 +512,7 @@ class TestUnfoldingKernels:
                     need = max(level_base + level_period, dist_base + dist_period) + 1
                     grown = max(len(dist), need)
                     for step_cap in (full_cap, stop, max(1, stop - 1)):
-                        got = scan_outcome(check_ue_on_kripke, k, node, sat1, sat2, step_cap,
-                                           dist, images, dist_index)
+                        got = scan_outcome(check_ue_on_kripke, k, node, sat1, sat2, step_cap)
                         assert got == scan_outcome(
                             ue_reference, k, node, sat1, sat2, step_cap), (k, node, step_cap)
                         if step_cap == full_cap:
@@ -520,14 +521,6 @@ class TestUnfoldingKernels:
                     checked += 1
                     shorter += need < stop + 1
         assert checked > 100 and shorter > 10
-
-    def test_shared_distance_sequence_must_start_at_goal(self):
-        k, root = corpus.tree_staggered()
-        with pytest.raises(ValueError):
-            check_ue_on_kripke(k, root, k.full_mask, k.atom_mask("stripes"), 50, [0], {}, {0: 0})
-        stripes = k.atom_mask("stripes")
-        with pytest.raises(ValueError, match="index"):
-            check_ue_on_kripke(k, root, k.full_mask, stripes, 50, [stripes], {})
 
     def test_au_labeling_matches_reference(self, rng):
         structures = [corpus.tree_synchronized()[0], corpus.tree_staggered()[0]]
@@ -541,14 +534,112 @@ class TestUnfoldingKernels:
                 assert _label_mask(k, f, sub) == au_reference(k, sat1, sat2)
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of ``Kripke.image`` and ``Kripke.preimage`` calls."""
+    calls = {"image": 0, "preimage": 0}
+    for name in calls:
+        def counted(self, mask, real=getattr(Kripke, name), name=name):
+            calls[name] += 1
+            return real(self, mask)
+        monkeypatch.setattr(Kripke, name, counted)
+    return calls
+
+
+class TestStructureCaches:
+    def test_a_repeated_check_reads_the_structure(self, rng, kernel_calls):
+        # a second round of calls on one structure makes no image or
+        # preimage call and returns the whole answer of a call on a copy
+        made = 0
+        for k in scan_structures(rng):
+            full_cap = 4 * k.n * k.n + 64
+            for sat1, sat2 in scan_operands(rng, k):
+                for check in (check_ua_on_kripke, check_ue_on_kripke):
+                    alone = [check(dataclasses.replace(k), node, sat1, sat2, full_cap)
+                             for node in range(k.n)]
+                    before = dict(kernel_calls)
+                    first = [check(k, node, sat1, sat2, full_cap) for node in range(k.n)]
+                    made += kernel_calls != before
+                    before = dict(kernel_calls)
+                    again = [check(k, node, sat1, sat2, full_cap) for node in range(k.n)]
+                    assert kernel_calls == before, (k, check)
+                    assert first == again == alone, (k, check)
+        assert made > 100
+
+    def test_a_second_operator_with_the_same_operands_reads_the_structure(
+        self, rng, kernel_calls
+    ):
+        # ``!!a`` has a's mask, so the second operator of each formula asks
+        # what the first has answered
+        pairs = 0
+        for k in scan_structures(rng):
+            step_cap = 4 * k.n * k.n + 64
+            atoms = [TRUE, *map(atom, sorted(set().union(*k.labels)))]
+            for op in (ua, ue):
+                a, b = rng.choice(atoms), rng.choice(atoms)
+                one = op(a, b)
+                copy = dataclasses.replace(k)
+                before = dict(kernel_calls)
+                sat, _ = label_kripke(copy, one, 0, step_cap)
+                alone = {name: kernel_calls[name] - before[name] for name in before}
+                two = land(one, op(lnot(lnot(a)), b))
+                before = dict(kernel_calls)
+                got, _ = label_kripke(k, two, 0, step_cap)
+                assert {name: kernel_calls[name] - before[name] for name in before} == alone
+                assert got[two] == got[one] == sat[one], (k, two)
+                pairs += alone["image"] > 0
+        assert pairs > 50
+
+    def test_an_error_mid_walk_leaves_answers_only(self, rng, monkeypatch):
+        # ``image`` raises after a random number of calls; the structure's UA
+        # memo keeps answers only, and later calls on it are exact
+        real = Kripke.image
+        left = None  # image calls to allow before raising; None allows all
+
+        def failing(self, mask):
+            nonlocal left
+            if left is not None:
+                if not left:
+                    raise RuntimeError("injected")
+                left -= 1
+            return real(self, mask)
+
+        monkeypatch.setattr(Kripke, "image", failing)
+        raised = dict.fromkeys((check_ua_on_kripke, check_ue_on_kripke), 0)
+        for k in scan_structures(rng):
+            full_cap = 4 * k.n * k.n + 64
+            for sat1, sat2 in scan_operands(rng, k):
+                order = list(range(k.n))
+                rng.shuffle(order)
+                for node in order:
+                    ua_expect = ua_reference(k, node, sat1, sat2)
+                    ue_expect = ue_reference(k, node, sat1, sat2, full_cap)
+                    for check, expect in ((check_ua_on_kripke, ua_expect),
+                                          (check_ue_on_kripke, ue_expect)):
+                        left = rng.randrange(expect[2])
+                        try:
+                            check(k, node, sat1, sat2, full_cap)
+                        except RuntimeError:
+                            raised[check] += 1
+                        left = None
+                    for level, got in k._ua_memos[sat1, sat2].items():
+                        holds, _, it = ua_reference(k, None, sat1, sat2, level=level)
+                        assert got == it << 1 | holds, (k, node, level)
+                    assert tuple(check_ua_on_kripke(k, node, sat1, sat2, full_cap)) == ua_expect
+                    assert tuple(check_ue_on_kripke(k, node, sat1, sat2, full_cap)) == ue_expect
+        assert min(raised.values()) > 100
+
+
 def label_reference(k, f, root, step_cap):
-    """``label_kripke`` with every synchronized check made alone: no memo,
-    distance sequence or image cache is shared between start nodes."""
+    """``label_kripke`` with every synchronized check made alone, each on a
+    fresh copy of ``k``: no memo, distance sequence or image cache is shared
+    between start nodes."""
     sat, witness_k = {}, None
     for g in subformulas(f):
         if g.kind in (Kind.UA, Kind.UE):
             check = check_ua_on_kripke if g.kind is Kind.UA else check_ue_on_kripke
-            res = [check(k, node, sat[g.children[0]], sat[g.children[1]], step_cap)
+            res = [check(dataclasses.replace(k), node, sat[g.children[0]], sat[g.children[1]],
+                         step_cap)
                    for node in range(k.n)]
             sat[g] = mask_of(node for node, r in enumerate(res) if r.holds)
             if g == f:
@@ -595,8 +686,8 @@ class TestLabelKripke:
         # included, is what a call that shares nothing returns
         answers = []
 
-        def recorded(k, init, sat1, sat2, step_cap, *shared):
-            res = check_ue_on_kripke(k, init, sat1, sat2, step_cap, *shared)
+        def recorded(k, init, sat1, sat2, step_cap):
+            res = check_ue_on_kripke(k, init, sat1, sat2, step_cap)
             answers.append((k, init, sat1, sat2, step_cap, tuple(res)))
             return res
 
@@ -700,12 +791,12 @@ class TestSyncChecks:
     def test_ua_step_cap_counts_through_memo_hits(self):
         k, root = corpus.tree_synchronized()
         black = k.atom_mask("black")
-        memo = {}
-        assert check_ua_on_kripke(k, root, k.full_mask, black, None, memo).witness_k == 3
-        # the root's answer is now a memo hit, and its bound of 3 still needs
-        # more than two steps
+        assert check_ua_on_kripke(k, root, k.full_mask, black).witness_k == 3
+        # the root's answer is now a hit in the structure's memo, and its
+        # bound of 3 still needs more than two steps
+        assert k._ua_memos[k.full_mask, black][1 << root] == 4 << 1 | 1
         with pytest.raises(StepCapExceededError) as exc:
-            check_ua_on_kripke(k, root, k.full_mask, black, 2, memo)
+            check_ua_on_kripke(k, root, k.full_mask, black, 2)
         assert exc.value.partial_horizon == 2
 
     def test_ua_termination_without_cap_on_fuzzed_structures(self, rng):

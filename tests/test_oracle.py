@@ -878,8 +878,8 @@ class TestCrossCheck:
         # must notice on a formula whose top operator is synchronized
         real = mc.check_ua_on_kripke
 
-        def flipped(k, init, sat1, sat2, step_cap=None, memo=None):
-            res = real(k, init, sat1, sat2, step_cap, memo)
+        def flipped(k, init, sat1, sat2, step_cap=None):
+            res = real(k, init, sat1, sat2, step_cap)
             return SyncCheck(not res.holds, res.witness_k, res.iterations)
 
         monkeypatch.setattr(mc, "check_ua_on_kripke", flipped)
