@@ -353,8 +353,9 @@ def _row(alpha0_text: str, flat_length: int, segments_text: str, size: int, reac
     """One ``lps`` scheme row, written as ``_dumps`` would write its dict,
     with ``alpha0`` (``_row_ints``) and its (beta, alpha) segments
     (``_segment_text`` each, joined by ``_items``) already written;
-    ``reached`` is None or a list of (config, exponents or None, {slope key:
-    repetitions}) triples."""
+    ``reached`` is None or a list of (config, exponents, {slope key:
+    repetitions}) triples.  The exponents are always present: ``_cmd_lps``
+    asks for them only for ends read off the same reach table."""
     if reached is None:
         reached_text = ""
     elif not reached:
@@ -363,7 +364,7 @@ def _row(alpha0_text: str, flat_length: int, segments_text: str, size: int, reac
         reached_text = _REACHED % _items([
             _REACHED_ENTRY % (
                 encode_basestring_ascii(config),
-                "null" if exps is None else _entry_ints(exps),
+                _entry_ints(exps),
                 _items([encode_basestring_ascii(k) + ": " + int.__repr__(slopes[k])
                         for k in sorted(slopes)], _ENTRY_KEY, "{}"),
             )
@@ -431,9 +432,8 @@ def _cmd_lps(args) -> int:
                     oca, scheme, start, cfg, args.target_length, args.exp_cap
                 )
                 slopes = {}
-                if exps is not None:
-                    for key, e in zip(slope_keys, exps):
-                        slopes[key] = slopes.get(key, 0) + e
+                for key, e in zip(slope_keys, exps):
+                    slopes[key] = slopes.get(key, 0) + e
                 reached.append((f"{oca.state_names[cfg.state]},{cfg.counter}", exps, slopes))
         rows.append(_row(alpha0_text(scheme.alpha0), flat_length, _items(segments, _ROW_KEY),
                          len(segments), reached))

@@ -6,18 +6,19 @@ automaton, where the ``a`` pieces are plain transition sequences and each
 instantiates every star with a concrete repetition count.  Each piece is
 read once, as counter arithmetic (``Piece``: its effect, and the counters its
 guards allow it to start from): ``enumerate_lps`` reads a scheme while it
-builds it, one step per transition.  Its depth-first walk keeps the finished
-prefix of a node (``alpha0``, the finished segments and their pieces) as
-tuples, built once when the node pushes a star and shared by every scheme
-below it, so a yielded scheme appends its last segment and piece pair to
-them and reads no stack again.  Shaped reach is one frontier fold,
-(counter, length left) -> least exponent prefix, stepped through each star
-and its tail in turn, with the last star's exponent solved for.  Asked for a
-reach, ``enumerate_lps`` runs the fold incrementally, one frontier per star
-carried down its depth-first tree; ``shaped_reach`` and
-``shaped_witness_exponents`` run it whole for any other scheme.  No search
-is a closure that refers to itself, so a finished or dropped search leaves
-no cyclic garbage.
+builds it, one step per transition.  It is one depth-first loop over an
+explicit stack of tuples.  Each node carries its finished prefix
+(``alpha0``, the finished segments and their pieces), built once when a
+node pushes its stars and shared by every scheme below them, so a yielded
+scheme appends its last segment and piece pair to it and reads nothing
+else.  Shaped reach is one frontier fold, (counter, length left) -> least
+exponent prefix, stepped through each star and its tail in turn, with the
+last star's exponent solved for.  Asked for a reach, ``enumerate_lps`` runs
+the fold incrementally: each node also carries its own frontier, the one at
+the entry of its last star, so no stack is shared between siblings.
+``shaped_reach`` and ``shaped_witness_exponents`` run the fold whole for
+any other scheme.  Nothing refers to itself, so a finished or dropped
+search leaves no cyclic garbage.
 """
 
 from __future__ import annotations
@@ -290,134 +291,23 @@ def _last_star(
     return e, v + tail.delta
 
 
-class _SchemeSearch:
-    """One ``enumerate_lps`` search.  A node of the depth-first walk is the
-    path being extended, a tuple of transition indices with its ``Piece``
-    (one ``_extend`` per appended transition), and the finished prefix
-    before it: None while the path is ``alpha0``, else ``(alpha0, its
-    piece, the finished (beta, alpha) segments, their (cycle, tail) pieces,
-    the last star's cycle word, its piece)``.  Every part of a prefix is a
-    tuple, built once when the node pushes its first cycle and shared by
-    all the schemes below it, so a yield costs one tuple concatenation for
-    the segments and one for their pieces.
-
-    With ``reach`` given, a stack holds one frontier per star:
-    ``frontiers[k - 1]`` maps (counter, length left) at the entry of star k
-    to the least exponent prefix that gets there, in ascending prefix order.
-    Two prefixes with the same key have the same continuations, so only the
-    least one is kept.  Frontier 1 is ``_first_frontier`` of ``alpha0``, and
-    frontier k + 1 is ``_next_frontier`` of frontier k through cycle k and
-    tail k.  Neither depends on the star being pushed, so a node builds it
-    once, with its prefix; a yielded scheme of size k reads its reach off
-    frontier k with ``_ends``.  Nothing is reached below an empty frontier,
-    so there neither is called: the next frontier is the empty one, and a
-    scheme's table is empty."""
-
-    def __init__(self, oca: Oca, start_state: int, end_state: int, flat_len_bound: int,
-                 reach: Reach | None = None):
-        self.oca = oca
-        self.start_state = start_state
-        self.end_state = end_state
-        self.flat_len_bound = flat_len_bound
-        self.by_src: dict[int, list[int]] = {}
-        for i, t in enumerate(oca.transitions):
-            self.by_src.setdefault(t.src, []).append(i)
-        # fewest transitions from each state to ``end_state``: a node with
-        # less flat length left than that yields no scheme
-        self.steps_to_end = [math.inf] * oca.n_states
-        self.steps_to_end[end_state] = 0
-        for k in range(1, oca.n_states):
-            for t in oca.transitions:
-                if self.steps_to_end[t.dst] == k - 1 and self.steps_to_end[t.src] > k:
-                    self.steps_to_end[t.src] = k
-        self.cycles: dict[int, list[tuple[tuple[int, ...], Piece]]] = {}
-        self.reach = reach
-        self.frontiers: list[Frontier] = []
-        self.live = 0  # entries on the frontier stack
-        self.budget = environment_budget() if reach is not None else 0
-
-    def schemes(self, path: tuple[int, ...], piece: Piece, done: tuple | None,
-                flat_left: int, size_left: int) -> Iterator[Lps]:
-        """The schemes that extend ``path``, read as ``piece``, after the
-        finished prefix ``done``, in the order ``enumerate_lps`` promises; a
-        child whose state cannot reach ``end_state`` within the flat length
-        it would have is skipped."""
-        steps_to_end, reach, frontiers = self.steps_to_end, self.reach, self.frontiers
-        state = piece.dst
-        if state == self.end_state:
-            if done is None:
-                table = None
-                if reach is not None:
-                    frontier = _first_frontier(piece, self.start_state, reach)
-                    table = _ends(frontier, None, piece, reach[2]) if frontier else {}
-                yield Lps(self.start_state, path, (), (self.oca, piece, (), reach, table))
-            else:
-                alpha0, first, segments, pairs, beta, cycle = done
-                table = None
-                if reach is not None:
-                    table = _ends(frontiers[-1], cycle, piece, reach[2]) if frontiers[-1] else {}
-                yield Lps(self.start_state, alpha0, segments + ((beta, path),), (
-                    self.oca, first, pairs + ((cycle, piece),), reach, table))
-        if flat_left > 0:
-            transitions = self.oca.transitions
-            for idx in self.by_src.get(state, ()):
-                t = transitions[idx]
-                if steps_to_end[t.dst] < flat_left:
-                    yield from self.schemes(path + (idx,), _extend(piece, t), done,
-                                            flat_left - 1, size_left)
-        if size_left > 0:
-            prefix = None
-            for beta, cycle in self.cycles_at(state):
-                left = flat_left - len(beta)
-                if steps_to_end[state] <= left:
-                    if prefix is None:
-                        if done is None:
-                            prefix = (path, piece, (), ())
-                            if reach is not None:
-                                frontier = _first_frontier(piece, self.start_state, reach)
-                        else:
-                            alpha0, first, segments, pairs, last_beta, last_cycle = done
-                            prefix = (alpha0, first, segments + ((last_beta, path),),
-                                      pairs + ((last_cycle, piece),))
-                            if reach is not None:
-                                frontier = frontiers[-1] and _next_frontier(
-                                    frontiers[-1], last_cycle, piece, reach[2], self.live,
-                                    self.budget)
-                    if reach is not None:
-                        self.live += len(frontier)
-                        frontiers.append(frontier)
-                    yield from self.schemes((), _empty_piece(state), (*prefix, beta, cycle),
-                                            left, size_left - 1)
-                    if reach is not None:
-                        self.live -= len(frontiers.pop())
-
-    def cycles_at(self, state: int) -> list[tuple[tuple[int, ...], Piece]]:
-        """Each simple cycle at ``state`` (no repeated intermediate state) of
-        at most ``flat_len_bound`` transitions with its piece, depth first
-        over transition indices, searched once per state.  The search stops
-        at depth ``flat_len_bound``, so a node with less flat length left
-        skipping the longer cycles sees the cycles, in the same order, that
-        a search bounded there would find."""
-        if state not in self.cycles:
-            self.cycles[state] = [
-                (beta, _piece(self.oca, state, beta))
-                for beta in self._cycle_words(state, state, [], {state})
-            ]
-        return self.cycles[state]
-
-    def _cycle_words(
-        self, home: int, current: int, path: list[int], visited: set[int],
-    ) -> Iterator[tuple[int, ...]]:
-        if len(path) >= self.flat_len_bound:
-            return
-        for idx in self.by_src.get(current, ()):
-            dst = self.oca.transitions[idx].dst
-            if dst == home:
-                yield tuple(path + [idx])
-            elif dst not in visited:
-                visited.add(dst)
-                yield from self._cycle_words(home, dst, path + [idx], visited)
-                visited.remove(dst)
+def _cycle_words(
+    transitions: list[Transition], by_src: dict[int, list[int]], bound: int,
+    home: int, current: int, path: list[int], visited: set[int],
+) -> Iterator[tuple[int, ...]]:
+    """Each simple cycle at ``home`` (no repeated intermediate state) of at
+    most ``bound`` transitions that extends ``path``, a walk from ``home`` to
+    ``current`` through ``visited``, depth first over transition indices."""
+    if len(path) >= bound:
+        return
+    for idx in by_src.get(current, ()):
+        dst = transitions[idx].dst
+        if dst == home:
+            yield tuple(path + [idx])
+        elif dst not in visited:
+            visited.add(dst)
+            yield from _cycle_words(transitions, by_src, bound, home, dst, path + [idx], visited)
+            visited.remove(dst)
 
 
 def enumerate_lps(
@@ -435,11 +325,106 @@ def enumerate_lps(
     frontier fold of ``shaped_reach`` incrementally, one frontier per star
     pushed, and each scheme carries its shaped reach from there:
     ``shaped_reach`` and ``shaped_witness_exponents`` with those arguments
-    read it for free."""
-    search = _SchemeSearch(oca, start_state, end_state, flat_len_bound, reach)
-    if search.steps_to_end[start_state] <= flat_len_bound:
-        yield from search.schemes((), _empty_piece(start_state), None, flat_len_bound,
-                                  size_bound)
+    read it for free.
+
+    The search is one loop over an explicit stack of nodes.  A node is the
+    path being extended, a tuple of transition indices with its ``Piece``
+    (one ``_extend`` per appended transition); the finished prefix before
+    it: None while the path is ``alpha0``, else ``(alpha0, its piece, the
+    finished (beta, alpha) segments, their (cycle, tail) pieces, the last
+    star's cycle word, its piece)``; and the flat length and size it has
+    left.  Every part of a prefix is a tuple, built once when a node pushes
+    its stars and shared by all the schemes below them, so a yield costs one
+    tuple concatenation for the segments and one for their pieces.  A node
+    yields its scheme if it is at ``end_state``, then pushes itself again,
+    marked as its stars entry, and its transition children on top, so its
+    stars are pushed only after every transition child's subtree.  A child
+    whose state cannot reach ``end_state`` within the flat length it would
+    have is not pushed.  The cycles at each state are searched once, to depth
+    ``flat_len_bound``, so a node with less flat length left, skipping the
+    longer cycles, sees the cycles that a search bounded there would find,
+    in the same order.
+
+    With ``reach`` given, a node also carries the frontier at the entry of
+    its last star, which maps (counter, length left) there to the least
+    exponent prefix that gets there, in ascending prefix order, and the
+    number of entries held on the frontiers of its path.  Two prefixes with
+    the same key have the same continuations, so only the least one is
+    kept.  The first frontier is ``_first_frontier`` of ``alpha0``, and the
+    next is ``_next_frontier`` of the node's through its last cycle and its
+    path.  Neither depends on the star being pushed, so a stars entry builds
+    it once for all its stars, after every transition child's subtree and
+    only if some cycle fits there.  A yielded scheme reads its reach
+    off its frontier with ``_ends``.  Nothing is reached below an empty
+    frontier, so there neither is called: the next frontier is the empty
+    one, and a scheme's table is empty."""
+    transitions = oca.transitions
+    by_src: dict[int, list[int]] = {}
+    for i, t in enumerate(transitions):
+        by_src.setdefault(t.src, []).append(i)
+    # fewest transitions from each state to ``end_state``: a node with less
+    # flat length left than that yields no scheme
+    steps_to_end = [math.inf] * oca.n_states
+    steps_to_end[end_state] = 0
+    for k in range(1, oca.n_states):
+        for t in transitions:
+            if steps_to_end[t.dst] == k - 1 and steps_to_end[t.src] > k:
+                steps_to_end[t.src] = k
+    if steps_to_end[start_state] > flat_len_bound:
+        return
+    cycles: dict[int, list[tuple[tuple[int, ...], Piece]]] = {}
+    budget = environment_budget() if reach is not None else 0
+    # (stars entry?, path, piece, prefix, flat left, size left, frontier, entries held)
+    stack = [(False, (), _empty_piece(start_state), None, flat_len_bound, size_bound, None, 0)]
+    while stack:
+        stars, path, piece, done, flat_left, size_left, frontier, held = stack.pop()
+        state = piece.dst
+        if stars:
+            if state not in cycles:
+                cycles[state] = [(beta, _piece(oca, state, beta)) for beta in _cycle_words(
+                    transitions, by_src, flat_len_bound, state, state, [], {state})]
+            room = flat_left - steps_to_end[state]
+            fitting = [(beta, cycle) for beta, cycle in cycles[state] if len(beta) <= room]
+            if not fitting:
+                continue
+            if done is None:
+                prefix = (path, piece, (), ())
+                if reach is not None:
+                    frontier = _first_frontier(piece, start_state, reach)
+            else:
+                alpha0, first, segments, pairs, beta, cycle = done
+                prefix = (alpha0, first, segments + ((beta, path),), pairs + ((cycle, piece),))
+                if reach is not None:
+                    frontier = frontier and _next_frontier(
+                        frontier, cycle, piece, reach[2], held, budget)
+            if reach is not None:
+                held += len(frontier)
+            empty = _empty_piece(state)
+            for beta, cycle in reversed(fitting):
+                stack.append((False, (), empty, (*prefix, beta, cycle), flat_left - len(beta),
+                              size_left - 1, frontier, held))
+            continue
+        if state == end_state:
+            table = None
+            if done is None:
+                if reach is not None:
+                    first_frontier = _first_frontier(piece, start_state, reach)
+                    table = _ends(first_frontier, None, piece, reach[2]) if first_frontier else {}
+                yield Lps(start_state, path, (), (oca, piece, (), reach, table))
+            else:
+                alpha0, first, segments, pairs, beta, cycle = done
+                if reach is not None:
+                    table = _ends(frontier, cycle, piece, reach[2]) if frontier else {}
+                yield Lps(start_state, alpha0, segments + ((beta, path),),
+                          (oca, first, pairs + ((cycle, piece),), reach, table))
+        if size_left > 0:
+            stack.append((True, path, piece, done, flat_left, size_left, frontier, held))
+        if flat_left > 0:
+            for idx in reversed(by_src.get(state, ())):
+                t = transitions[idx]
+                if steps_to_end[t.dst] < flat_left:
+                    stack.append((False, path + (idx,), _extend(piece, t), done, flat_left - 1,
+                                  size_left, frontier, held))
 
 
 def _reach_table(

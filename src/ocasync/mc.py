@@ -361,7 +361,9 @@ def check_ue_on_kripke(
 
     Bound K holds iff level K meets sat2 and every level j < K meets
     ``sat1 & dist[K - j]``.  The start level (j = 0) is tested first, and
-    the other levels only for a bound that passes it.
+    the other levels only for a bound that passes it.  Level K is not
+    tested against sat2: a start node in ``dist[K]`` has a path of exactly
+    K steps into sat2, and that path ends in level K.
 
     The levels and the exact-distance sets are orbits of deterministic maps
     (``k.image`` and ``k.preimage``): each runs through a transient into a
@@ -428,7 +430,7 @@ def check_ue_on_kripke(
                 if stop > step_cap:
                     raise _step_cap_exceeded(step_cap)
                 return SyncCheck(False, None, stop + 1)
-        if start & dist[k_step] and level & sat2:
+        if start & dist[k_step]:
             for j in range(1, k_step):
                 if not levels[j] & sat1 & dist[k_step - j]:
                     break

@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InputError, check_budget
-from .formula import Formula, Kind, pretty
+from .formula import Formula, Kind
 from .lps import analyze_cycle_repetitions, compress_path_with_exponents
 from .oca import (
     Configuration, Oca, OracleTrace, Rows, iter_level_rows, level_sets, pre_rows,

@@ -58,3 +58,23 @@ def test_no_module_reaches_itself():
 
 def test_the_oracle_reaches_neither_the_checker_nor_the_cli():
     assert not {"mc", "cli"} & reachable(import_graph(), "oracle")
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names ``path`` imports (``from __future__`` aside) that its
+    source never reads, at any depth."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_every_imported_name_is_used():
+    unused = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py" and (names := unused_imports(path))}
+    assert not unused, unused

@@ -825,8 +825,8 @@ class TestCarriedPieces:
 
 class TestReachFrontier:
     """``enumerate_lps(..., reach=...)`` carries each scheme's shaped reach,
-    read off the frontier stack; it equals the first hits of the
-    step-by-step walk, and what the whole fold finds on a copy of the
+    read off the frontier its search node carries; it equals the first hits
+    of the step-by-step walk, and what the whole fold finds on a copy of the
     scheme that carries nothing."""
 
     def test_tables_match_the_single_scheme_search(self):
@@ -909,6 +909,20 @@ class TestReachFrontier:
         oca = corpus.load("random-a")
         assert len(list(enumerate_lps(oca, 0, 0, 3, 2, reach=reach))) == len(
             list(enumerate_lps(oca, 0, 0, 3, 2))) == 145
+
+    def test_next_frontier_is_stepped_after_the_transition_children(self, monkeypatch):
+        # a node steps the frontier of its next star only once every
+        # transition child's subtree is done, and only if some cycle fits;
+        # stepping it when the node is visited raises two schemes earlier
+        reach = (Configuration(0, 3), 400, 400)
+        monkeypatch.setenv("OCASYNC_BUDGET", "1000")
+        oca = corpus.load("random-a")
+        for flat, schemes, required in ((4, 703, 1202), (5, 2406, 1200), (6, 9206, 1027)):
+            yielded = 0
+            with pytest.raises(BudgetExceededError) as info:
+                for _ in enumerate_lps(oca, 0, 0, flat, 3, reach=reach):
+                    yielded += 1
+            assert (yielded, info.value.required) == (schemes, required), flat
 
     def test_single_scheme_fold_over_the_budget(self, monkeypatch):
         # a hand-built scheme folds its frontiers whole, holding the one it
