@@ -83,6 +83,8 @@ def _parse_caps(text: str) -> tuple[int, int]:
 def _check_args(args) -> dict:
     """``check_oca`` keyword arguments from the mode flags; the defaults of
     ``--mode`` and ``--caps`` apply here, after any job file has filled them."""
+    if args.budget is not None and args.budget < 0:
+        raise InputError("node budget must be non-negative")
     mode, supplied = _parse_mode("empirical" if args.mode is None else args.mode)
     return {
         "mode": mode, "supplied": supplied,

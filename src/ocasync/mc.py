@@ -16,7 +16,8 @@ answers depend on: UA answers per level set, under ``(sat1, sat2)``; UE's
 distance sequence and that sequence's index of first positions, under
 ``sat2``; and the images of the level sets UE has stepped from, under the
 level set.  Every call on the structure reads and extends them, standalone
-calls too, and they live as long as the structure.  A UE level step does
+calls too (UE's distance sequence by one preimage per step, also past its
+repeat), and they live as long as the structure.  A UE level step does
 constant work unless its bound passes the start-level test, which UE makes
 before testing any other level; and UE finds where the (level, distance)
 pair repeats from the two sequences' own repeats (base = max of the bases,
@@ -381,8 +382,8 @@ def check_ue_on_kripke(
     ``dist[d]`` holds the nodes reaching sat2 in exactly d steps, with its
     index of each distinct mask's first position.  Each call extends them as
     far as it scans.  Once ``dist`` is longer than its index, the sequence
-    has repeated at position ``len(dist_index)``; its base and period are
-    then known, and later positions are copied rather than computed.
+    has repeated at position ``len(dist_index)``, and its base and period
+    are known.
     """
     if step_cap < 1:
         raise ValueError("step cap must be at least 1")
@@ -398,8 +399,11 @@ def check_ue_on_kripke(
     stop = None
     k_step = 0
     while True:
-        if stop is not None and k_step >= stop:
-            return SyncCheck(False, None, k_step + 1)
+        # outside sat1 no bound past 0 can hold, so the scan would run to stop
+        if stop is not None and (k_step >= stop or not start):
+            if stop > step_cap:
+                raise _step_cap_exceeded(step_cap)
+            return SyncCheck(False, None, stop + 1)
         if k_step >= step_cap:
             raise _step_cap_exceeded(step_cap)
         nxt = images.get(level)
@@ -409,13 +413,9 @@ def check_ue_on_kripke(
         k_step += 1
         levels.append(level)
         if len(dist) == k_step:
-            rep = len(dist_index)
-            if rep < len(dist):  # dist repeats from position rep on
-                dist.append(dist[k_step - rep + dist_index[dist[rep]]])
-            else:
-                d = k.preimage(dist[-1])
-                dist.append(d)
-                dist_index.setdefault(d, k_step)
+            d = k.preimage(dist[-1])
+            dist.append(d)
+            dist_index.setdefault(d, k_step)
         if not level_period:
             level_base = first.setdefault(level, k_step)
             if level_base < k_step:
@@ -426,10 +426,6 @@ def check_ue_on_kripke(
             base = max(level_base, dist_base)
             period = math.lcm(level_period, rep - dist_base)
             stop = max(base + period, 2 * base + period - 1)
-            if not start:  # no bound past 0 can hold: the scan would run to stop
-                if stop > step_cap:
-                    raise _step_cap_exceeded(step_cap)
-                return SyncCheck(False, None, stop + 1)
         if start & dist[k_step]:
             for j in range(1, k_step):
                 if not levels[j] & sat1 & dist[k_step - j]:

@@ -9,12 +9,15 @@ one Python int per state, its row, whose bit v is the configuration
 tuples, (TRUE, FALSE), with UNKNOWN everywhere else; EX and the plain-until
 fixpoints are built from their operands' rows with ``oca.pre_rows`` in the
 region (EX's configurations at the cap, whose successors may lie above it,
-walk their successors), and the synchronized scans test the levels of
-``oca.iter_level_rows`` against these rows with a few ANDs per level, one
-scan per configuration.  A synchronized UE formula is decided by one witness
-scan, which can answer TRUE only, plus a FALSE repeat rule for scans that
-found no witness on a cap-closed component; both read a per-formula
-exact-distance index kept as the distance layers' rows.
+walk their successors).  Every plain-until table closes through ``_lfp``:
+A-until is the complement of an existential weak until, and the one
+greatest-fixpoint loop, ``_eg``, supplies its infinite paths.  The
+synchronized scans test the levels of ``oca.iter_level_rows`` against these
+rows with a few ANDs per level, one scan per configuration.  A synchronized
+UE formula is decided by one witness scan, which can answer TRUE only, plus
+a FALSE repeat rule for scans that found no witness on a cap-closed
+component; both read a per-formula exact-distance index kept as the
+distance layers' rows.
 Uses: differential testing of the finite-structure checker, which imports
 this module and never the reverse, mining empirical threshold/period pairs
 (sampled from the top counter down; the checker's mining stops at the
@@ -335,30 +338,43 @@ class BoundedEvaluator:
             full & ~r & ~(m & ~o) for r, m, o in zip(sure, maybe, outside)
         )
 
+    def _eg(self, rows: Rows) -> Rows:
+        """The greatest R inside ``rows`` with R = rows & pre(R): the
+        configurations with an infinite in-region path that stays in ``rows``."""
+        while True:
+            kept = tuple(map(int.__and__, rows, pre_rows(self.oca, rows, self._full)))
+            if kept == rows:
+                return rows
+            rows = kept
+
+    def _weak_eu(self, x: Rows, y: Rows) -> Rows:
+        """E[x W (x & y)]: some in-region path stays in x forever, or
+        through x reaches x & y; ``_eg`` seeds ``_lfp`` with the first."""
+        return self._lfp(tuple(g | (a & b) for g, a, b in zip(self._eg(x), x, y)), x)
+
     def _au_split(self, f: Formula) -> Split:
+        """Both halves are an existential weak until.  ``refuted`` is
+        E[false2 W (false2 & false1)]: an infinite path of configurations
+        FALSE for the goal, or one that reaches a configuration FALSE for
+        both operands, refutes the universal until.
+
+        ``sure`` is its dual, a universal attractor written as a complement.
+        With ok = true1 - boundary (no successor above the cap), the
+        attractor is mu X. true2 | (ok & ~pre(region - X)): a configuration
+        joins once it is TRUE for the goal, or is ok and has every successor
+        in X already.  Inside the region its complement is
+        nu Y. (region - true2) & (~ok | pre(Y)), which on a finite graph is
+        E[(region - true2) W ((region - true2) & ~ok)], so ``sure`` is the
+        region minus ``_weak_eu`` of those two rows.
+        """
         true1, false1 = self._split(f.children[0])
         true2, false2 = self._split(f.children[1])
         full = self._full
-        # p joins once it is TRUE for the first operand, has no successor
-        # above the cap, and has every successor in the set already
-        ok = tuple(t1 & ~e for t1, e in zip(true1, self._boundary))
-        sure = true2
-        while True:
-            blocked = pre_rows(self.oca, tuple(full ^ r for r in sure), full)
-            new = tuple(o & ~b & ~r for o, b, r in zip(ok, blocked, sure))
-            if not any(new):
-                break
-            sure = tuple(map(int.__or__, sure, new))
-        # an infinite all-not-goal path inside the region refutes universally
-        lasso = false2
-        while True:
-            kept = tuple(map(int.__and__, lasso, pre_rows(self.oca, lasso, full)))
-            if kept == lasso:
-                break
-            lasso = kept
-        refuted = self._lfp(
-            tuple(lr | (f1 & f2) for lr, f1, f2 in zip(lasso, false1, false2)), false2
-        )
+        sure = tuple(full ^ r for r in self._weak_eu(
+            tuple(full ^ t2 for t2 in true2),
+            tuple((full ^ t1) | e for t1, e in zip(true1, self._boundary)),
+        ))
+        refuted = self._weak_eu(false2, false1)
         assert not _meets(sure, refuted), "three-valued fixpoints disagree"
         # with no possibly-satisfying goal state reachable, every path
         # refutes the universal until

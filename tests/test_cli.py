@@ -810,6 +810,39 @@ class TestExitCodes:
         assert code == 1 and out == error_bytes(argv[0], message)
 
     @pytest.mark.parametrize("argv", [
+        ("check", "--oca", "countdown", "--formula", "FA p", "--init", "s,2"),
+        ("sat-sets", "--oca", "countdown", "--formula", "FA p"),
+        ("cross-check", "--oca", "countdown", "--formula", "FA p", "--init", "s,2"),
+    ], ids=lambda v: v[0])
+    def test_negative_node_budget_exits_one_before_checking(
+        self, capsys, schema, monkeypatch, argv
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the checker ran")
+
+        monkeypatch.setattr(mc, "check_oca", never)
+        monkeypatch.setattr(mc, "cross_check", never)
+        code, doc, out = run(capsys, *argv, "--budget", "-1")
+        assert code == 1 and out == error_bytes(argv[0], "node budget must be non-negative")
+        check_schema(schema, doc)
+
+    def test_negative_job_file_budget_exits_one(self, capsys, schema, tmp_path):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "oca": "countdown", "formula": "FA p", "init": "s,2", "budget": -1,
+        }))
+        code, doc, out = run(capsys, "check", "--job", str(job))
+        assert code == 1 and out == error_bytes("check", "node budget must be non-negative")
+        check_schema(schema, doc)
+
+    def test_zero_node_budget_is_still_a_budget_error(self, capsys, schema):
+        code, doc, _ = run(capsys, "check", "--oca", "countdown", "--formula", "FA p",
+                           "--init", "s,2", "--budget", "0")
+        assert code == 2 and doc["error"]["kind"] == "budget"
+        assert doc["error"]["budget"] == 0
+        check_schema(schema, doc)
+
+    @pytest.mark.parametrize("argv", [
         ("--src", "t", "--dst", "s", "--start", "t,1"),  # no scheme from t to s
         ("--src", "s", "--dst", "s", "--start", "s,1", "--max-schemes", "0"),
         ("--src", "s", "--dst", "s", "--start", "s,1"),

@@ -2,6 +2,7 @@
 checker, so disagreement between the two remains evidence of a bug."""
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ocasync"
@@ -78,3 +79,51 @@ def test_every_imported_name_is_used():
     unused = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
               if path.name != "__init__.py" and (names := unused_imports(path))}
     assert not unused, unused
+
+
+ROOT = PACKAGE.parents[1]
+
+
+def identifiers_read(tree: ast.AST):
+    """(line, name) for every name ``tree`` reads: a bare name, an
+    attribute, or an imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.alias):
+            yield node.lineno, node.name.split(".")[-1]
+
+
+def package_definitions():
+    """(path, name, first line, last line) for each module-level function
+    and class of the package, and each of their methods but dunders."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            yield path, node.name, node.lineno, node.end_lineno
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (item.name.startswith("__") and item.name.endswith("__"))):
+                        yield path, item.name, item.lineno, item.end_lineno
+
+
+def test_every_definition_is_used():
+    # a definition counts as used when the package, the tests, the demos,
+    # the benchmark harness or the console script reads its name anywhere
+    # outside the definition's own lines
+    reads: dict[str, list[tuple[Path, int]]] = {}
+    sources = [PACKAGE, ROOT / "tests", ROOT / "demos", ROOT / "perfbench"]
+    for path in sorted(p for d in sources for p in d.rglob("*.py")):
+        for line, name in identifiers_read(ast.parse(path.read_text(), str(path))):
+            reads.setdefault(name, []).append((path, line))
+    scripts = re.findall(r"[\w.]+:(\w+)", (ROOT / "pyproject.toml").read_text())
+    dead = [f"{path.name}:{first} {name}"
+            for path, name, first, last in package_definitions()
+            if name not in scripts
+            and not any(p != path or not first <= line <= last
+                        for p, line in reads.get(name, ()))]
+    assert not dead, dead

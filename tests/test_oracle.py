@@ -675,6 +675,71 @@ class TestExSplit:
         assert boundary >= 20, boundary
 
 
+def au_split_reference(ev, f):
+    """A-until's region table as a universal attractor plus a lasso: ``sure``
+    grows by configurations TRUE for the first operand, with no successor
+    above the cap and every successor in ``sure`` already; ``refuted``
+    closes the greatest all-not-goal cycle set, plus the configurations FALSE
+    for both operands, under predecessors FALSE for the goal."""
+    true1, false1 = ev._split(f.children[0])
+    true2, false2 = ev._split(f.children[1])
+    full = ev._full
+    ok = tuple(t1 & ~e for t1, e in zip(true1, ev._boundary))
+    sure = true2
+    while True:
+        blocked = pre_rows(ev.oca, tuple(full ^ r for r in sure), full)
+        new = tuple(o & ~b & ~r for o, b, r in zip(ok, blocked, sure))
+        if not any(new):
+            break
+        sure = tuple(map(int.__or__, sure, new))
+    lasso = false2
+    while True:
+        kept = tuple(map(int.__and__, lasso, pre_rows(ev.oca, lasso, full)))
+        if kept == lasso:
+            break
+        lasso = kept
+    refuted = ev._lfp(
+        tuple(lr | (f1 & f2) for lr, f1, f2 in zip(lasso, false1, false2)), false2
+    )
+    may_f, _ = ev.may_must_states(f)
+    outside = ev._states_outside(may_f)
+    return sure, tuple((r | o) & ~t for r, o, t in zip(refuted, outside, sure))
+
+
+class TestAuSplit:
+    """A-until's region table, built as the complement of an existential
+    weak until, pinned against the universal attractor it replaces."""
+
+    FORMULAS = [parse_formula(t) for t in (
+        "A true U p", "A p U q", "A (EX p) U q", "!(A true U !p)",
+        "A (E p U q) U (EX q)", "A q U (A p U q)", "A (EX (EX p)) U (p & q)",
+        "A (FA p) U q", "A p U (true UE q)",
+    )]
+
+    def test_split_matches_the_attractor_at_every_region_configuration(self):
+        # the corpus and 120 seeded automata of 1-5 states, each at counter
+        # caps 0, 1, 3 and one drawn from 20-40, with level caps from 0-60;
+        # equal rows are equal verdicts at every region configuration
+        rng = random.Random(39)
+        automata = [corpus.load(name) for name in corpus.names()]
+        automata += [random_total_oca(rng, n_states=1 + i % 5) for i in range(120)]
+        tables = boundary = sure = refuted = 0
+        for i, oca in enumerate(automata):
+            for counter_cap in (0, 1, 3, rng.randint(20, 40)):
+                ev = BoundedEvaluator(oca, counter_cap, rng.randint(0, 60))
+                boundary += any(ev._boundary)
+                for f in self.FORMULAS:
+                    for g in subformulas(f):
+                        if g.kind is Kind.AU:
+                            got = ev._split(g)
+                            assert got == au_split_reference(ev, g), (i, counter_cap, pretty(g))
+                            tables += 1
+                            sure += any(got[0])
+                            refuted += any(got[1])
+        assert tables == 5040 and boundary > 400, (tables, boundary)
+        assert sure > 3000 and refuted > 3000, (sure, refuted)
+
+
 class TestMinePeriod:
     def test_constant_formula(self):
         pair, row = mine_period(COUNTDOWN, TRUE, 0, 20, (60, 200))
