@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 MATERIALIZE_LIMIT = 50_000
 
@@ -90,6 +90,7 @@ def _log2_lcm_estimate(n: int) -> float:
     return n / _LN2 + correction
 
 
+@total_ordering
 @dataclass(frozen=True)
 class LcmPoly:
     """Positive integer of the form sum_k coeffs[k] * lcm(1..n)^k."""
@@ -133,7 +134,9 @@ class LcmPoly:
 
     # -- comparisons --------------------------------------------------------
     # Equality and hashing are the dataclass's: (n, coeffs) is a canonical
-    # form wherever ``_cmp`` answers.
+    # form wherever ``_cmp`` answers, and an ``LcmPoly`` never equals an int.
+    # ``total_ordering`` derives <=, > and >= from ``__lt__`` and equality,
+    # so each raises where ``_cmp`` does.
 
     def _cmp(self, other: Number) -> int:
         diff = dict(self.coeffs)
@@ -152,15 +155,6 @@ class LcmPoly:
 
     def __lt__(self, other):
         return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     # -- inspection ---------------------------------------------------------
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .errors import InputError, check_budget, environment_budget
-from .oca import Configuration, Oca, Transition, ZERO
+from .oca import Configuration, Oca, Transition, ZERO, steps_to
 
 
 @dataclass(frozen=True)
@@ -364,12 +364,7 @@ def enumerate_lps(
         by_src.setdefault(t.src, []).append(i)
     # fewest transitions from each state to ``end_state``: a node with less
     # flat length left than that yields no scheme
-    steps_to_end = [math.inf] * oca.n_states
-    steps_to_end[end_state] = 0
-    for k in range(1, oca.n_states):
-        for t in transitions:
-            if steps_to_end[t.dst] == k - 1 and steps_to_end[t.src] > k:
-                steps_to_end[t.src] = k
+    steps_to_end = steps_to(oca, {end_state})
     if steps_to_end[start_state] > flat_len_bound:
         return
     cycles: dict[int, list[tuple[tuple[int, ...], Piece]]] = {}

@@ -3,9 +3,11 @@
 The pipeline: compute a threshold/period pair for every subformula (from the
 constant recursion, a user-supplied pair, or oracle mining), unfold the
 automaton into a finite Kripke structure that keeps low counters exact and
-wraps high ones onto residue classes, label plain operators by fixpoints,
-decide the synchronized operators by level-set iteration, and read the
-per-state satisfaction sets back as ultimately periodic sets.
+wraps high ones onto residue classes, label plain operators by fixpoints
+(E-until and A-until are one least-fixpoint loop, over the existential or
+the universal predecessor), decide the synchronized operators by level-set
+iteration, and read the per-state satisfaction sets back as ultimately
+periodic sets.
 ``cross_check`` runs that procedure against the bounded oracle, which
 imports nothing from this module.
 
@@ -47,7 +49,7 @@ from . import bignum, errors, oracle, upset
 from .errors import BudgetExceededError, InputError, StepCapExceededError, UncoveredOperatorError
 from .formula import Formula, Kind, formula_atoms, pretty, subformulas
 from .oca import Configuration, Oca, ZERO, require_valid
-from .oracle import BoundedEvaluator, Verdict
+from .oracle import DEFAULT_CAPS, BoundedEvaluator, Verdict
 from .periodicity import ConstantBundle, TpPair, ctl_constants, ua_constants, uniform_pair
 from .upset import UpSet
 
@@ -263,19 +265,12 @@ def _label_mask(k: Kripke, f: Formula, sub: dict[Formula, int]) -> int:
         return sub[f.children[0]] & sub[f.children[1]]
     if f.kind is Kind.EX:
         return k.preimage(sub[f.children[0]])
-    if f.kind is Kind.EU:
-        sat1, sat2 = sub[f.children[0]], sub[f.children[1]]
-        x = sat2
+    if f.kind in (Kind.EU, Kind.AU):
+        # one least fixpoint, over the existential or the universal predecessor
+        sat1, x = sub[f.children[0]], sub[f.children[1]]
         while True:
-            nxt = x | (sat1 & k.preimage(x))
-            if nxt == x:
-                return x
-            x = nxt
-    if f.kind is Kind.AU:
-        sat1, sat2 = sub[f.children[0]], sub[f.children[1]]
-        x = sat2
-        while True:
-            nxt = x | (sat1 & ~k.preimage(full & ~x))
+            pre = k.preimage(x) if f.kind is Kind.EU else ~k.preimage(full & ~x)
+            nxt = x | (sat1 & pre)
             if nxt == x:
                 return x
             x = nxt
@@ -550,7 +545,7 @@ def check_oca(
     mode: str = "empirical",
     *,
     supplied: TpPair | None = None,
-    caps: tuple[int, int] = (60, 200),
+    caps: tuple[int, int] = DEFAULT_CAPS,
     b_override: int | None = None,
     node_budget: int | None = None,
     mine_v_cap: int | None = None,
@@ -688,7 +683,7 @@ def cross_check(
     f: Formula,
     inits: list[Configuration],
     mode: str = "empirical",
-    caps: tuple[int, int] = (60, 200),
+    caps: tuple[int, int] = DEFAULT_CAPS,
     *,
     evaluator: BoundedEvaluator | None = None,
     supplied: TpPair | None = None,

@@ -7,15 +7,18 @@ decrement.  The transition relation is required to be total: every state
 needs at least one outgoing transition under each guard, so no configuration
 deadlocks.  Configuration sets are counter bitsets stepped forward and
 backward (``step_rows``, ``pre_rows``), both pinned against ``successors``.
+``steps_to`` measures distances in the control graph, the states and
+transitions with guards ignored, which ``lps`` and ``oracle`` prune by.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Container, Iterator, NamedTuple
 
 from .errors import InputError, OcaSyntaxError, UnknownNameError
 
@@ -115,6 +118,18 @@ def require_valid(oca: Oca) -> None:
     diags = validate(oca)
     if diags:
         raise InputError("invalid automaton: " + "; ".join(diags))
+
+
+def steps_to(oca: Oca, targets: Container[int]) -> list[float]:
+    """Each state's fewest transitions, under either guard, to a state in
+    ``targets``, or ``math.inf`` if there is none: distances in the control
+    graph, found one layer per round."""
+    steps = [0 if s in targets else math.inf for s in range(oca.n_states)]
+    for k in range(1, oca.n_states):
+        for t in oca.transitions:
+            if steps[t.dst] == k - 1 and steps[t.src] > k:
+                steps[t.src] = k
+    return steps
 
 
 def successors(oca: Oca, c: Configuration) -> set[Configuration]:

@@ -11,7 +11,10 @@ fixpoints are built from their operands' rows with ``oca.pre_rows`` in the
 region (EX's configurations at the cap, whose successors may lie above it,
 walk their successors).  Every plain-until table closes through ``_lfp``:
 A-until is the complement of an existential weak until, and the one
-greatest-fixpoint loop, ``_eg``, supplies its infinite paths.  The
+greatest-fixpoint loop, ``_eg``, supplies its infinite paths.  Both until
+tables take their FALSE rows from one state-level rule in ``_split``: the
+until's own refuted rows, plus every state that cannot reach, in the
+control graph (``oca.steps_to``), a state where the goal may hold.  The
 synchronized scans test the levels of ``oca.iter_level_rows`` against these
 rows with a few ANDs per level, one scan per configuration.  A synchronized
 UE formula is decided by one witness scan, which can answer TRUE only, plus
@@ -29,6 +32,7 @@ through ``errors.check_budget``, as the unfolding does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -39,7 +43,7 @@ from .formula import Formula, Kind
 from .lps import analyze_cycle_repetitions, compress_path_with_exponents
 from .oca import (
     Configuration, Oca, OracleTrace, Rows, iter_level_rows, level_sets, pre_rows,
-    step_rows, successors, witness_path,
+    step_rows, steps_to, successors, witness_path,
 )
 from .periodicity import ConstantBundle, TpPair, segment_start, shift_map
 
@@ -69,6 +73,9 @@ def _and(a: Verdict, b: Verdict) -> Verdict:
         return Verdict.UNKNOWN
     return Verdict.TRUE
 
+
+# (counter cap, level cap) when none is given
+DEFAULT_CAPS = (60, 200)
 
 # (TRUE, FALSE) row tuples over the capped region; the rest is UNKNOWN
 Split = tuple[Rows, Rows]
@@ -177,18 +184,9 @@ class BoundedEvaluator:
         return out
 
     def _reaching(self, targets: frozenset[int]) -> frozenset[int]:
-        """The states with a path in the state graph (``_state_step``), of
-        length zero or more, to a state in ``targets``."""
-        step = self._state_step
-        reach = set(targets)
-        changed = True
-        while changed:
-            changed = False
-            for s in range(self.oca.n_states):
-                if s not in reach and step[s] & reach:
-                    reach.add(s)
-                    changed = True
-        return frozenset(reach)
+        """The states with a path in the control graph, of length zero or
+        more, to a state in ``targets``."""
+        return frozenset(s for s, d in enumerate(steps_to(self.oca, targets)) if d < math.inf)
 
     # -- main dispatch ---------------------------------------------------------
 
@@ -264,10 +262,13 @@ class BoundedEvaluator:
                          tuple(map(int.__or__, false1, false2)))
             elif kind is Kind.EX:
                 split = self._ex_split(f)
-            elif kind is Kind.EU:
-                split = self._eu_split(f)
-            elif kind is Kind.AU:
-                split = self._au_split(f)
+            elif kind in (Kind.EU, Kind.AU):
+                # one state-level FALSE rule for both untils: the until's
+                # refuted rows, and every row of a state that cannot even
+                # reach a possibly-satisfying goal state, minus the sure rows
+                sure, refuted = self._eu_split(f) if kind is Kind.EU else self._au_split(f)
+                outside = self._states_outside(self.may_must_states(f)[0])
+                split = sure, tuple((r | o) & ~t for r, o, t in zip(refuted, outside, sure))
             else:
                 # synchronized scans may look above the cap, so UA and UE go
                 # through ``verdict`` one configuration at a time
@@ -320,23 +321,20 @@ class BoundedEvaluator:
         return tuple(true), tuple(false)
 
     def _eu_split(self, f: Formula) -> Split:
+        """(sure, refuted) before ``_split``'s state-level rule: refuted is
+        the region minus where f may hold."""
         true1, false1 = self._split(f.children[0])
         true2, false2 = self._split(f.children[1])
-        may_f, _ = self.may_must_states(f)
         full = self._full
         sure = self._lfp(true2, true1)
         # a path may also continue past the cap, so escape points with a
-        # possible first operand seed the may-hold set; states that cannot
-        # even reach a possibly-satisfying goal state are definitely out
+        # possible first operand seed the may-hold set
         maybe = self._lfp(
             tuple((full ^ f2) | (e & ~f1)
                   for f2, e, f1 in zip(false2, self._boundary, false1)),
             tuple(full ^ f1 for f1 in false1),
         )
-        outside = self._states_outside(may_f)
-        return sure, tuple(
-            full & ~r & ~(m & ~o) for r, m, o in zip(sure, maybe, outside)
-        )
+        return sure, tuple(full ^ m for m in maybe)
 
     def _eg(self, rows: Rows) -> Rows:
         """The greatest R inside ``rows`` with R = rows & pre(R): the
@@ -365,7 +363,8 @@ class BoundedEvaluator:
         in X already.  Inside the region its complement is
         nu Y. (region - true2) & (~ok | pre(Y)), which on a finite graph is
         E[(region - true2) W ((region - true2) & ~ok)], so ``sure`` is the
-        region minus ``_weak_eu`` of those two rows.
+        region minus ``_weak_eu`` of those two rows.  ``_split`` adds the
+        state-level FALSE rule to ``refuted``.
         """
         true1, false1 = self._split(f.children[0])
         true2, false2 = self._split(f.children[1])
@@ -376,11 +375,7 @@ class BoundedEvaluator:
         ))
         refuted = self._weak_eu(false2, false1)
         assert not _meets(sure, refuted), "three-valued fixpoints disagree"
-        # with no possibly-satisfying goal state reachable, every path
-        # refutes the universal until
-        may_f, _ = self.may_must_states(f)
-        outside = self._states_outside(may_f)
-        return sure, tuple((r | o) & ~t for r, o, t in zip(refuted, outside, sure))
+        return sure, refuted
 
     # -- synchronized operators --------------------------------------------------
     #

@@ -324,6 +324,19 @@ def au_reference(k, sat1, sat2):
         x |= grow
 
 
+def eu_reference(k, sat1, sat2):
+    """Least fixpoint of E sat1 U sat2, one node at a time."""
+    x = sat2
+    while True:
+        grow = 0
+        for i in row_bits(sat1 & ~x):
+            if k.image(1 << i) & x:
+                grow |= 1 << i
+        if not grow:
+            return x
+        x |= grow
+
+
 def naive_successor_masks(oca, t, p):
     """Successor mask of every unfolding node, from ``oca.successors`` of the
     counter value the node's class stands for (class c is value c)."""
@@ -526,12 +539,20 @@ class TestUnfoldingKernels:
         structures = [corpus.tree_synchronized()[0], corpus.tree_staggered()[0]]
         structures += [unfold_kripke(oca, t, p) for oca in kernel_automata(rng)
                        for t, p in [(0, 1), (2, 3), (12, 10)]]
-        f = au(atom("a"), atom("b"))
+        # E-until and A-until share one loop in ``_label_mask``; each is
+        # pinned against its own node-at-a-time reference
+        until = [(au(atom("a"), atom("b")), au_reference),
+                 (eu(atom("a"), atom("b")), eu_reference)]
+        grew = {Kind.AU: 0, Kind.EU: 0}
         for k in structures:
             for _ in range(10):
                 sat1, sat2 = rng.getrandbits(k.n), rng.getrandbits(k.n)
                 sub = {atom("a"): sat1, atom("b"): sat2}
-                assert _label_mask(k, f, sub) == au_reference(k, sat1, sat2)
+                for f, reference in until:
+                    got = _label_mask(k, f, sub)
+                    assert got == reference(k, sat1, sat2), (k, f.kind)
+                    grew[f.kind] += got != sat2
+        assert min(grew.values()) > 100, grew
 
 
 @pytest.fixture

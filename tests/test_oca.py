@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 
@@ -8,7 +9,7 @@ from ocasync import oca as oca_module
 from ocasync.oca import (
     Configuration, Oca, OracleTrace, Transition, POS, ZERO,
     iter_level_rows, level_sets, loads, oca_to_json, oca_to_text, parse_configuration,
-    parse_oca_json, parse_oca_text, pre_rows, step_rows, successors,
+    parse_oca_json, parse_oca_text, pre_rows, step_rows, steps_to, successors,
     validate, witness_path,
 )
 from ocasync.errors import OcaSyntaxError
@@ -81,6 +82,48 @@ class TestSuccessors:
             for s in range(oca.n_states):
                 for v in (0, 1, 7):
                     assert successors(oca, Configuration(s, v))
+
+
+def reference_steps_to(oca, targets):
+    """Breadth-first search backward from ``targets`` over the control
+    graph read off ``successors`` at counters 0 and 1, one per guard."""
+    preds = {s: set() for s in range(oca.n_states)}
+    for s in range(oca.n_states):
+        for v in (0, 1):
+            for d in successors(oca, Configuration(s, v)):
+                preds[d.state].add(s)
+    steps = {s: 0 for s in targets}
+    frontier = list(targets)
+    while frontier:
+        nxt = []
+        for d in frontier:
+            for s in sorted(preds[d]):
+                if s not in steps:
+                    steps[s] = steps[d] + 1
+                    nxt.append(s)
+        frontier = nxt
+    return [steps.get(s, math.inf) for s in range(oca.n_states)]
+
+
+class TestStepsTo:
+    def test_matches_breadth_first_search(self):
+        # the corpus and 240 seeded automata of 1-6 states, each with the
+        # empty target set, every state, and three random target sets
+        rng = random.Random(40)
+        automata = [corpus.load(name) for name in corpus.names()]
+        automata += [random_total_oca(rng, n_states=1 + i % 6) for i in range(240)]
+        unreachable = deep = 0
+        for i, oca in enumerate(automata):
+            every = set(range(oca.n_states))
+            assert steps_to(oca, set()) == [math.inf] * oca.n_states, i
+            assert steps_to(oca, every) == [0] * oca.n_states, i
+            for _ in range(3):
+                targets = {s for s in every if rng.random() < 0.3}
+                got = steps_to(oca, targets)
+                assert got == reference_steps_to(oca, targets), (i, targets)
+                unreachable += targets != set() and math.inf in got
+                deep += max(d for d in got if d < math.inf) if targets else 0
+        assert unreachable > 10 and deep > 400, (unreachable, deep)
 
 
 class TestLevelSets:

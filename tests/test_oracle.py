@@ -706,6 +706,38 @@ def au_split_reference(ev, f):
     return sure, tuple((r | o) & ~t for r, o, t in zip(refuted, outside, sure))
 
 
+def eu_split_reference(ev, f):
+    """E-until's region table with its state-level FALSE rule applied in
+    place: ``sure`` closes the goal's TRUE rows under predecessors TRUE for
+    the first operand; ``maybe`` closes the goal's not-FALSE rows, and the
+    boundary rows not FALSE for the first operand, under predecessors not
+    FALSE for it; FALSE is the rest of the region, and every row of a state
+    outside the may-states, minus ``sure``."""
+    true1, false1 = ev._split(f.children[0])
+    true2, false2 = ev._split(f.children[1])
+    may_f, _ = ev.may_must_states(f)
+    full = ev._full
+    sure = ev._lfp(true2, true1)
+    maybe = ev._lfp(
+        tuple((full ^ f2) | (e & ~f1) for f2, e, f1 in zip(false2, ev._boundary, false1)),
+        tuple(full ^ f1 for f1 in false1),
+    )
+    outside = ev._states_outside(may_f)
+    return sure, tuple(full & ~r & ~(m & ~o) for r, m, o in zip(sure, maybe, outside))
+
+
+def until_evaluators():
+    """(automaton index, counter cap, evaluator): the corpus and 120 seeded
+    automata of 1-5 states, each at counter caps 0, 1, 3 and one drawn from
+    20-40, with level caps drawn from 0-60."""
+    rng = random.Random(39)
+    automata = [corpus.load(name) for name in corpus.names()]
+    automata += [random_total_oca(rng, n_states=1 + i % 5) for i in range(120)]
+    for i, oca in enumerate(automata):
+        for counter_cap in (0, 1, 3, rng.randint(20, 40)):
+            yield i, counter_cap, BoundedEvaluator(oca, counter_cap, rng.randint(0, 60))
+
+
 class TestAuSplit:
     """A-until's region table, built as the complement of an existential
     weak until, pinned against the universal attractor it replaces."""
@@ -717,27 +749,49 @@ class TestAuSplit:
     )]
 
     def test_split_matches_the_attractor_at_every_region_configuration(self):
-        # the corpus and 120 seeded automata of 1-5 states, each at counter
-        # caps 0, 1, 3 and one drawn from 20-40, with level caps from 0-60;
         # equal rows are equal verdicts at every region configuration
-        rng = random.Random(39)
-        automata = [corpus.load(name) for name in corpus.names()]
-        automata += [random_total_oca(rng, n_states=1 + i % 5) for i in range(120)]
         tables = boundary = sure = refuted = 0
-        for i, oca in enumerate(automata):
-            for counter_cap in (0, 1, 3, rng.randint(20, 40)):
-                ev = BoundedEvaluator(oca, counter_cap, rng.randint(0, 60))
-                boundary += any(ev._boundary)
-                for f in self.FORMULAS:
-                    for g in subformulas(f):
-                        if g.kind is Kind.AU:
-                            got = ev._split(g)
-                            assert got == au_split_reference(ev, g), (i, counter_cap, pretty(g))
-                            tables += 1
-                            sure += any(got[0])
-                            refuted += any(got[1])
+        for i, counter_cap, ev in until_evaluators():
+            boundary += any(ev._boundary)
+            for f in self.FORMULAS:
+                for g in subformulas(f):
+                    if g.kind is Kind.AU:
+                        got = ev._split(g)
+                        assert got == au_split_reference(ev, g), (i, counter_cap, pretty(g))
+                        tables += 1
+                        sure += any(got[0])
+                        refuted += any(got[1])
         assert tables == 5040 and boundary > 400, (tables, boundary)
         assert sure > 3000 and refuted > 3000, (sure, refuted)
+
+
+class TestEuSplit:
+    """E-until's region table, its FALSE rows from ``_split``'s one
+    state-level rule, pinned against the table built with the rule in
+    place."""
+
+    FORMULAS = [parse_formula(t) for t in (
+        "E true U p", "E p U q", "E (EX p) U q", "!(E true U !p)",
+        "E (A p U q) U (EX q)", "E q U (E p U q)", "E (EX (EX p)) U (p & q)",
+        "E (FA p) U q", "E p U (true UE q)",
+    )]
+
+    def test_split_matches_the_reference_at_every_region_configuration(self):
+        # equal rows are equal verdicts at every region configuration;
+        # ``ruled`` counts tables whose FALSE rows the state-level rule grew
+        tables = sure = false = ruled = 0
+        for i, counter_cap, ev in until_evaluators():
+            for f in self.FORMULAS:
+                for g in subformulas(f):
+                    if g.kind is Kind.EU:
+                        got = ev._split(g)
+                        assert got == eu_split_reference(ev, g), (i, counter_cap, pretty(g))
+                        tables += 1
+                        sure += any(got[0])
+                        false += any(got[1])
+                        ruled += got[1] != ev._eu_split(g)[1]
+        assert tables == 5040 and ruled > 400, (tables, ruled)
+        assert sure > 3000 and false > 3000, (sure, false)
 
 
 class TestMinePeriod:
