@@ -15,17 +15,20 @@ imports nothing from this module.
 synchronized checks run once per start node but share their level-set work
 through three caches that the ``Kripke`` structure keeps, keyed by what their
 answers depend on: UA answers per level set, under ``(sat1, sat2)``; UE's
-distance sequence and that sequence's index of first positions, under
-``sat2``; and the images of the level sets UE has stepped from, under the
+distance sequence up to its repeat, with each node's first position in it,
+under ``sat2``; and the shapes (tail and period) of level orbits, under the
 level set.  Every call on the structure reads and extends them, standalone
-calls too (UE's distance sequence by one preimage per step, also past its
-repeat), and they live as long as the structure.  A UE level step does
-constant work unless its bound passes the start-level test, which UE makes
-before testing any other level; and UE finds where the (level, distance)
-pair repeats from the two sequences' own repeats (base = max of the bases,
-period = lcm of the periods) instead of keying a table by pairs.  From a
-start node outside sat1 and sat2 no bound past 0 can hold, so UE answers as
-soon as both repeats are known.
+calls too, and they live as long as the structure.  Along a walked path the
+two level-set caches keep one level in ``_STRIDE``, besides cycle levels
+(and UA's decided ones), so they hold about one mask per ``_STRIDE`` levels
+walked, and a walk that merges into an older orbit re-walks fewer than
+``_STRIDE`` levels before it meets an entry.  UE answers a start node in
+sat1 at its first position in the distance sequence when that bound holds,
+which it always does when sat1 is every node; otherwise it reads where the
+(level, distance) pair repeats off the two sequences' shapes (base = max of
+the bases, period = lcm of the periods) and scans on to the stop.  From a
+start node outside sat1 and sat2 no bound past 0 can hold, so UE answers
+from the shapes alone.
 
 Every ``Kripke`` structure, unfolded or hand-built, is one layout: rows of
 ``width`` counter classes, with a row's edges given by ``Move``s that act on
@@ -158,13 +161,16 @@ class Kripke:
                 tuple((g, -d) for d, g in groups.items() if d < 0))
 
     @cached_property
-    def _level_images(self) -> dict[int, int]:
-        """``image`` of each level mask UE has stepped from, keyed by mask."""
+    def _level_shapes(self) -> dict[int, int]:
+        """The shape of the level orbit from a mask, keyed by the mask and
+        packed as ``tail * _PERIODS + period``; UE stores it for every cycle
+        mask and for every tail mask whose tail is a multiple of
+        ``_STRIDE``."""
         return {}
 
     @cached_property
-    def _ue_distances(self) -> dict[int, tuple[list[int], dict[int, int]]]:
-        """UE's exact-distance sequence and its index, keyed by ``sat2``."""
+    def _ue_distances(self) -> dict[int, _Distances]:
+        """UE's exact-distance sequence, keyed by ``sat2``."""
         return {}
 
     @cached_property
@@ -280,6 +286,10 @@ def _label_mask(k: Kripke, f: Formula, sub: dict[Formula, int]) -> int:
 # ---------------------------------------------------------------------------
 # Synchronized operators
 
+_STRIDE = 8  # a walked path keeps one level-set cache entry per this many levels
+_PERIODS = 1 << 64  # a packed orbit shape is tail * _PERIODS + period
+
+
 def _step_cap_exceeded(step_cap: int) -> StepCapExceededError:
     """The error for a level iteration whose answer needs more than
     ``step_cap + 1`` iterations: it stays undecided at horizon ``step_cap``."""
@@ -302,27 +312,33 @@ def check_ua_on_kripke(
     maps level masks to their answers, each stored as ``iterations << 1 |
     holds`` (a bound that holds is always ``iterations - 1``).  A call walks
     until a memo hit or a decided level, keeping the walk's positions to
-    itself, and then records an answer for every level it walked, so merging
-    orbits are walked once.  An answer that needs more than ``step_cap + 1``
-    iterations raises ``StepCapExceededError``, whether walked or read from
-    the memo; a call that raises records nothing.
+    itself.  It then records the answer of every cycle level and decided
+    level it met, and of every walked level whose iteration count is a
+    multiple of ``_STRIDE``: along a walked path the counts fall by one per
+    level down to a recorded answer, so a later walk that merges into it
+    meets a recorded level within ``_STRIDE`` levels.  An answer that needs
+    more than ``step_cap + 1`` iterations raises ``StepCapExceededError``,
+    whether walked or read from the memo; a walk that the cap cuts short
+    records nothing, so every recorded answer is exact.
     """
     if step_cap is not None and step_cap < 0:
         raise ValueError("step cap must be non-negative")
     memo = k._ua_memos.setdefault((sat1, sat2), {})
     path: list[int] = []  # walked levels without an answer yet, in orbit order
     on_path: dict[int, int] = {}  # each walked level's position in path
-    not_sat1, not_sat2 = ~sat1, ~sat2
+    full = k.full_mask
+    not_sat1, not_sat2 = full & ~sat1, full & ~sat2
     level = 1 << init
     while True:
         res = memo.get(level)
         if res is not None:
             break
-        first = on_path.get(level)
-        if first is not None:
+        pos = len(path)
+        first = on_path.setdefault(level, pos)
+        if first < pos:
             # the levels from the first visit on form a cycle of length c,
             # and each fails after c + 1 iterations
-            res = (len(path) - first + 1) << 1
+            res = (pos - first + 1) << 1
             for lv in path[first:]:
                 memo[lv] = res
             del path[first:]
@@ -333,14 +349,14 @@ def check_ua_on_kripke(
         if level & not_sat1:
             res = memo[level] = 1 << 1
             break
-        if step_cap is not None and len(path) + 1 > step_cap:
+        if step_cap is not None and pos + 1 > step_cap:
             raise _step_cap_exceeded(step_cap)
-        on_path[level] = len(path)
         path.append(level)
         level = k.image(level)
     for lv in reversed(path):
         res += 2  # one more iteration
-        memo[lv] = res
+        if not (res >> 1) % _STRIDE:
+            memo[lv] = res
     iterations = res >> 1
     if step_cap is not None and iterations > step_cap + 1:
         raise _step_cap_exceeded(step_cap)
@@ -349,84 +365,159 @@ def check_ua_on_kripke(
     return SyncCheck(False, None, iterations)
 
 
+class _Distances:
+    """UE's exact-distance sequence for one ``sat2``: ``masks[d]`` holds the
+    nodes that reach sat2 in exactly d steps, listed up to the sequence's
+    repeat and no further, ``repeat`` is its ``(base, period)`` once seen,
+    and ``first`` maps each node to its least position d >= 1 in it."""
+
+    def __init__(self, sat2: int):
+        self.masks = [sat2]
+        self.index = {sat2: 0}  # each mask's position
+        self.first: dict[int, int] = {}
+        self.seen = 0  # the nodes in ``first``
+        self.repeat: tuple[int, int] | None = None
+
+    def extend(self, k: Kripke, last: int) -> None:
+        """Grow the sequence to its repeat, or to position ``last`` if the
+        repeat lies further."""
+        masks = self.masks
+        while self.repeat is None and len(masks) <= last:
+            d = k.preimage(masks[-1])
+            pos = self.index.setdefault(d, len(masks))
+            if pos < len(masks):
+                self.repeat = (pos, len(masks) - pos)
+                return
+            masks.append(d)
+            new = d & ~self.seen
+            self.seen |= d
+            while new:
+                low = new & -new
+                self.first[low.bit_length() - 1] = pos
+                new ^= low
+
+    def at(self, d: int) -> int:
+        """The nodes that reach sat2 in exactly ``d`` steps; ``d`` lies
+        inside the list or the repeat is known."""
+        masks = self.masks
+        if d < len(masks):
+            return masks[d]
+        base, period = self.repeat
+        return masks[base + (d - base) % period]
+
+
+def _level_shape(k: Kripke, level: int, step_cap: int) -> tuple[int, int] | None:
+    """``(tail, period)`` of the level orbit from ``level``, or None if it
+    repeats only after ``step_cap + 1`` levels.
+
+    The walk stops at the first mask with a stored shape or at a revisit on
+    its own path, and then stores the shape of every cycle mask it found and
+    of every walked mask whose tail is a multiple of ``_STRIDE``.  Tails
+    fall by one per level down to the cycle, so a later walk that merges
+    into this orbit meets a stored mask within ``_STRIDE`` levels."""
+    shapes = k._level_shapes
+    path: list[int] = []  # walked masks without a shape yet, in orbit order
+    on_path: dict[int, int] = {}  # each walked mask's position in path
+    while True:
+        shape = shapes.get(level)
+        if shape is not None:
+            tail, period = divmod(shape, _PERIODS)
+            break
+        pos = len(path)
+        first = on_path.setdefault(level, pos)
+        if first < pos:
+            tail, period = 0, pos - first
+            for lv in path[first:]:
+                shapes[lv] = period
+            del path[first:]
+            break
+        if pos >= step_cap:
+            return None
+        path.append(level)
+        level = k.image(level)
+    for lv in reversed(path):
+        tail += 1
+        if not tail % _STRIDE:
+            shapes[lv] = tail * _PERIODS + period
+    return tail, period
+
+
 def check_ue_on_kripke(
     k: Kripke, init: int, sat1: int, sat2: int, step_cap: int
 ) -> SyncCheck:
     """Does some single bound admit, for every earlier level, a sat1 node of
     that level from which sat2 is reachable in exactly the remaining steps?
 
-    Bound K holds iff level K meets sat2 and every level j < K meets
-    ``sat1 & dist[K - j]``.  The start level (j = 0) is tested first, and
-    the other levels only for a bound that passes it.  Level K is not
-    tested against sat2: a start node in ``dist[K]`` has a path of exactly
-    K steps into sat2, and that path ends in level K.
+    Bound K holds iff every level j < K meets ``sat1 & dist[K - j]``, where
+    ``dist[d]`` holds the nodes reaching sat2 in exactly d steps.  The start
+    level (j = 0) is tested first, and the other levels only for a bound
+    that passes it.  Level K is not tested against sat2: a start node in
+    ``dist[K]`` has a path of exactly K steps into sat2, and that path ends
+    in level K.
+
+    So no bound lies below the start node's first hit, its least position
+    K >= 1 in ``dist``, and that bound is tested first.  When sat1 is the
+    full mask it holds: the path of K steps into sat2 passes through every
+    level j at a node of ``dist[K - j]``.  The first hit also lies before
+    the scan's stop (below): ``dist`` repeats with some base and period, so
+    a node outside sat2 that has a hit has one below their sum.  Only when
+    the first hit fails does the call read the level orbit's shape and scan
+    on to the stop.
 
     The levels and the exact-distance sets are orbits of deterministic maps
-    (``k.image`` and ``k.preimage``): each runs through a transient into a
-    cycle.  The pair of them first repeats at base = max(level base,
-    distance base) with period = lcm(level period, distance period), since
-    both must be on their cycles and a shift must be a multiple of both
-    periods.  From the repeat on the predicate is determined by the cycle,
-    so the scan stops at twice the base plus one period less one, or at the
-    repeat if that is later.  From a start node outside sat1 no bound past
-    0 can hold, so that answer is known, and returned, once both sequences
-    have repeated.
+    (``k.image`` and ``k.preimage``): each runs through a tail into a cycle.
+    The pair of them first repeats at base = max(level tail, distance base)
+    with period = lcm(level period, distance period), since both must be on
+    their cycles and a shift must be a multiple of both periods.  From the
+    repeat on the predicate is determined by the cycle, so the scan stops at
+    twice the base plus one period less one, or at the repeat if that is
+    later.  From a start node outside sat1 no bound past 0 can hold, so that
+    answer is read off the two shapes.  An orbit that repeats only after
+    ``step_cap + 1`` levels puts the stop past the cap.
 
-    What does not depend on ``init`` is kept on ``k``: each level mask's
-    image, keyed by mask, and per ``sat2`` the list ``dist``, where
-    ``dist[d]`` holds the nodes reaching sat2 in exactly d steps, with its
-    index of each distinct mask's first position.  Each call extends them as
-    far as it scans.  Once ``dist`` is longer than its index, the sequence
-    has repeated at position ``len(dist_index)``, and its base and period
-    are known.
+    What does not depend on ``init`` is kept on ``k``: per ``sat2`` the
+    distance sequence with its repeat and first-hit index (``_Distances``),
+    and per level mask the shapes ``_level_shape`` stores.  The levels that
+    test a bound are walked by ``k.image`` for this call alone.
     """
     if step_cap < 1:
         raise ValueError("step cap must be at least 1")
     level = 1 << init
     if level & sat2:
         return SyncCheck(True, 0, 1)
-    images = k._level_images
-    dist, dist_index = k._ue_distances.setdefault(sat2, ([sat2], {sat2: 0}))
-    start = level & sat1  # bound K >= 1 needs start & dist[K]
+    dist = k._ue_distances.get(sat2)
+    if dist is None:
+        dist = k._ue_distances[sat2] = _Distances(sat2)
+    dist.extend(k, step_cap)
+    hit = dist.first.get(init) if level & sat1 else None
     levels = [level]
-    first = {level: 0}  # each level's first position, until the levels repeat
-    level_base = level_period = 0
-    stop = None
-    k_step = 0
-    while True:
-        # outside sat1 no bound past 0 can hold, so the scan would run to stop
-        if stop is not None and (k_step >= stop or not start):
-            if stop > step_cap:
-                raise _step_cap_exceeded(step_cap)
-            return SyncCheck(False, None, stop + 1)
-        if k_step >= step_cap:
+
+    def holds(bound: int) -> bool:
+        if not level & dist.at(bound):
+            return False
+        while len(levels) < bound:
+            levels.append(k.image(levels[-1]))
+        return all(levels[j] & sat1 & dist.at(bound - j) for j in range(1, bound))
+
+    if hit is not None:
+        if hit > step_cap:
             raise _step_cap_exceeded(step_cap)
-        nxt = images.get(level)
-        if nxt is None:
-            nxt = images[level] = k.image(level)
-        level = nxt
-        k_step += 1
-        levels.append(level)
-        if len(dist) == k_step:
-            d = k.preimage(dist[-1])
-            dist.append(d)
-            dist_index.setdefault(d, k_step)
-        if not level_period:
-            level_base = first.setdefault(level, k_step)
-            if level_base < k_step:
-                level_period = k_step - level_base
-        if stop is None and level_period and len(dist_index) < len(dist):
-            rep = len(dist_index)
-            dist_base = dist_index[dist[rep]]
-            base = max(level_base, dist_base)
-            period = math.lcm(level_period, rep - dist_base)
-            stop = max(base + period, 2 * base + period - 1)
-        if start & dist[k_step]:
-            for j in range(1, k_step):
-                if not levels[j] & sat1 & dist[k_step - j]:
-                    break
-            else:
-                return SyncCheck(True, k_step, k_step + 1)
+        if sat1 == k.full_mask or holds(hit):
+            return SyncCheck(True, hit, hit + 1)
+    shape = _level_shape(k, level, step_cap)
+    stop = math.inf
+    if shape is not None and dist.repeat is not None:
+        (level_base, level_period), (dist_base, dist_period) = shape, dist.repeat
+        base = max(level_base, dist_base)
+        period = math.lcm(level_period, dist_period)
+        stop = max(base + period, 2 * base + period - 1)
+    if hit is not None:
+        for bound in range(hit + 1, min(stop, step_cap) + 1):
+            if holds(bound):
+                return SyncCheck(True, bound, bound + 1)
+    if stop > step_cap:
+        raise _step_cap_exceeded(step_cap)
+    return SyncCheck(False, None, stop + 1)
 
 
 def label_kripke(

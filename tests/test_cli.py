@@ -998,23 +998,29 @@ class TestCapProbes:
     rows decide before any level is truncated; the random-b ``FA p`` rows
     truncate early and can then only answer UNKNOWN, so they fit the wall
     limit only if the UA scan stops at its first truncated level instead of
-    walking to the level cap."""
+    walking to the level cap.  Two checker rows run under 300 MB instead,
+    and pin their output's SHA-256."""
 
     WALL_S = 60
 
-    @pytest.mark.parametrize("argv, want", CAP_PROBES,
-                             ids=[" ".join(argv) for argv, _ in CAP_PROBES])
-    def test_exits_zero_one_or_two_under_1_gb(self, schema, argv, want):
+    def run_limited(self, argv, limit):
+        """Run the command line on ``argv`` in a child whose address space
+        is limited to ``limit`` bytes."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         child = (
             "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
             "from ocasync.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", child, *argv],
+        return subprocess.run([sys.executable, "-c", child, *argv],
                               capture_output=True, env=env, timeout=self.WALL_S)
+
+    @pytest.mark.parametrize("argv, want", CAP_PROBES,
+                             ids=[" ".join(argv) for argv, _ in CAP_PROBES])
+    def test_exits_zero_one_or_two_under_1_gb(self, schema, argv, want):
+        proc = self.run_limited(argv, 1 << 30)
         doc = json.loads(proc.stdout)
         assert proc.returncode in (0, 1, 2), doc
         assert proc.stderr == b""
@@ -1028,6 +1034,17 @@ class TestCapProbes:
                 assert [row["oracle"] for row in doc["data"]["rows"]] == [answer]
             else:
                 assert doc["data"]["verdict"] == answer
+
+    @pytest.mark.parametrize("formula, digest", [("FA p", "d5d0bd83958d3bff"),
+                                                 ("p UE q", "4157b175a5307c75")])
+    def test_checker_caches_fit_300_mb_at_supplied_500(self, formula, digest):
+        # random-b unfolds to 3,006 nodes; the synchronized checks' caches
+        # keep one entry per stride of the levels walked, where one entry
+        # per level needed about 450 MB and exited 3 under this limit
+        argv = ("sat-sets", "--oca", "random-b", "--formula", formula, "--mode", "supplied:500,500")
+        proc = self.run_limited(argv, 300 << 20)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert hashlib.sha256(proc.stdout).hexdigest()[:16] == digest
 
 
 class TestDeeplyNestedFormulas:

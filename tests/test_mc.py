@@ -446,6 +446,33 @@ class TestUnfoldingKernels:
         assert {base for base, _ in shapes} == {1, -1, 0}
         assert (1, True) in shapes and (-1, True) in shapes
 
+    def test_ue_under_the_full_mask_answers_at_the_first_hit(self, rng, kernel_calls):
+        # with sat1 the full mask a start node's first hit is its answer, so
+        # a node that has one decides without walking a level; whole answers
+        # and step-cap errors match the reference
+        hits = 0
+        for oca in kernel_automata(rng):
+            for t, p in KERNEL_PAIRS:
+                k = unfold_kripke(oca, t, p)
+                full_cap = 4 * k.n * k.n + 64
+                goals = [k.atom_mask(name) for name in sorted(oca.atoms)]
+                goals.append(rng.getrandbits(k.n) & rng.getrandbits(k.n))
+                for sat2 in goals:
+                    for node in range(k.n):
+                        expect = ue_reference(k, node, k.full_mask, sat2, full_cap)
+                        before = kernel_calls["image"]
+                        got = check_ue_on_kripke(k, node, k.full_mask, sat2, full_cap)
+                        assert tuple(got) == expect, (k, node, sat2)
+                        if got.holds and got.witness_k:
+                            assert kernel_calls["image"] == before, (k, node, sat2)
+                            hits += 1
+                        last = expect[2] - 1
+                        for step_cap in (max(1, last), max(1, last - 1)):
+                            args = (k, node, k.full_mask, sat2, step_cap)
+                            assert scan_outcome(check_ue_on_kripke, *args) == scan_outcome(
+                                ue_reference, *args), (k, node, sat2, step_cap)
+        assert hits > 1000
+
     def test_shared_ua_memo_matches_reference(self, rng):
         revisits = 0
         for k in scan_structures(rng):
@@ -504,15 +531,20 @@ class TestUnfoldingKernels:
 
     def test_ue_outside_sat1_stops_at_the_repeat(self, rng):
         # start nodes in neither sat1 nor sat2: the answer is fixed once both
-        # orbits have repeated, so the scan ends there, and the structure's
-        # distance sequence grows no further than its repeat and the levels'
+        # orbits have repeated, so it is read off their shapes, and the
+        # structure's distance sequence holds its distinct masks up to its
+        # repeat and grows no further
         checked = shorter = 0
         for k in scan_structures(rng):
             full_cap = 4 * k.n * k.n + 64
             for sat1, sat2 in scan_operands(rng, k):
                 dist_base, dist_period = orbit_shape(sat2, k.preimage)
-                # the list the calls extend
-                dist, _ = k._ue_distances.setdefault(sat2, ([sat2], {sat2: 0}))
+                distinct = [sat2]
+                while len(distinct) < dist_base + dist_period:
+                    distinct.append(k.preimage(distinct[-1]))
+                first_hits = {}  # each node's least position d >= 1
+                for d in range(len(distinct) - 1, 0, -1):
+                    first_hits.update(dict.fromkeys(row_bits(distinct[d]), d))
                 order = list(range(k.n))
                 rng.shuffle(order)
                 for node in order:
@@ -523,14 +555,18 @@ class TestUnfoldingKernels:
                     period = math.lcm(level_period, dist_period)
                     stop = max(base + period, 2 * base + period - 1)
                     need = max(level_base + level_period, dist_base + dist_period) + 1
-                    grown = max(len(dist), need)
                     for step_cap in (full_cap, stop, max(1, stop - 1)):
                         got = scan_outcome(check_ue_on_kripke, k, node, sat1, sat2, step_cap)
                         assert got == scan_outcome(
                             ue_reference, k, node, sat1, sat2, step_cap), (k, node, step_cap)
+                        dist = k._ue_distances[sat2]  # what the calls extend
                         if step_cap == full_cap:
                             assert got == (False, None, stop + 1), (k, node)
-                        assert len(dist) <= grown, (k, node, step_cap)
+                            assert dist.repeat == (dist_base, dist_period), (k, node)
+                            assert dist.first == first_hits, (k, node)
+                        assert dist.masks == distinct[:len(dist.masks)], (k, node, step_cap)
+                        # no further than the repeat, short of what the scan reached
+                        assert len(dist.masks) <= len(distinct) < need, (k, node, step_cap)
                     checked += 1
                     shorter += need < stop + 1
         assert checked > 100 and shorter > 10
@@ -567,11 +603,25 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def repeat_images(k, check, sat1, sat2, answers):
+    """The most ``Kripke.image`` calls that a round of ``check`` over every
+    start node may make once a first round has filled the structure's
+    caches: fewer than ``mc._STRIDE`` re-walked levels per node, and for UE
+    the walks that test a bound, at most ``iterations - 2`` levels from each
+    start node in sat1 and outside sat2."""
+    most = (mc._STRIDE - 1) * k.n
+    if check is check_ue_on_kripke:
+        most += sum(max(0, res.iterations - 2) for node, res in enumerate(answers)
+                    if (sat1 & ~sat2) >> node & 1)
+    return most
+
+
 class TestStructureCaches:
     def test_a_repeated_check_reads_the_structure(self, rng, kernel_calls):
-        # a second round of calls on one structure makes no image or
-        # preimage call and returns the whole answer of a call on a copy
-        made = 0
+        # a second round of calls on one structure makes no preimage call,
+        # re-walks fewer than the stride's levels per start node besides
+        # UE's bound tests, and returns the whole answer of a call on a copy
+        made = rewalked = 0
         for k in scan_structures(rng):
             full_cap = 4 * k.n * k.n + 64
             for sat1, sat2 in scan_operands(rng, k):
@@ -583,9 +633,12 @@ class TestStructureCaches:
                     made += kernel_calls != before
                     before = dict(kernel_calls)
                     again = [check(k, node, sat1, sat2, full_cap) for node in range(k.n)]
-                    assert kernel_calls == before, (k, check)
+                    assert kernel_calls["preimage"] == before["preimage"], (k, check)
+                    images = kernel_calls["image"] - before["image"]
+                    assert images <= repeat_images(k, check, sat1, sat2, alone), (k, check)
+                    rewalked += images > 0
                     assert first == again == alone, (k, check)
-        assert made > 100
+        assert made > 100 and rewalked > 10
 
     def test_a_second_operator_with_the_same_operands_reads_the_structure(
         self, rng, kernel_calls
@@ -606,10 +659,57 @@ class TestStructureCaches:
                 two = land(one, op(lnot(lnot(a)), b))
                 before = dict(kernel_calls)
                 got, _ = label_kripke(k, two, 0, step_cap)
-                assert {name: kernel_calls[name] - before[name] for name in before} == alone
+                made = {name: kernel_calls[name] - before[name] for name in before}
                 assert got[two] == got[one] == sat[one], (k, two)
+                # the second operator makes no preimage call, and only the
+                # image calls of a repeated round
+                check = check_ua_on_kripke if op is ua else check_ue_on_kripke
+                answers = [check(copy, node, sat[a], sat[b], step_cap) for node in range(k.n)]
+                assert made["preimage"] == alone["preimage"], (k, two)
+                assert alone["image"] <= made["image"] <= alone["image"] + repeat_images(
+                    k, check, sat[a], sat[b], answers), (k, two)
                 pairs += alone["image"] > 0
         assert pairs > 50
+
+    def test_caches_keep_one_walked_level_per_stride(self, kernel_calls):
+        # random-b at supplied 60,60: besides its cycle masks (and UA's
+        # decided levels) each cache holds at most one entry per stride of
+        # the levels its walks stepped from, and every entry it holds is an
+        # exact answer or shape
+        oca = corpus.load("random-b")
+        for text in ("FA p", "p UE q"):
+            k = unfold_kripke(oca, 62, 60)
+            f = parse_formula(text)
+            step_cap = 4 * k.n * k.n + 64
+            before = kernel_calls["image"]
+            sat, _ = label_kripke(k, f, 0, step_cap)
+            walked = kernel_calls["image"] - before
+            sat1, sat2 = sat[f.children[0]], sat[f.children[1]]
+            # a second round re-walks at most what the stride allows
+            check = check_ua_on_kripke if f.kind is Kind.UA else check_ue_on_kripke
+            before = kernel_calls["image"]
+            again = [check(k, node, sat1, sat2, step_cap) for node in range(k.n)]
+            assert mask_of(node for node, res in enumerate(again) if res.holds) == sat[f]
+            assert kernel_calls["image"] - before <= repeat_images(k, check, sat1, sat2, again)
+            ends = 0
+            if f.kind is Kind.UA:
+                cache = k._ua_memos[sat1, sat2]
+                for level, res in cache.items():
+                    decided = not level & ~sat2 or level & ~sat1
+                    if decided or (res >> 1) % mc._STRIDE:
+                        assert decided or orbit_shape(level, k.image)[0] == 0, (text, level)
+                        ends += 1
+                    holds, _, it = ua_reference(k, None, sat1, sat2, level=level)
+                    assert res == it << 1 | holds, (text, level)
+            else:
+                cache = k._level_shapes
+                for level, shape in cache.items():
+                    tail, period = divmod(shape, mc._PERIODS)
+                    assert (tail, period) == orbit_shape(level, k.image), (text, level)
+                    assert not tail % mc._STRIDE, (text, level)
+                    ends += tail == 0
+            assert ends < 150 < walked // mc._STRIDE, (text, ends, walked)
+            assert len(cache) <= -(-walked // mc._STRIDE) + ends, (text, len(cache), walked)
 
     def test_an_error_mid_walk_leaves_answers_only(self, rng, monkeypatch):
         # ``image`` raises after a random number of calls; the structure's UA
@@ -670,6 +770,14 @@ def label_reference(k, f, root, step_cap):
     return sat, witness_k
 
 
+def renumbered(k, order):
+    """``k`` as a hand-built structure whose node i is node ``order[i]`` of
+    ``k``."""
+    position = {node: i for i, node in enumerate(order)}
+    successors = [[position[j] for j in row_bits(k.image(1 << node))] for node in order]
+    return Kripke.from_successors(successors, [k.labels[node // k.width] for node in order])
+
+
 def random_sync_formula(rng, atoms, depth):
     """A random formula over ``atoms`` whose top operator is synchronized."""
     def sub(d):
@@ -700,6 +808,28 @@ class TestLabelKripke:
                 assert got == label_reference(k, f, root, step_cap), (k, f, root)
                 decided.add((f.kind, got[1] is not None))
         assert decided == {(Kind.UA, True), (Kind.UA, False), (Kind.UE, True), (Kind.UE, False)}
+
+    def test_node_order_does_not_change_the_labels(self, rng):
+        # the structure's caches fill in the order the start nodes are
+        # checked; the same structure renumbered in three shuffled node
+        # orders labels every subformula as the unshared reference does
+        structures = [corpus.tree_synchronized(), corpus.tree_staggered(), (late_witness(), 5)]
+        for oca in kernel_automata(rng):
+            k = unfold_kripke(oca, 2, 3)
+            structures.append((k, rng.randrange(k.n)))
+        for k, root in structures:
+            atoms = sorted(set().union(*k.labels))
+            step_cap = 4 * k.n * k.n + 64
+            for _ in range(3):
+                f = random_sync_formula(rng, atoms, 3)
+                expect = label_reference(k, f, root, step_cap)
+                for _ in range(3):
+                    order = list(range(k.n))
+                    rng.shuffle(order)
+                    sat, witness_k = label_kripke(
+                        renumbered(k, order), f, order.index(root), step_cap)
+                    back = {g: mask_of(order[i] for i in row_bits(m)) for g, m in sat.items()}
+                    assert (back, witness_k) == expect, (k, f, order)
 
     def test_each_ue_operator_keeps_its_own_distance_sequence(self, monkeypatch):
         # two UE operators on one structure whose distance sequences have
@@ -810,15 +940,20 @@ class TestSyncChecks:
         assert exc.value.partial_horizon == 2
 
     def test_ua_step_cap_counts_through_memo_hits(self):
-        k, root = corpus.tree_synchronized()
+        # a chain of ten nodes into a black node with a loop: node i needs
+        # 11 - i iterations, and the walk from node 0 records the black
+        # node and node 3, whose 8 iterations are a multiple of the stride
+        k = Kripke.from_successors([(i + 1,) for i in range(10)] + [(10,)],
+                                   [frozenset()] * 10 + [frozenset({"black"})])
         black = k.atom_mask("black")
-        assert check_ua_on_kripke(k, root, k.full_mask, black).witness_k == 3
-        # the root's answer is now a hit in the structure's memo, and its
-        # bound of 3 still needs more than two steps
-        assert k._ua_memos[k.full_mask, black][1 << root] == 4 << 1 | 1
+        assert check_ua_on_kripke(k, 0, k.full_mask, black).witness_k == 10
+        assert k._ua_memos[k.full_mask, black] == {1 << 10: 1 << 1 | 1, 1 << 3: 8 << 1 | 1}
+        # node 0's walk now ends at the hit on node 3 after three levels,
+        # and its bound of 10 still needs more than nine steps
         with pytest.raises(StepCapExceededError) as exc:
-            check_ua_on_kripke(k, root, k.full_mask, black, 2)
-        assert exc.value.partial_horizon == 2
+            check_ua_on_kripke(k, 0, k.full_mask, black, 9)
+        assert exc.value.partial_horizon == 9
+        assert check_ua_on_kripke(k, 0, k.full_mask, black, 10).witness_k == 10
 
     def test_ua_termination_without_cap_on_fuzzed_structures(self, rng):
         for _ in range(60):
